@@ -36,8 +36,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import shutil
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,6 +59,20 @@ __all__ = [
 ]
 
 _MANIFEST_VERSION = 1
+
+#: what decoding a damaged ``.npz`` fragment raises: an empty file
+#: (``EOFError``), a torn or flipped archive (``BadZipFile``,
+#: ``zlib.error``, a bad seek's ``OSError``), mangled members
+#: (``ValueError``, ``UnpicklingError``, ``KeyError``)
+_UNREADABLE = (
+    EOFError,
+    KeyError,
+    OSError,
+    ValueError,
+    pickle.UnpicklingError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
 
 
 class CheckpointError(RuntimeError):
@@ -246,8 +263,21 @@ class RunJournal:
         return result
 
     def load_completed(self) -> dict[int, JoinResult]:
-        """Every durable shard result, keyed by shard id."""
-        return {sid: self.load_shard(sid) for sid in self.completed_shards()}
+        """Every readable durable shard result, keyed by shard id.
+
+        A fragment that fails to decode (torn by a crash, emptied,
+        corrupted — the zip members' CRC-32 catches flipped bytes) counts
+        as incomplete and is not counted in ``stats.loads``: its shard
+        re-executes and :meth:`save_shard` overwrites it. A readable
+        fragment of a different run still raises :class:`CheckpointError`.
+        """
+        out = {}
+        for sid in self.completed_shards():
+            try:
+                out[sid] = self.load_shard(sid)
+            except _UNREADABLE:
+                continue
+        return out
 
     # ----------------------------------------------------------- lifecycle
     @property

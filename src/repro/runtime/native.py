@@ -27,8 +27,9 @@ fan out over a ``ProcessPoolExecutor`` whose workers share the dataset
 through ``multiprocessing.shared_memory`` — or by re-opening the same
 ``.npy`` file when the dataset is a :class:`numpy.memmap`
 (``load_dataset(..., mmap=True)``), in which case no process ever holds
-a full resident copy. Each worker builds its grid index once (the bulk
-``method="sorted"`` build) and then answers shard subsets from it.
+a full resident copy. Each worker rebuilds the op and its grid index
+once (the bulk ``method="sorted"`` build) and then answers shard subsets
+with :func:`execute_shard_native`, the function the inline backend calls.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.core.sortbywl import sort_by_workload
 from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_workloads, iter_bipartite_blocks
 from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
+from repro.runtime.ops import BipartiteOp, SelfJoinOp
 from repro.simt.streams import PipelineResult
 from repro.util import gather_slices, stable_argsort_desc
 
@@ -396,104 +398,92 @@ def _attach_array(handle: SharedArray):
 _WORKER: dict = {}
 
 
-def _worker_init(points_handle, queries_handle, epsilon, spec, cfg, include_self, kind):
+def _worker_init(points_handle, queries_handle, epsilon, spec, cfg, include_self):
     pts, pts_keep = _attach_array(points_handle)
-    queries = None
-    q_keep = None
-    if queries_handle is not None:
+    if queries_handle is None:
+        op, q_keep = SelfJoinOp(include_self=include_self), None
+    else:
         queries, q_keep = _attach_array(queries_handle)
-    index = GridIndex.build(pts, epsilon, spec=spec, method="sorted")
+        op = BipartiteOp(queries)
     _WORKER.clear()
     _WORKER.update(
-        index=index,
-        queries=queries,
+        op=op,
+        index=GridIndex.build(pts, epsilon, spec=spec, method="sorted"),
         cfg=cfg,
-        include_self=include_self,
-        kind=kind,
         keepalive=(pts_keep, q_keep),
     )
 
 
-class _WorkerOp:
-    """Duck-typed stand-in for the runtime op inside a worker process."""
-
-    def __init__(self, kind, include_self, queries):
-        self.kind = kind
-        self.include_self = include_self
-        self.queries = queries
-
-    def result_epsilon(self, index):
-        return float(index.epsilon)
-
-    def describe(self, cfg):
-        return cfg.describe()
-
-
-def _worker_run(task):
-    shard_id, subset, chunk_pairs = task
-    index = _WORKER["index"]
-    cfg = _WORKER["cfg"]
-    op = _WorkerOp(_WORKER["kind"], _WORKER["include_self"], _WORKER["queries"])
-    t0 = time.perf_counter()
-    order = native_query_order(op, index, cfg, subset=subset)
-    if op.kind == "self":
-        blocks = _self_join_blocks(
-            index, order, include_self=op.include_self, chunk_pairs=chunk_pairs
-        )
-    else:
-        blocks = _bipartite_blocks(op, index, order, chunk_pairs=chunk_pairs)
-    found = [b for b in blocks]
-    pairs = (
-        np.concatenate(found, axis=0) if found else np.empty((0, 2), dtype=np.int64)
+def _worker_run(subset, chunk_pairs):
+    return execute_shard_native(
+        _WORKER["op"],
+        _WORKER["index"],
+        _WORKER["cfg"],
+        subset=subset,
+        keep_fragments=False,
+        chunk_pairs=chunk_pairs,
     )
-    return shard_id, pairs, time.perf_counter() - t0, len(order)
 
 
 def run_shards_process(
     op,
     index: GridIndex,
     cfg,
-    shards,
+    stage,
     *,
-    num_workers: int,
-    dispatch_order,
-    completed=None,
-    save_shard=None,
-    deadline_check=None,
-    crash_at: int | None = None,
+    guard,
     chunk_pairs: int = NATIVE_CHUNK_PAIRS,
 ):
     """Fan a pooled native join's shards over real worker processes.
 
-    ``dispatch_order`` is the shard-id dispatch sequence (the scheduler's
-    most-work-first queue); ``completed`` maps already-durable shard ids
-    to their results (checkpoint resume) — those are not re-executed.
-    ``save_shard(shard_id, result)`` journals each completion as it
-    arrives, in completion order, exactly like the inline scheduler.
-    ``crash_at`` emulates a host crash after that many dispatches: the
-    already-dispatched shards finish and journal, then
-    :class:`~repro.resilience.faults.SimulatedCrashError` propagates.
+    ``stage`` is the plan's :class:`~repro.runtime.plan.ShardStage`: one
+    worker per device, shards dispatched in the schedule's order (the
+    most-work-first queue when dynamic). At most one shard per worker is
+    in flight, so ``guard.before`` — deadline, crash point, resume cache
+    — runs at real dispatch boundaries, and ``guard.after`` journals each
+    shard as it completes. When the guard raises, dispatching stops, the
+    in-flight shards finish and journal, and the shared-memory segments
+    are unlinked before the error propagates.
 
-    Returns ``(results, events)``: results indexed by shard id, events as
-    ``(shard_id, device_id, start, end, num_pairs, num_points)`` tuples
-    in host wall-clock seconds since pool start.
+    Returns ``(results, trace)``: results indexed by shard id, and a
+    :class:`~repro.multigpu.scheduler.ScheduleTrace` in host wall-clock
+    seconds since pool start.
     """
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    from repro.resilience.faults import SimulatedCrashError
+    from repro.multigpu.scheduler import ScheduleTrace, ShardEvent
 
-    completed = completed or {}
+    shards = stage.plan.shards
+    order = (
+        stage.plan.dispatch_order()
+        if stage.schedule == "dynamic"
+        else [s.shard_id for s in shards]
+    )
+    num_workers = stage.num_devices
     results: list[JoinResult | None] = [None] * len(shards)
-    events: list[tuple] = []
-    shard_by_id = {s.shard_id: s for s in shards}
+    events: list[ShardEvent] = []
+    running: dict = {}  # future -> (shard, worker)
+    idle = list(range(num_workers))
+
+    def retire(fut):
+        shard, worker = running.pop(fut)
+        idle.append(worker)
+        result = fut.result()
+        end = time.perf_counter() - t0
+        results[shard.shard_id] = result
+        guard.after(shard.shard_id, result)
+        events.append(
+            ShardEvent(
+                shard.shard_id, worker, max(end - result.total_seconds, 0.0), end,
+                result.num_pairs, shard.num_points,
+            )
+        )
 
     points_handle, points_seg = share_array(index.points)
     queries_handle, queries_seg = (None, None)
     if op.kind != "self":
         queries_handle, queries_seg = share_array(op.queries)
-    include_self = getattr(op, "include_self", True)
     t0 = time.perf_counter()
-    crashed = False
     try:
         with ProcessPoolExecutor(
             max_workers=num_workers,
@@ -504,64 +494,35 @@ def run_shards_process(
                 float(index.epsilon),
                 index.spec,
                 cfg,
-                include_self,
-                op.kind,
+                getattr(op, "include_self", True),
             ),
         ) as pool:
-            futures = {}
-            dispatched = 0
-            for slot, shard_id in enumerate(dispatch_order):
-                shard = shard_by_id[shard_id]
-                if deadline_check is not None:
-                    deadline_check(f"shard {shard_id} dispatch")
-                if crash_at is not None and dispatched >= crash_at:
-                    crashed = True
-                    break
-                dispatched += 1
-                cached = completed.get(shard_id)
-                if cached is not None:
-                    results[shard_id] = cached
-                    events.append(
-                        (shard_id, slot % num_workers, 0.0,
-                         cached.total_seconds, cached.num_pairs, len(shard.points))
+            try:
+                for shard_id in order:
+                    if not idle:
+                        retire(next(as_completed(running)))
+                    shard, worker = shards[shard_id], min(idle)
+                    cached = guard.before(shard_id)
+                    if cached is not None:
+                        results[shard_id] = cached
+                        events.append(
+                            ShardEvent(
+                                shard_id, worker, 0.0, cached.total_seconds,
+                                cached.num_pairs, shard.num_points,
+                            )
+                        )
+                        continue
+                    idle.remove(worker)
+                    fut = pool.submit(
+                        _worker_run, np.asarray(shard.points, dtype=np.int64), chunk_pairs
                     )
-                    continue
-                fut = pool.submit(
-                    _worker_run,
-                    (shard_id, np.asarray(shard.points, dtype=np.int64), chunk_pairs),
-                )
-                futures[fut] = slot % num_workers
-            for fut in as_completed(futures):
-                shard_id, pairs, seconds, num_queries = fut.result()
-                end = time.perf_counter() - t0
-                result = JoinResult(
-                    pairs=pairs,
-                    epsilon=op.result_epsilon(index),
-                    num_points=num_queries,
-                    batch_stats=[],
-                    pipeline=PipelineResult(
-                        total_seconds=seconds,
-                        kernel_start=np.array([max(end - seconds, 0.0)]),
-                        kernel_end=np.array([end]),
-                        transfer_end=np.array([end]),
-                    ),
-                    config_description=op.describe(cfg),
-                    fidelity="none",
-                )
-                results[shard_id] = result
-                if save_shard is not None:
-                    save_shard(shard_id, result)
-                events.append(
-                    (shard_id, futures[fut], max(end - seconds, 0.0), end,
-                     len(pairs), num_queries)
-                )
+                    running[fut] = (shard, worker)
+            finally:
+                for fut in as_completed(list(running)):
+                    retire(fut)
     finally:
-        if points_seg is not None:
-            points_seg.close()
-            points_seg.unlink()
-        if queries_seg is not None:
-            queries_seg.close()
-            queries_seg.unlink()
-    if crashed:
-        raise SimulatedCrashError(crash_at)
-    return results, events
+        for seg in (points_seg, queries_seg):
+            if seg is not None:
+                seg.close()
+                seg.unlink()
+    return results, ScheduleTrace(events, mode=stage.schedule, num_devices=num_workers)

@@ -445,6 +445,8 @@ class KnnJoinOp(JoinOp):
     per round (still-pending queries against the full dataset at the
     round's radius), so every round inherits the runtime's engine,
     sharding, recovery, fault and checkpoint configuration unchanged.
+    The round algorithm itself is :meth:`expansion`'s
+    :class:`KnnExpansion`.
     ``shardable`` is ``False``: the driver plan itself carries no
     :class:`~repro.runtime.plan.ShardStage`; pooled runtimes shard each
     round's sub-plan.
@@ -537,3 +539,84 @@ class KnnJoinOp(JoinOp):
         if self.index_factory is not None:
             return self.index_factory(float(epsilon))
         return GridIndex(self.points, float(epsilon))
+
+    def expansion(self) -> "KnnExpansion":
+        """Fresh round state for one execution of this op."""
+        return KnnExpansion(self)
+
+
+class KnnExpansion:
+    """The ε-expansion of one kNN execution, round by round.
+
+    Round ``r`` joins the still-pending queries against the full dataset
+    at radius ``epsilon0 * growth**r``; queries with ≥ k in-radius
+    neighbors are finalized (their true k nearest are within ε — any
+    unexamined point is farther), the rest expand. The runner compiles
+    and executes each round's bipartite sub-plan over :attr:`queries`
+    and hands the result to :meth:`absorb`; state lives here, not on
+    the op, so one compiled plan can be executed any number of times.
+    """
+
+    def __init__(self, op: KnnJoinOp):
+        n = len(op.points)
+        self.op = op
+        self.indices = np.full((n, op.k), -1, dtype=np.int64)
+        self.distances = np.full((n, op.k), np.inf)
+        self.pending = np.arange(n)
+        self.epsilon = op.epsilon0  # the next round's radius
+        self.rounds = 0
+        self.total_seconds = 0.0
+
+    @property
+    def done(self) -> bool:
+        return not len(self.pending) or self.rounds >= self.op.max_rounds
+
+    @property
+    def queries(self) -> np.ndarray:
+        return self.op.points[self.pending]
+
+    def absorb(self, result) -> None:
+        """Finalize every query the round's pairs complete, then expand.
+
+        ``result.pairs`` rows are (pending-local query index, global
+        neighbor id).
+        """
+        op, pending, k = self.op, self.pending, self.op.k
+        pairs = result.pairs
+        pairs = pairs[pending[pairs[:, 0]] != pairs[:, 1]]  # drop self matches
+        counts = np.bincount(pairs[:, 0], minlength=len(pending))
+        done_rows = counts[pairs[:, 0]] >= k
+        if done_rows.any():
+            # finalize every finished query with one segmented sort:
+            # by (query, distance, neighbor id) — the id tie-break
+            # makes equal-distance neighbors engine-invariant
+            q = pairs[done_rows, 0]
+            nb = pairs[done_rows, 1]
+            d = np.linalg.norm(op.points[nb] - op.points[pending[q]], axis=1)
+            order = np.lexsort((nb, d, q))
+            qs, nbs, ds = q[order], nb[order], d[order]
+            pos = np.arange(len(qs)) - np.searchsorted(qs, qs, side="left")
+            top = pos < k
+            q_global = pending[qs[top]]
+            self.indices[q_global, pos[top]] = nbs[top]
+            self.distances[q_global, pos[top]] = ds[top]
+        self.pending = pending[counts < k]
+        self.epsilon *= op.growth
+        self.rounds += 1
+        self.total_seconds += float(result.total_seconds)
+
+    def result(self) -> KnnResult:
+        """The finished :class:`KnnResult`; raises
+        :class:`KnnConvergenceError` while queries are still pending."""
+        final_epsilon = self.epsilon / self.op.growth
+        if len(self.pending):
+            raise KnnConvergenceError(
+                self.pending, rounds=self.rounds, epsilon=final_epsilon
+            )
+        return KnnResult(
+            indices=self.indices,
+            distances=self.distances,
+            rounds=self.rounds,
+            final_epsilon=final_epsilon,
+            total_seconds=self.total_seconds,
+        )

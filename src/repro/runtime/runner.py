@@ -1,11 +1,21 @@
 """The one runner that executes every :class:`~repro.runtime.plan.JoinPlan`.
 
-``Runner.run(plan)`` is the only execution entry point of the codebase:
-the single-device joins, the multi-device sharded joins and the
-fault-injected resilient runs all pass through it. A single-device run is
-just the degenerate pooled run — one shard, no scheduler — so the per-
-shard function :func:`execute_shard` (estimate → batch plan → launch →
-overflow re-plan loop) is the shared core of both paths.
+``Runner.run(plan)`` is the only execution entry point of the codebase,
+and every execution is one guarded shard loop around the per-shard
+function :func:`execute_shard` (estimate → batch plan → launch →
+overflow re-plan loop) or its array-native twin
+:func:`~repro.runtime.native.execute_shard_native`. A plan without a
+:class:`~repro.runtime.plan.ShardStage` is one shard over
+``plan.subset``, whose result is returned as-is: no scheduler, no
+merge, no copy. A pooled plan's shards run inline under the
+:class:`~repro.multigpu.scheduler.HostScheduler` (VM or native) or on
+the process pool (:func:`~repro.runtime.native.run_shards_process`),
+then merge into one ``MultiJoinResult``. Either way one
+:class:`_ShardGuard` owns the journal, the resume cache, the crash
+ordinal and the deadline, and is called before and after each shard.
+A kNN plan (:class:`~repro.runtime.plan.ExpansionStage`) drives rounds
+of bipartite sub-plans through this same runner; the round algorithm
+lives on the op (:meth:`~repro.runtime.ops.KnnJoinOp.expansion`).
 
 The pooled path pulls :mod:`repro.multigpu` lazily: the runtime package
 sits *below* multigpu in the import graph (multigpu's facades compile
@@ -20,6 +30,7 @@ the executor produced (see :meth:`repro.core.result.JoinResult.iter_pairs`).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Iterator
 
@@ -34,7 +45,7 @@ from repro.resilience.executor import FaultyExecutor
 from repro.resilience.faults import SimulatedCrashError
 from repro.runtime.config import NATIVE_ENGINE, RuntimeConfig
 from repro.runtime.native import execute_shard_native, run_shards_process
-from repro.runtime.plan import ExpansionStage, JoinPlan, NativeLaunchStage
+from repro.runtime.plan import JoinPlan
 from repro.simt import AtomicCounter, BufferOverflowError, CostParams, DeviceSpec
 
 __all__ = [
@@ -55,23 +66,6 @@ class DeadlineExceededError(RuntimeError):
     shard completed before the deadline fired is durable and a later
     ``Runner.resume`` picks up exactly there.
     """
-
-
-class _Deadline:
-    """Monotonic wall-clock budget checked at dispatch boundaries."""
-
-    def __init__(self, seconds: float | None):
-        self._expires = None if seconds is None else time.monotonic() + float(seconds)
-
-    def check(self, where: str) -> None:
-        if self._expires is not None and time.monotonic() >= self._expires:
-            raise DeadlineExceededError(f"deadline exceeded before {where}")
-
-    def remaining(self) -> float | None:
-        """Seconds left (clamped at 0), or ``None`` for no deadline."""
-        if self._expires is None:
-            return None
-        return max(0.0, self._expires - time.monotonic())
 
 
 def executor_from_runtime(
@@ -129,56 +123,128 @@ def execute_shard(
                 cfg.batch_result_capacity,
                 strided=not cfg.work_queue,
             )
+        counter = AtomicCounter(name="workqueue") if cfg.work_queue else None
         try:
-            return _launch(
-                op,
-                index,
-                cfg,
-                prep.order,
-                plan,
-                executor,
-                description=description,
-                keep_fragments=keep_fragments,
+            outcome = executor.run_batches(
+                op.kernel,
+                plan.batches,
+                op.make_args(index, cfg, prep.order, counter),
+                result_capacity=cfg.batch_result_capacity,
+                num_streams=cfg.num_streams,
+                issue_order="fifo" if cfg.work_queue else "random",
+                coop_groups=cfg.work_queue and cfg.k > 1,
             )
         except BufferOverflowError:
             # estimator under-guessed; double and re-plan
             est = max(est * 2, cfg.batch_result_capacity + 1)
+            continue
+        return JoinResult(
+            pairs=outcome.merged_pairs(),
+            epsilon=op.result_epsilon(index),
+            num_points=len(prep.order),
+            batch_stats=outcome.batch_stats,
+            pipeline=outcome.pipeline,
+            config_description=description if description is not None else op.describe(cfg),
+            overflow_retries=outcome.num_overflow_retries,
+            overflow_wasted_seconds=outcome.overflow_wasted_seconds,
+            fragments=tuple(outcome.pairs_per_batch) if keep_fragments else None,
+        )
     raise RuntimeError(
         f"batch planning failed to converge after {_MAX_REPLANS} attempts"
     )
 
 
-def _launch(
-    op,
-    index: GridIndex,
-    cfg: OptimizationConfig,
-    order: np.ndarray,
-    plan,
-    executor: BatchExecutor,
-    *,
-    description: str | None,
-    keep_fragments: bool,
-) -> JoinResult:
-    counter = AtomicCounter(name="workqueue") if cfg.work_queue else None
-    outcome = executor.run_batches(
-        op.kernel,
-        plan.batches,
-        op.make_args(index, cfg, order, counter),
-        result_capacity=cfg.batch_result_capacity,
-        num_streams=cfg.num_streams,
-        issue_order="fifo" if cfg.work_queue else "random",
-        coop_groups=cfg.work_queue and cfg.k > 1,
-    )
-    return JoinResult(
-        pairs=outcome.merged_pairs(),
-        epsilon=op.result_epsilon(index),
-        num_points=len(order),
-        batch_stats=outcome.batch_stats,
-        pipeline=outcome.pipeline,
-        config_description=description if description is not None else op.describe(cfg),
-        overflow_retries=outcome.num_overflow_retries,
-        overflow_wasted_seconds=outcome.overflow_wasted_seconds,
-        fragments=tuple(outcome.pairs_per_batch) if keep_fragments else None,
+class _ShardGuard:
+    """The journal, resume cache, crash ordinal and deadline of one execution.
+
+    Every executor strategy calls :meth:`before` ahead of each shard
+    dispatch and :meth:`after` when the shard completes, so journaling,
+    crash points, deadlines and resume behave alike on every path.
+    Opening the journal publishes its live stats on the runner at once,
+    so they are readable even when a crash interrupts the run.
+    """
+
+    def __init__(self, runner, plan: JoinPlan, *, resume: bool, deadline_seconds):
+        self.expires = (
+            None if deadline_seconds is None else time.monotonic() + float(deadline_seconds)
+        )
+        rc = plan.config
+        crash = rc.fault_plan.crash_point() if rc.fault_plan is not None else None
+        self.crash_at = crash.at_shard if crash is not None else None
+        self.dispatched = 0
+        self.stage = plan.checkpoint_stage
+        self.journal = None
+        self.completed = {}
+        if self.stage is not None:
+            from repro.resilience.checkpoint import CheckpointStore
+
+            if plan.expansion_stage is not None:
+                num_shards = plan.op.max_rounds  # the kNN driver journals one per round
+            else:
+                num_shards = len(plan.shard_stage.plan.shards) if plan.pooled else 1
+            self.journal = CheckpointStore(self.stage.directory).journal(
+                self.stage.fingerprint,
+                kind=plan.op.kind,
+                description=plan.merge_stage.description,
+                num_shards=num_shards,
+            )
+            runner.last_checkpoint_stats = self.journal.stats
+            if resume:
+                self.completed = self.journal.load_completed()
+
+    def before(self, shard_id: int):
+        """Check the deadline and the crash point ahead of one dispatch;
+        returns the shard's journaled result when resuming, else ``None``."""
+        if self.expires is not None and time.monotonic() >= self.expires:
+            raise DeadlineExceededError(f"deadline exceeded before shard {shard_id} dispatch")
+        if self.crash_at is not None and self.dispatched >= self.crash_at:
+            raise SimulatedCrashError(self.crash_at)
+        self.dispatched += 1
+        return self.completed.get(shard_id)
+
+    def after(self, shard_id: int, result) -> None:
+        if self.journal is not None:
+            self.journal.save_shard(shard_id, result)
+
+    def run(self, shard_id: int, execute):
+        """One inline shard: replayed from the journal, or executed and journaled."""
+        result = self.before(shard_id)
+        if result is None:
+            result = execute()
+            self.after(shard_id, result)
+        return result
+
+    def remaining(self) -> float | None:
+        """Deadline seconds left (clamped at 0), or ``None`` for no deadline."""
+        if self.expires is None:
+            return None
+        return max(0.0, self.expires - time.monotonic())
+
+    def shifted(self, rc: RuntimeConfig) -> RuntimeConfig:
+        """``rc`` with the crash ordinal moved into the frame of a sub-run
+        that starts now; a sub-run the crash cannot reach completes."""
+        if self.crash_at is None:
+            return rc
+        crash = dataclasses.replace(
+            rc.fault_plan.crash_point(), at_shard=max(0, self.crash_at - self.dispatched)
+        )
+        return rc.with_(fault_plan=dataclasses.replace(rc.fault_plan, crashes=(crash,)))
+
+    def finish(self) -> None:
+        if self.journal is not None:
+            self.journal.finalize(keep=self.stage.keep)
+
+
+def _launch_shard(plan: JoinPlan, executor, subset, **kw) -> JoinResult:
+    """One shard on the plan's engine (``executor`` is unused on native)."""
+    rc, op, index = plan.config, plan.op, plan.index
+    if rc.engine == NATIVE_ENGINE:
+        chunk = plan.launch_stage.chunk_pairs
+        return execute_shard_native(
+            op, index, rc.optimization, subset=subset, chunk_pairs=chunk, **kw
+        )
+    return execute_shard(
+        op, index, rc.optimization, executor, subset=subset, safety_z=rc.estimate_safety_z, **kw
     )
 
 
@@ -197,9 +263,9 @@ class Runner:
         is built from the runtime config. A reused pool's health records
         are re-armed per run, keeping seeded fault runs reproducible.
 
-    After an execution, ``last_checkpoint_stats`` holds the
-    :class:`~repro.resilience.checkpoint.CheckpointStats` of the run's
-    journal (``None`` when the plan does not checkpoint).
+    During and after an execution, ``last_checkpoint_stats`` holds the
+    live :class:`~repro.resilience.checkpoint.CheckpointStats` of the
+    run's journal (``None`` when the plan does not checkpoint).
     """
 
     def __init__(self, *, executor: BatchExecutor | None = None, pool=None):
@@ -256,415 +322,150 @@ class Runner:
 
     # ------------------------------------------------------------------
     def _execute(self, plan: JoinPlan, *, resume: bool, deadline_seconds):
-        deadline = _Deadline(deadline_seconds)
         self.last_checkpoint_stats = None
-        if plan.stage(ExpansionStage) is not None:
-            return self._run_knn(plan, resume=resume, deadline=deadline)
-        if plan.pooled:
-            return self._run_pooled(plan, resume=resume, deadline=deadline)
-        return self._run_single(plan, resume=resume, deadline=deadline)
-
-    def _open_journal(self, plan: JoinPlan, num_shards: int):
-        stage = plan.checkpoint_stage
+        rc, stage = plan.config, plan.shard_stage
+        guard = _ShardGuard(self, plan, resume=resume, deadline_seconds=deadline_seconds)
+        if plan.expansion_stage is not None:
+            return self._drive_rounds(plan, guard, resume=resume)
         if stage is None:
-            return None
-        from repro.resilience.checkpoint import CheckpointStore
-
-        return CheckpointStore(stage.directory).journal(
-            stage.fingerprint,
-            kind=plan.op.kind,
-            description=plan.merge_stage.description,
-            num_shards=num_shards,
-        )
-
-    def _run_single(self, plan: JoinPlan, *, resume: bool, deadline: _Deadline):
-        rc = plan.config
-        journal = self._open_journal(plan, 1)
-        if journal is not None:
-            # live stats: visible even when a crash interrupts the run
-            self.last_checkpoint_stats = journal.stats
-        if journal is not None and resume and 0 in journal.completed_shards():
-            # the run completed its (single) shard before the interruption
-            result = journal.load_shard(0)
-            self.last_checkpoint_stats = journal.stats
-            journal.finalize(keep=plan.checkpoint_stage.keep)
+            result = guard.run(
+                0,
+                lambda: _launch_shard(
+                    plan,
+                    self._device_executor(plan),
+                    plan.subset,
+                    description=plan.merge_stage.description,
+                    keep_fragments=rc.profiling.keep_fragments,
+                ),
+            )
+            guard.finish()
             return result
-        crash = rc.fault_plan.crash_point() if rc.fault_plan is not None else None
-        if crash is not None and crash.at_shard <= 0:
-            raise SimulatedCrashError(0)
-        deadline.check("launch")
-        if rc.engine == NATIVE_ENGINE:
-            launch = plan.stage(NativeLaunchStage)
-            result = execute_shard_native(
+        if rc.engine == NATIVE_ENGINE and rc.sharding.workers == "process":
+            results, trace = run_shards_process(
                 plan.op,
                 plan.index,
                 rc.optimization,
-                subset=plan.subset,
-                description=plan.merge_stage.description,
-                keep_fragments=rc.profiling.keep_fragments,
-                chunk_pairs=launch.chunk_pairs,
+                stage,
+                guard=guard,
+                chunk_pairs=plan.launch_stage.chunk_pairs,
             )
         else:
-            executor = (
-                self.executor if self.executor is not None else executor_from_runtime(rc)
-            )
-            resil = plan.resilience_stage
-            if resil is not None and resil.fault_plan is not None:
-                executor = FaultyExecutor(executor, 0, resil.fault_plan)
-            result = execute_shard(
-                plan.op,
-                plan.index,
-                rc.optimization,
-                executor,
-                subset=plan.subset,
-                safety_z=rc.estimate_safety_z,
-                description=plan.merge_stage.description,
-                keep_fragments=rc.profiling.keep_fragments,
-            )
-        if journal is not None:
-            journal.save_shard(0, result)
-            self.last_checkpoint_stats = journal.stats
-            journal.finalize(keep=plan.checkpoint_stage.keep)
-        return result
+            results, trace = self._schedule(plan, guard)
+        guard.finish()
+        return _merge(plan, results, trace)
 
-    def _run_knn(self, plan: JoinPlan, *, resume: bool, deadline: _Deadline):
-        """Drive a kNN plan: one residual bipartite sub-plan per ε round.
-
-        Round ``r`` joins the still-pending queries against the full
-        dataset at radius ``epsilon0 * growth**r``; queries with ≥ k
-        in-radius neighbors are finalized (their true k nearest are
-        within ε — any unexamined point is farther), the rest expand.
-        Sub-plans are compiled with the *same* runtime config, so rounds
-        inherit engine, sharding, recovery, faults and checkpointing
-        unchanged.
-
-        Checkpointing is two-level: the driver journal (shard id =
-        round) persists each round's *merged* result, while the round's
-        own sub-journal persists its shards as it runs. ``resume``
-        replays completed rounds from the driver journal — evolving the
-        pending set deterministically without re-execution — and resumes
-        the first incomplete round mid-round from its sub-journal, so
-        the final :class:`~repro.runtime.ops.KnnResult` is byte-identical
-        to the uninterrupted run. A ``CrashPoint``'s ``at_shard`` counts
-        shard dispatches across all executed rounds; the driver
-        translates the ordinal into each round's frame.
-        """
-        import dataclasses
-
-        from repro.runtime.ops import KnnConvergenceError, KnnResult
-        from repro.runtime.plan import compile_similarity_join
-
-        rc = plan.config
-        op = plan.op
-        expand = plan.expansion_stage
-        pts = op.points
-        n = len(pts)
-        k = expand.k
-
-        journal = self._open_journal(plan, expand.max_rounds)
-        if journal is not None:
-            # live stats: visible even when a crash interrupts the run
-            self.last_checkpoint_stats = journal.stats
-        completed = journal.load_completed() if (journal is not None and resume) else {}
-        crash = rc.fault_plan.crash_point() if rc.fault_plan is not None else None
-        dispatched = 0  # shard dispatches across executed rounds
-
-        indices = np.full((n, k), -1, dtype=np.int64)
-        distances = np.full((n, k), np.inf)
-        pending = np.arange(n)
-        eps = expand.epsilon0
-        total_seconds = 0.0
-        rounds = 0
-        inner = Runner(executor=self.executor, pool=self.pool)
-
-        while len(pending) and rounds < expand.max_rounds:
-            r = rounds
-            rounds += 1
-            result = completed.get(r)
-            if result is None:
-                deadline.check(f"knn round {r}")
-                round_rc = rc
-                if crash is not None:
-                    # shift the global crash ordinal into this round's
-                    # frame; a round it cannot reach runs to completion
-                    offset = max(0, crash.at_shard - dispatched)
-                    round_rc = rc.with_(
-                        fault_plan=dataclasses.replace(
-                            rc.fault_plan,
-                            crashes=(dataclasses.replace(crash, at_shard=offset),),
-                        )
-                    )
-                index = plan.index if r == 0 else op.build_index(eps)
-                round_plan = compile_similarity_join(index, pts[pending], round_rc)
-                if resume and round_plan.checkpoint_stage is not None:
-                    result = inner.resume(
-                        round_plan, deadline_seconds=deadline.remaining()
-                    )
-                else:
-                    result = inner.run(
-                        round_plan, deadline_seconds=deadline.remaining()
-                    )
-                dispatched += (
-                    len(round_plan.shard_stage.plan.shards)
-                    if round_plan.pooled
-                    else 1
-                )
-                if journal is not None:
-                    journal.save_shard(r, result)
-                    if inner.last_checkpoint_stats is not None:
-                        # fold the round sub-journal's cost into the
-                        # driver's stats: one ledger for the whole run
-                        sub = inner.last_checkpoint_stats
-                        journal.stats.writes += sub.writes
-                        journal.stats.loads += sub.loads
-                        journal.stats.bytes_written += sub.bytes_written
-                        journal.stats.write_seconds += sub.write_seconds
-
-            pairs = result.pairs  # (pending-local query idx, global neighbor)
-            keep = pending[pairs[:, 0]] != pairs[:, 1]  # drop self matches
-            pairs = pairs[keep]
-            counts = np.bincount(pairs[:, 0], minlength=len(pending))
-            done_rows = counts[pairs[:, 0]] >= k
-            if done_rows.any():
-                # finalize every finished query with one segmented sort:
-                # by (query, distance, neighbor id) — the id tie-break
-                # makes equal-distance neighbors engine-invariant
-                q = pairs[done_rows, 0]
-                nb = pairs[done_rows, 1]
-                d = np.linalg.norm(pts[nb] - pts[pending[q]], axis=1)
-                order = np.lexsort((nb, d, q))
-                qs, nbs, ds = q[order], nb[order], d[order]
-                pos = np.arange(len(qs)) - np.searchsorted(qs, qs, side="left")
-                top = pos < k
-                q_global = pending[qs[top]]
-                indices[q_global, pos[top]] = nbs[top]
-                distances[q_global, pos[top]] = ds[top]
-            pending = pending[counts < k]
-            eps *= expand.growth
-            total_seconds += float(result.total_seconds)
-
-        if len(pending):  # pragma: no cover - 2**48 expansion always suffices
-            raise KnnConvergenceError(
-                pending, rounds=rounds, epsilon=eps / expand.growth
-            )
-        if journal is not None:
-            self.last_checkpoint_stats = journal.stats
-            journal.finalize(keep=plan.checkpoint_stage.keep)
-        return KnnResult(
-            indices=indices,
-            distances=distances,
-            rounds=rounds,
-            final_epsilon=eps / expand.growth,
-            total_seconds=total_seconds,
+    def _device_executor(self, plan: JoinPlan) -> BatchExecutor | None:
+        """The single-device executor (none on native), fault-wrapped as planned."""
+        if plan.config.engine == NATIVE_ENGINE:
+            return None
+        executor = (
+            self.executor if self.executor is not None else executor_from_runtime(plan.config)
         )
+        resil = plan.resilience_stage
+        if resil is not None and resil.fault_plan is not None:
+            executor = FaultyExecutor(executor, 0, resil.fault_plan)
+        return executor
 
-    def _run_pooled(self, plan: JoinPlan, *, resume: bool, deadline: _Deadline):
+    def _schedule(self, plan: JoinPlan, guard: _ShardGuard):
+        """Inline shards on the pool's devices under the host scheduler."""
         # upward imports: multigpu compiles *into* this runtime, so the
         # runner resolves it lazily rather than at module import
-        from repro.multigpu.join import MultiJoinResult
-        from repro.multigpu.merge import merge_shard_results
-        from repro.multigpu.metrics import pool_stats_from_trace
         from repro.multigpu.pool import DevicePool
         from repro.multigpu.scheduler import HostScheduler
         from repro.resilience.executor import arm_pool
 
         rc = plan.config
-        if rc.engine == NATIVE_ENGINE and rc.sharding.workers == "process":
-            return self._run_pooled_native_process(plan, resume=resume, deadline=deadline)
-        shard_stage = plan.shard_stage
         pool = self.pool if self.pool is not None else DevicePool.from_runtime(rc)
         resil = plan.resilience_stage
         # native pools have no executors to wrap; arming with None still
         # re-arms device health for a fresh run
-        armed = arm_pool(
-            pool,
-            resil.fault_plan
-            if resil is not None and rc.engine != NATIVE_ENGINE
-            else None,
-        )
-        scheduler = HostScheduler(pool, shard_stage.schedule, recovery=rc.recovery)
-        op, index, opt = plan.op, plan.index, rc.optimization
-        native_launch = plan.stage(NativeLaunchStage)
-
-        journal = self._open_journal(plan, len(shard_stage.plan.shards))
-        if journal is not None:
-            # live stats: visible even when a crash interrupts the run
-            self.last_checkpoint_stats = journal.stats
-        completed = journal.load_completed() if (journal is not None and resume) else {}
-        crash = rc.fault_plan.crash_point() if rc.fault_plan is not None else None
-        dispatched = 0
+        faults = resil.fault_plan if resil is not None and rc.engine != NATIVE_ENGINE else None
+        armed = arm_pool(pool, faults)
 
         def run_shard(device, shard):
-            nonlocal dispatched
-            deadline.check(f"shard {shard.shard_id} dispatch")
-            if crash is not None and dispatched >= crash.at_shard:
-                raise SimulatedCrashError(crash.at_shard)
-            dispatched += 1
-            cached = completed.get(shard.shard_id)
-            if cached is not None:
-                # resumed: this shard's result is already durable — replay
-                # it into the schedule instead of re-executing
-                return cached
-            if rc.engine == NATIVE_ENGINE:
-                result = execute_shard_native(
-                    op,
-                    index,
-                    opt,
-                    subset=shard.points,
-                    keep_fragments=False,
-                    chunk_pairs=native_launch.chunk_pairs,
-                )
-            else:
-                executor = armed.get(device.device_id, device.executor)
-                result = execute_shard(
-                    op,
-                    index,
-                    opt,
-                    executor,
-                    subset=shard.points,
-                    safety_z=rc.estimate_safety_z,
-                    keep_fragments=False,
-                )
-            if journal is not None:
-                journal.save_shard(shard.shard_id, result)
-            return result
+            executor = armed.get(device.device_id, device.executor)
+            return guard.run(
+                shard.shard_id,
+                lambda: _launch_shard(plan, executor, shard.points, keep_fragments=False),
+            )
 
-        results, trace = scheduler.run(shard_stage.plan, run_shard)
-        if journal is not None:
-            self.last_checkpoint_stats = journal.stats
-            journal.finalize(keep=plan.checkpoint_stage.keep)
+        scheduler = HostScheduler(pool, plan.shard_stage.schedule, recovery=rc.recovery)
+        return scheduler.run(plan.shard_stage.plan, run_shard)
 
-        # speculative re-execution is first-result-wins, so results[] holds
-        # one copy per shard — but dedup anyway when it fired, making the
-        # merge duplicate-safe by construction rather than by argument
-        merge = plan.merge_stage
-        speculated = trace.recovery is not None and trace.recovery.num_speculations > 0
-        merged = merge_shard_results(
-            results,
-            trace,
-            epsilon=op.result_epsilon(index),
-            num_points=op.total_points(index),
-            dedup=merge.dedup or speculated,
-            config_description=merge.description,
-        )
-        stats = pool_stats_from_trace(trace, results, planner=shard_stage.plan.planner)
-        return MultiJoinResult(
-            pairs=merged.pairs,
-            epsilon=merged.epsilon,
-            num_points=merged.num_points,
-            batch_stats=merged.batch_stats,
-            pipeline=merged.pipeline,
-            config_description=merged.config_description,
-            overflow_retries=merged.overflow_retries,
-            overflow_wasted_seconds=merged.overflow_wasted_seconds,
-            fidelity=merged.fidelity,
-            planner=shard_stage.plan.planner,
-            schedule_mode=trace.mode,
-            num_devices=pool.num_devices,
-            pool_stats=stats,
-            trace=trace if rc.profiling.keep_trace else None,
-            shard_plan=shard_stage.plan,
-        )
+    def _drive_rounds(self, plan: JoinPlan, guard: _ShardGuard, *, resume: bool):
+        """Drive a kNN plan: one residual bipartite sub-plan per ε round.
 
-    def _run_pooled_native_process(
-        self, plan: JoinPlan, *, resume: bool, deadline: _Deadline
-    ):
-        """Pooled native run over real worker processes.
-
-        Shards fan out over a process pool (one worker per configured
-        device) sharing the dataset via shared memory or a re-opened
-        memory map; journaling, crash points, deadlines and resume follow
-        the inline scheduler's semantics. Events carry host wall-clock
-        times, so the trace reports real (not simulated) makespans — the
-        merge itself is shard-id ordered and execution-order independent,
-        which is what makes the merged pairs deterministic.
+        Rounds compile with the driver's runtime config, so they inherit
+        engine, sharding, recovery, faults and checkpointing unchanged.
+        The driver journal (shard id = round) persists each round's
+        merged result, while the round's own sub-journal persists its
+        shards as it runs: ``resume`` replays completed rounds from the
+        driver journal and resumes the first incomplete round mid-round,
+        bit-identically. A ``CrashPoint``'s ``at_shard`` counts shard
+        dispatches across all executed rounds.
         """
-        from repro.multigpu.join import MultiJoinResult
-        from repro.multigpu.merge import merge_shard_results
-        from repro.multigpu.metrics import pool_stats_from_trace
-        from repro.multigpu.scheduler import ScheduleTrace, ShardEvent
+        from repro.runtime.plan import compile_similarity_join
 
-        rc = plan.config
-        shard_stage = plan.shard_stage
-        op, index = plan.op, plan.index
-        launch = plan.stage(NativeLaunchStage)
+        op = plan.op
+        expansion = op.expansion()
+        inner = Runner(executor=self.executor, pool=self.pool)
+        while not expansion.done:
+            r = expansion.rounds
+            result = guard.completed.get(r)
+            if result is None:
+                index = plan.index if r == 0 else op.build_index(expansion.epsilon)
+                round_plan = compile_similarity_join(
+                    index, expansion.queries, guard.shifted(plan.config)
+                )
+                execute = (
+                    inner.resume
+                    if resume and round_plan.checkpoint_stage is not None
+                    else inner.run
+                )
+                result = execute(round_plan, deadline_seconds=guard.remaining())
+                guard.dispatched += (
+                    len(round_plan.shard_stage.plan.shards) if round_plan.pooled else 1
+                )
+                guard.after(r, result)
+                sub = inner.last_checkpoint_stats
+                if guard.journal is not None and sub is not None:
+                    # fold the round sub-journal's cost into the driver's
+                    # stats: one ledger for the whole run
+                    stats = guard.journal.stats
+                    for f in dataclasses.fields(sub):
+                        setattr(stats, f.name, getattr(stats, f.name) + getattr(sub, f.name))
+            expansion.absorb(result)
+        knn = expansion.result()  # raises before finish: a failed run keeps its journal
+        guard.finish()
+        return knn
 
-        journal = self._open_journal(plan, len(shard_stage.plan.shards))
-        if journal is not None:
-            self.last_checkpoint_stats = journal.stats
-        completed = journal.load_completed() if (journal is not None and resume) else {}
-        crash = rc.fault_plan.crash_point() if rc.fault_plan is not None else None
 
-        save = None
-        if journal is not None:
-            def save(shard_id, result):
-                journal.save_shard(shard_id, result)
+def _merge(plan: JoinPlan, results: list, trace):
+    """Fold a pooled run's shard results into one ``MultiJoinResult``."""
+    from repro.multigpu.join import MultiJoinResult
+    from repro.multigpu.merge import merge_shard_results
+    from repro.multigpu.metrics import pool_stats_from_trace
 
-        dispatch = (
-            shard_stage.plan.dispatch_order()
-            if shard_stage.schedule == "dynamic"
-            else [s.shard_id for s in shard_stage.plan.shards]
-        )
-        try:
-            results, raw_events = run_shards_process(
-                op,
-                index,
-                rc.optimization,
-                shard_stage.plan.shards,
-                num_workers=shard_stage.num_devices,
-                dispatch_order=dispatch,
-                completed=completed,
-                save_shard=save,
-                deadline_check=deadline.check,
-                crash_at=crash.at_shard if crash is not None else None,
-                chunk_pairs=launch.chunk_pairs,
-            )
-        finally:
-            if journal is not None:
-                self.last_checkpoint_stats = journal.stats
-        if journal is not None:
-            journal.finalize(keep=plan.checkpoint_stage.keep)
-
-        events = [
-            ShardEvent(
-                shard_id=sid,
-                device_id=dev,
-                start_seconds=start,
-                end_seconds=end,
-                num_pairs=num_pairs,
-                num_points=num_points,
-            )
-            for sid, dev, start, end, num_pairs, num_points in raw_events
-        ]
-        trace = ScheduleTrace(
-            events=events,
-            mode=shard_stage.schedule,
-            num_devices=shard_stage.num_devices,
-        )
-        merge = plan.merge_stage
-        merged = merge_shard_results(
-            results,
-            trace,
-            epsilon=op.result_epsilon(index),
-            num_points=op.total_points(index),
-            dedup=merge.dedup,
-            config_description=merge.description,
-        )
-        stats = pool_stats_from_trace(trace, results, planner=shard_stage.plan.planner)
-        return MultiJoinResult(
-            pairs=merged.pairs,
-            epsilon=merged.epsilon,
-            num_points=merged.num_points,
-            batch_stats=merged.batch_stats,
-            pipeline=merged.pipeline,
-            config_description=merged.config_description,
-            overflow_retries=merged.overflow_retries,
-            overflow_wasted_seconds=merged.overflow_wasted_seconds,
-            fidelity=merged.fidelity,
-            planner=shard_stage.plan.planner,
-            schedule_mode=trace.mode,
-            num_devices=shard_stage.num_devices,
-            pool_stats=stats,
-            trace=trace if rc.profiling.keep_trace else None,
-            shard_plan=shard_stage.plan,
-        )
+    shard_plan = plan.shard_stage.plan
+    merge = plan.merge_stage
+    # speculative re-execution is first-result-wins, so results[] holds
+    # one copy per shard — but dedup anyway when it fired, making the
+    # merge duplicate-safe by construction rather than by argument
+    speculated = trace.recovery is not None and trace.recovery.num_speculations > 0
+    merged = merge_shard_results(
+        results,
+        trace,
+        epsilon=plan.op.result_epsilon(plan.index),
+        num_points=plan.op.total_points(plan.index),
+        dedup=merge.dedup or speculated,
+        config_description=merge.description,
+    )
+    return MultiJoinResult(
+        **{f.name: getattr(merged, f.name) for f in dataclasses.fields(merged)},
+        planner=shard_plan.planner,
+        schedule_mode=trace.mode,
+        num_devices=trace.num_devices,
+        pool_stats=pool_stats_from_trace(trace, results, planner=shard_plan.planner),
+        trace=trace if plan.config.profiling.keep_trace else None,
+        shard_plan=shard_plan,
+    )

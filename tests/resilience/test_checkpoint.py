@@ -24,6 +24,7 @@ from repro.resilience import (
     config_identity,
     run_fingerprint,
 )
+from repro.runtime import runner as runner_module
 from repro.runtime import (
     CheckpointConfig,
     DeadlineExceededError,
@@ -201,6 +202,49 @@ def test_stale_journal_of_a_different_run_raises(index, tmp_path):
         store.journal(fp, kind="self", description="x", num_shards=99)
 
 
+def _corrupt(path, how):
+    data = path.read_bytes()
+    if how == "empty":
+        data = b""
+    elif how == "truncated":
+        data = data[: len(data) // 2]
+    else:  # one byte flipped inside the compressed members
+        data = bytearray(data)
+        data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("how", ["empty", "truncated", "flipped"])
+def test_unreadable_fragment_is_re_executed(index, tmp_path, how):
+    golden = Runner().run(compile_self_join(index, _pooled()))
+    ck = CheckpointConfig(directory=str(tmp_path))
+    crashing = _pooled(fault_plan=FaultPlan(crashes=(CrashPoint(at_shard=2),)), checkpoint=ck)
+    with pytest.raises(SimulatedCrashError):
+        Runner().run(compile_self_join(index, crashing))
+    plan = compile_self_join(index, _pooled(checkpoint=ck))
+    fragments = sorted((tmp_path / run_fingerprint(plan)).glob("shard-*.npz"))
+    assert len(fragments) == 2
+    _corrupt(fragments[0], how)
+    runner = Runner()
+    resumed = runner.resume(plan)
+    assert resumed.pairs.tobytes() == golden.pairs.tobytes()
+    assert resumed.trace.signature() == golden.trace.signature()
+    assert runner.last_checkpoint_stats.loads == 1
+
+
+def test_fragment_of_a_different_run_raises(index, tmp_path):
+    ck = CheckpointConfig(directory=str(tmp_path))
+    crashing = _pooled(fault_plan=FaultPlan(crashes=(CrashPoint(at_shard=2),)), checkpoint=ck)
+    with pytest.raises(SimulatedCrashError):
+        Runner().run(compile_self_join(index, crashing))
+    plan = compile_self_join(index, _pooled(checkpoint=ck))
+    fragment = sorted((tmp_path / run_fingerprint(plan)).glob("shard-*.npz"))[0]
+    result, meta = load_shard_fragment(fragment)
+    save_shard_fragment(fragment, result, shard_id=meta["shard_id"], run_fingerprint="other")
+    with pytest.raises(CheckpointError, match="belongs to run"):
+        Runner().resume(plan)
+
+
 # ------------------------------------------------------------ deadlines
 def test_deadline_exceeded_before_first_shard(index):
     with pytest.raises(DeadlineExceededError, match="deadline exceeded"):
@@ -230,3 +274,51 @@ def test_generous_deadline_changes_nothing(index):
     golden = Runner().run(compile_self_join(index, _pooled()))
     bounded = Runner().run(compile_self_join(index, _pooled()), deadline_seconds=3600.0)
     assert np.array_equal(golden.pairs, bounded.pairs)
+
+
+class _ShardClock:
+    """A deadline clock that reads one second per journaled shard."""
+
+    def __init__(self, runner):
+        self.runner = runner
+
+    def monotonic(self) -> float:
+        stats = self.runner.last_checkpoint_stats
+        return float(stats.writes) if stats is not None else 0.0
+
+
+@pytest.mark.parametrize("workers, journaled", [("inline", 3), ("process", 5)])
+def test_deadline_fires_mid_run_and_resume_is_bit_identical(
+    index, tmp_path, monkeypatch, workers, journaled
+):
+    """A 2.5 s deadline on a clock that ticks once per finished shard
+    fires at the first dispatch after the third shard finished. Inline,
+    that is dispatch 3; a pool of 3 workers keeps 3 shards in flight, so
+    dispatches 3 and 4 went out as the first two finished, and both
+    drain into the journal before the error propagates."""
+
+    def rc(**kw):
+        return RuntimeConfig(
+            engine="native", sharding=ShardingConfig(num_devices=3, workers=workers), **kw
+        )
+
+    golden = Runner().run(compile_self_join(index, rc()))
+    plan = compile_self_join(index, rc(checkpoint=CheckpointConfig(directory=str(tmp_path))))
+    runner = Runner()
+    monkeypatch.setattr(runner_module, "time", _ShardClock(runner))
+    with pytest.raises(DeadlineExceededError, match="before shard"):
+        runner.run(plan, deadline_seconds=2.5)
+    monkeypatch.undo()
+    shard_plan = plan.shard_stage.plan
+    assert 0 < journaled < shard_plan.num_shards
+    journal = CheckpointStore(str(tmp_path)).journal(
+        run_fingerprint(plan),
+        kind="self",
+        description=plan.merge_stage.description,
+        num_shards=shard_plan.num_shards,
+    )
+    assert journal.completed_shards() == sorted(shard_plan.dispatch_order()[:journaled])
+    resumer = Runner()
+    resumed = resumer.resume(plan)
+    assert resumed.pairs.tobytes() == golden.pairs.tobytes()
+    assert resumer.last_checkpoint_stats.loads == journaled

@@ -8,6 +8,8 @@ byte-for-byte, re-executing only the incomplete rounds.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.data import uniform
@@ -28,6 +30,7 @@ from repro.runtime import (
 
 _K = 4
 _EPS0 = 0.02  # small enough that 200 uniform points need several rounds
+_ROUNDS = 4  # rounds the expansion takes from _EPS0 on the fixture points
 
 
 @pytest.fixture(scope="module")
@@ -100,16 +103,26 @@ def test_resume_skips_completed_rounds(points, golden, tmp_path):
     assert runner.last_checkpoint_stats.loads >= 1
 
 
-def test_single_device_kill_and_resume(points, tmp_path):
-    golden = Runner().run(_plan(points, RuntimeConfig()))
+@pytest.mark.parametrize("kill", range(_ROUNDS))
+@pytest.mark.parametrize("engine", ["interpreted", "native"])
+def test_single_device_kill_and_resume(points, tmp_path, engine, kill):
+    """A single-device round is one dispatch, so kill ordinal r lands in
+    round r; the rounds before it replay from the driver journal."""
+    golden = Runner().run(_plan(points, RuntimeConfig(engine=engine)))
+    assert golden.rounds == _ROUNDS  # the ordinals cover every round
     ck = CheckpointConfig(directory=str(tmp_path))
     crashing = RuntimeConfig(
-        fault_plan=FaultPlan(crashes=(CrashPoint(at_shard=1),)), checkpoint=ck
+        engine=engine, fault_plan=FaultPlan(crashes=(CrashPoint(at_shard=kill),)), checkpoint=ck
     )
     with pytest.raises(SimulatedCrashError):
         Runner().run(_plan(points, crashing))
-    resumed = Runner().resume(_plan(points, RuntimeConfig(checkpoint=ck)))
+    runner = Runner()
+    resumed = runner.resume(_plan(points, RuntimeConfig(engine=engine, checkpoint=ck)))
+    if engine == "native":
+        # native seconds are host wall-clock; everything else must repeat
+        golden = dataclasses.replace(golden, total_seconds=resumed.total_seconds)
     _assert_identical(resumed, golden)
+    assert runner.last_checkpoint_stats.loads == kill
 
 
 def test_journal_cleaned_after_completion(points, tmp_path):

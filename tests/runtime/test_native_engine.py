@@ -212,30 +212,34 @@ class TestSharded:
 
 # -- checkpoint / crash / resume ----------------------------------------
 class TestCheckpointResume:
+    @pytest.mark.parametrize("kill_at", range(6))
+    @pytest.mark.parametrize("resume_workers", ["inline", "process"])
     @pytest.mark.parametrize("workers", ["inline", "process"])
-    def test_crash_then_resume_reproduces_golden(self, tmp_path, workers):
+    def test_crash_then_resume_reproduces_golden(
+        self, tmp_path, workers, resume_workers, kill_at
+    ):
+        """Kill at every one of the 6 shard dispatches on one worker
+        backend, resume on either: the journal is backend-agnostic."""
         index = GridIndex(_points(n=240, seed=5), 0.4)
 
-        def rc(**kw):
+        def rc(backend, **kw):
             return RuntimeConfig(
                 optimization=PRESETS["combined"],
                 engine="native",
-                sharding=ShardingConfig(num_devices=3, workers=workers),
+                sharding=ShardingConfig(num_devices=3, workers=backend),
                 checkpoint=CheckpointConfig(directory=tmp_path),
                 seed=0,
                 **kw,
             )
 
-        golden = Runner().run(compile_self_join(index, rc()))
+        golden = Runner().run(compile_self_join(index, rc(workers)))
+        crash = FaultPlan(seed=0, crashes=(CrashPoint(at_shard=kill_at),))
         with pytest.raises(SimulatedCrashError):
-            Runner().run(
-                compile_self_join(
-                    index,
-                    rc(fault_plan=FaultPlan(seed=0, crashes=(CrashPoint(at_shard=2),))),
-                )
-            )
-        resumed = Runner().resume(compile_self_join(index, rc()))
+            Runner().run(compile_self_join(index, rc(workers, fault_plan=crash)))
+        runner = Runner()
+        resumed = runner.resume(compile_self_join(index, rc(resume_workers)))
         assert np.array_equal(resumed.canonical_pairs(), golden.canonical_pairs())
+        assert runner.last_checkpoint_stats.loads == kill_at
 
 
 # -- config validation ---------------------------------------------------
