@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import DeviceSpec, PRESETS, SimilarityJoin
+from repro import DeviceSpec, PRESETS, RuntimeConfig, SimilarityJoin
 from repro.data import gaia_like
 from repro.util import Table, format_seconds
 
@@ -57,9 +57,8 @@ def main() -> None:
     )
     results = {}
     for name in ("gpucalcglobal", "workqueue_k8"):
-        res = SimilarityJoin(PRESETS[name], device=DEVICE).execute(
-            observations, reference, EPS_DEG
-        )
+        runtime = RuntimeConfig(optimization=PRESETS[name], device=DEVICE)
+        res = SimilarityJoin(runtime=runtime).execute(observations, reference, EPS_DEG)
         results[name] = res
         table.add_row(
             [

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import PRESETS, SelfJoin
+from repro import PRESETS, RuntimeConfig, SelfJoin
 
 NOISE = -1
 
 
 def dbscan_from_selfjoin(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """DBSCAN labels via a single simulated-GPU self-join."""
-    result = SelfJoin(PRESETS["combined"], include_self=True).execute(points, eps)
+    runtime = RuntimeConfig(optimization=PRESETS["combined"], include_self=True)
+    result = SelfJoin(runtime=runtime).execute(points, eps)
     neighbors = result.neighbor_lists()
     n = len(points)
     core = np.array([len(neighbors.get(i, ())) >= min_pts for i in range(n)])

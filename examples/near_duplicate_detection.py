@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import PRESETS, SelfJoin
+from repro import PRESETS, RuntimeConfig, SelfJoin
 from repro.ego import SuperEgo
 from repro.perfmodel.cputime import superego_seconds
 from repro.util import format_seconds
@@ -50,7 +50,8 @@ def main() -> None:
     corpus, originals = embed_corpus(rng, n_docs, n_dupes)
     eps = 0.02
 
-    gpu = SelfJoin(PRESETS["combined"], include_self=False).execute(corpus, eps)
+    runtime = RuntimeConfig(optimization=PRESETS["combined"], include_self=False)
+    gpu = SelfJoin(runtime=runtime).execute(corpus, eps)
     cpu = SuperEgo(include_self=False).join(corpus, eps)
     assert np.array_equal(gpu.sorted_pairs(), cpu.sorted_pairs())
     print(

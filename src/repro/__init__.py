@@ -10,8 +10,9 @@ SIMT substrate:
 - :mod:`repro.simt` — the warp-level GPU simulator;
 - :mod:`repro.perfmodel` — the vectorized performance model for
   paper-scale datasets;
-- :mod:`repro.multigpu` — the self-join sharded over a pool of simulated
-  devices, with device-level load balancing;
+- :mod:`repro.multigpu` — the device pool, shard planners, scheduler and
+  merge behind a sharded join (``RuntimeConfig(sharding=...)``), with
+  device-level load balancing;
 - :mod:`repro.resilience` — seeded fault injection (device death,
   stragglers, transient errors, forced overflows) and the recovery policy
   that lets the sharded join survive it with an identical result;
@@ -31,7 +32,6 @@ Quickstart::
 
 from repro.core import JoinResult, OptimizationConfig, PRESETS, SelfJoin, SimilarityJoin
 from repro.grid import GridIndex
-from repro.multigpu import MultiGpuSelfJoin, MultiGpuSimilarityJoin
 from repro.resilience import FaultPlan, RecoveryPolicy
 from repro.runtime import (
     JoinPlan,
@@ -56,8 +56,6 @@ __all__ = [
     "GridIndex",
     "JoinPlan",
     "JoinResult",
-    "MultiGpuSelfJoin",
-    "MultiGpuSimilarityJoin",
     "OptimizationConfig",
     "OverflowConfig",
     "PRESETS",

@@ -7,8 +7,8 @@ unified benchmark-suite layer.
 - :mod:`repro.bench.runner` — executes a spec against the performance
   model (and the SUPER-EGO baseline) and returns a
   :class:`~repro.profiling.ProfileReport`;
-- :mod:`repro.bench.suites` — declarative benchmark suites: every
-  ``benchmarks/bench_*.py`` script is a registration here;
+- :mod:`repro.bench.suites` — declarative benchmark suites, run with
+  ``repro-bench suite run <suite> [--filter <exp>]``;
 - :mod:`repro.bench.executors` — runs a suite and measures it;
 - :mod:`repro.bench.gates` — tiered gates (correctness / budgets /
   trajectory) over suite results;

@@ -5,8 +5,6 @@ Usage::
     repro-bench list
     repro-bench run fig9 [--size N] [--trials T] [--out FILE] [--json FILE]
     repro-bench all [--size N] [--out DIR]
-    repro-bench compare Gaia --eps 3.0 gpucalcglobal combined
-    repro-bench validate [--size N]
 
     repro-bench suite list
     repro-bench suite run [SUITE ...] [--size tiny|small|full] [--seed S]
@@ -14,9 +12,10 @@ Usage::
     repro-bench suite gate [SUITE ...] [--size ...] [--strict]
     repro-bench suite history [SUITE ...] [--limit N]
 
-``run``/``list`` address single paper experiments (model-level);
-``suite ...`` drives the unified harness: declarative experiment specs
-from :mod:`repro.bench.suites`, executed by :mod:`repro.bench.executors`,
+``list``/``run``/``all`` address the paper experiments (model-level) and
+render their per-row tables and ASCII figures; ``suite ...`` drives the
+unified harness: declarative experiment specs from
+:mod:`repro.bench.suites`, executed by :mod:`repro.bench.executors`,
 gated by :mod:`repro.bench.gates`, with trajectories recorded to
 ``results/BENCH_<suite>.json`` by :mod:`repro.bench.history`.
 """
@@ -36,7 +35,7 @@ from repro.bench.runner import run_experiment
 from repro.data import CATALOG
 from repro.util import Table
 
-__all__ = ["main", "standalone_main"]
+__all__ = ["main"]
 
 
 def _cmd_list(_args) -> int:
@@ -137,108 +136,6 @@ def _cmd_all(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "all_experiments.txt").write_text("\n\n".join(outputs) + "\n")
     return 0
-
-
-def _cmd_compare(args) -> int:
-    """Head-to-head comparison of presets on one dataset/ε grid."""
-    from repro.bench.experiments import bench_device, load_bench_dataset
-    from repro.bench.runner import BENCH_BATCH_CAPACITY
-    from repro.core import PRESETS
-    from repro.perfmodel import PerformanceModel
-    from repro.util import format_seconds
-
-    unknown = [p for p in args.presets if p not in PRESETS]
-    if unknown:
-        print(f"unknown presets: {unknown}; available: {sorted(PRESETS)}",
-              file=sys.stderr)
-        return 2
-    if args.dataset not in DEFAULT_SIZES:
-        print(f"unknown dataset {args.dataset!r}; available: "
-              f"{sorted(DEFAULT_SIZES)}", file=sys.stderr)
-        return 2
-
-    points = load_bench_dataset(args.dataset, size=args.size, seed=args.seed)
-    model = PerformanceModel(device=bench_device(), seed=args.seed)
-    profile = model.profile(points, args.eps)
-    t = Table(
-        ["preset", "simulated time", "WEE", "batches", "speedup vs first"],
-        title=f"{args.dataset}, |D|={len(points)}, eps={args.eps}",
-    )
-    base_time = None
-    for preset in args.presets:
-        cfg = PRESETS[preset].with_(batch_result_capacity=BENCH_BATCH_CAPACITY)
-        run = model.estimate(profile, cfg)
-        if base_time is None:
-            base_time = run.total_seconds
-        t.add_row(
-            [
-                preset,
-                format_seconds(run.total_seconds),
-                f"{100 * run.warp_execution_efficiency:.1f}%",
-                run.num_batches,
-                f"{base_time / run.total_seconds:.2f}x",
-            ]
-        )
-    print(t.render())
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    """VM-vs-model agreement check: run both on small workloads and
-    compare kernel time, WEE and result sizes."""
-    import numpy as np
-
-    from repro.core import PRESETS, SelfJoin
-    from repro.perfmodel import PerformanceModel
-    from repro.simt import CostParams
-
-    size = args.size if args.size else 400
-    costs = CostParams(c_emit=0.0)  # emission is the one modeled quantity
-    rng = np.random.default_rng(args.seed)
-    datasets = {
-        "uniform": rng.uniform(0, 6, (size, 2)),
-        "skewed": np.concatenate(
-            [rng.normal(2, 0.3, (size // 2, 2)), rng.uniform(0, 8, (size // 2, 2))]
-        ),
-    }
-    checks = 0
-    worst = 0.0
-    t = Table(
-        ["dataset", "preset", "VM kernel", "model kernel", "WEE delta", "rows"],
-        title="SIMT VM vs performance model",
-    )
-    for ds_name, pts in datasets.items():
-        model = PerformanceModel(costs=costs, seed=args.seed)
-        profile = model.profile(pts, 0.4)
-        for preset in ("gpucalcglobal", "lidunicomp", "workqueue_k8", "combined"):
-            cfg = PRESETS[preset]
-            vm = SelfJoin(cfg, costs=costs, seed=args.seed).execute(pts, 0.4)
-            run = model.estimate(profile, cfg)
-            rel = abs(run.kernel_seconds - vm.kernel_seconds) / max(
-                vm.kernel_seconds, 1e-30
-            )
-            wee_delta = abs(
-                run.warp_execution_efficiency - vm.warp_execution_efficiency
-            )
-            rows_ok = run.total_result_rows == vm.num_pairs
-            worst = max(worst, rel, wee_delta, 0.0 if rows_ok else 1.0)
-            checks += 1
-            t.add_row(
-                [
-                    ds_name,
-                    preset,
-                    f"{vm.kernel_seconds:.3e}s",
-                    f"{run.kernel_seconds:.3e}s",
-                    f"{wee_delta:.2e}",
-                    "ok" if rows_ok else "MISMATCH",
-                ]
-            )
-    print(t.render())
-    if worst < 1e-9:
-        print(f"\nvalidation passed: {checks} checks, max deviation {worst:.2e}")
-        return 0
-    print(f"\nvalidation FAILED: max deviation {worst:.2e}", file=sys.stderr)
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -408,55 +305,6 @@ def _suite_common_args(parser, *, default_size: str = "tiny") -> None:
     parser.add_argument("--verbose", action="store_true")
 
 
-def standalone_main(suite_id: str, argv=None, *, pattern: str | None = None) -> int:
-    """Entry point for the thin ``benchmarks/bench_*.py`` shims.
-
-    Each legacy script maps to one registered suite (optionally
-    pre-filtered to the experiments it used to cover) and keeps a
-    standalone CLI: ``--size/--seed/--trials/--filter/--json``, plus
-    ``--quick`` as a back-compat alias for ``--size tiny``. With
-    ``--json``, writes the seed-deterministic payload — identical seeds
-    produce identical files.
-    """
-    import json
-
-    from repro.bench.executors import RunContext, run_suite
-    from repro.bench.history import deterministic_payload
-    from repro.bench.suites import SIZE_CLASSES, get_suite
-
-    parser = argparse.ArgumentParser(
-        prog=f"bench[{suite_id}]",
-        description=f"Run benchmark suite {suite_id!r} via the unified harness.",
-    )
-    parser.add_argument("--size", choices=SIZE_CLASSES, default="small")
-    parser.add_argument("--quick", action="store_true", help="alias for --size tiny")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--filter", dest="pattern", default=pattern)
-    parser.add_argument(
-        "--json", default=None, help="write the deterministic results payload here"
-    )
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    size = "tiny" if args.quick else args.size
-
-    suite = get_suite(suite_id)
-    ctx = RunContext(
-        size=size, seed=args.seed, trials=args.trials, progress=_suite_progress(args)
-    )
-    run = run_suite(suite, ctx, pattern=args.pattern)
-    print(run.render_summary())
-    if args.json:
-        payload = deterministic_payload(
-            suite_id, run.results, size=size, seed=args.seed
-        )
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if not run.checks_passed:
-        print("FAILED: correctness cross-checks did not pass", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
@@ -492,21 +340,6 @@ def main(argv=None) -> int:
 
     all_p = sub.add_parser("all", parents=[common], help="run every experiment")
     all_p.set_defaults(func=_cmd_all)
-
-    val_p = sub.add_parser(
-        "validate", parents=[common], help="check VM-vs-model agreement"
-    )
-    val_p.set_defaults(func=_cmd_validate)
-
-    cmp_p = sub.add_parser(
-        "compare", parents=[common], help="compare presets on one dataset"
-    )
-    cmp_p.add_argument("dataset", help="catalog name, e.g. Gaia")
-    cmp_p.add_argument("--eps", type=float, required=True)
-    cmp_p.add_argument(
-        "presets", nargs="+", help="preset names, first is the baseline"
-    )
-    cmp_p.set_defaults(func=_cmd_compare)
 
     suite_p = sub.add_parser("suite", help="unified benchmark harness")
     suite_sub = suite_p.add_subparsers(dest="suite_command", required=True)

@@ -526,6 +526,7 @@ def _abl_sensitivity(ctx) -> tuple[dict, list[CheckResult]]:
 def _abl_fidelity(ctx) -> tuple[dict, list[CheckResult]]:
     from repro.bench.experiments import bench_device
     from repro.core import PRESETS, SelfJoin
+    from repro.runtime import RuntimeConfig
 
     n = {"tiny": 600, "small": 1500, "full": 3000}[ctx.size]
     rng = np.random.default_rng(ctx.seed + 12)
@@ -535,9 +536,10 @@ def _abl_fidelity(ctx) -> tuple[dict, list[CheckResult]]:
     times = {}
     for preset in ("gpucalcglobal", "workqueue"):
         for mode in ("aggregate", "lockstep"):
-            res = SelfJoin(
-                PRESETS[preset], device=bench_device(), seed=3, replay_mode=mode
-            ).execute(points, 0.3)
+            rt = RuntimeConfig(
+                optimization=PRESETS[preset], device=bench_device(), seed=3, replay_mode=mode
+            )
+            res = SelfJoin(runtime=rt).execute(points, 0.3)
             times[(preset, mode)] = res.kernel_seconds
     checks = [
         CheckResult(
@@ -881,7 +883,8 @@ def run_native_scale(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -
 
 def run_multigpu(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> ExperimentResult:
     from repro.core import OptimizationConfig, SelfJoin
-    from repro.multigpu import SHARD_PLANNERS, DevicePool, MultiGpuSelfJoin
+    from repro.multigpu import SHARD_PLANNERS
+    from repro.runtime import RuntimeConfig, ShardingConfig
     from repro.simt import DeviceSpec
 
     device = DeviceSpec(name="sim-small", num_sms=4, warps_per_sm_slot=2)
@@ -891,23 +894,19 @@ def run_multigpu(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> Ex
     pool_sizes = exp.params["pool_sizes"][ctx.size]
 
     wall_t0 = time.perf_counter()
-    reference = SelfJoin(config, device=device, seed=ctx.seed).execute(points, eps)
+    single = RuntimeConfig(optimization=config, device=device, seed=ctx.seed)
+    reference = SelfJoin(runtime=single).execute(points, eps)
     ref_pairs = reference.sorted_pairs()
 
     checks: list[CheckResult] = []
     dee: dict[str, dict] = {}
     mismatches = []
     for n in pool_sizes:
-        pool = DevicePool(n, spec=device, seed=ctx.seed)
         for planner in SHARD_PLANNERS:
-            run = MultiGpuSelfJoin(
-                config,
-                pool=pool,
-                planner=planner,
-                schedule="dynamic",
-                shards_per_device=2,
-                seed=ctx.seed,
-            ).execute(points, eps)
+            sharding = ShardingConfig(
+                num_devices=n, planner=planner, schedule="dynamic", shards_per_device=2
+            )
+            run = SelfJoin(runtime=single.with_(sharding=sharding)).execute(points, eps)
             if not np.array_equal(run.sorted_pairs(), ref_pairs):
                 mismatches.append(f"N={n} {planner}")
             dee[f"N{n}/{planner}"] = {
@@ -964,7 +963,6 @@ def run_multigpu(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> Ex
 
 def run_resilience(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> ExperimentResult:
     from repro.core import OptimizationConfig, SelfJoin
-    from repro.multigpu import MultiGpuSelfJoin
     from repro.resilience import (
         DeviceFailure,
         FaultPlan,
@@ -1008,7 +1006,9 @@ def run_resilience(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> 
     points = exp.workload.build(ctx.size, ctx.seed)
     eps = exp.workload.epsilon
     wall_t0 = time.perf_counter()
-    reference = SelfJoin(config, device=device, seed=seed).execute(points, eps)
+    reference = SelfJoin(
+        runtime=RuntimeConfig(optimization=config, device=device, seed=seed)
+    ).execute(points, eps)
     ref_pairs = reference.sorted_pairs()
 
     checks: list[CheckResult] = []
@@ -1016,7 +1016,7 @@ def run_resilience(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> 
     for sc_name, plan in scenarios.items():
 
         def run_once():
-            return MultiGpuSelfJoin(
+            return SelfJoin(
                 runtime=RuntimeConfig(
                     optimization=config,
                     sharding=ShardingConfig(num_devices=num_devices),

@@ -26,7 +26,6 @@ __all__ = [
     "bench_path",
     "entry_digest",
     "deltas",
-    "deterministic_payload",
     "latest_comparable",
     "load_history",
     "make_entry",
@@ -85,24 +84,6 @@ def make_entry(results, *, size: str, seed: int, trials: int, suite_checks=()) -
         "trials": trials,
         "suite_checks": [c.to_record() for c in suite_checks],
         "experiments": experiments,
-    }
-
-
-def deterministic_payload(suite_id: str, results, *, size: str, seed: int) -> dict:
-    """The seed-deterministic slice of a suite run.
-
-    Two runs of the same code with identical ``--seed``/``--size`` must
-    produce byte-identical output here — no wall-clock, no throughput,
-    no check details that embed measured timings.
-    """
-    return {
-        "suite": suite_id,
-        "size": size,
-        "seed": seed,
-        "experiments": {
-            r.exp_id: {"metrics": r.metrics, "digest": entry_digest(r.metrics)}
-            for r in results
-        },
     }
 
 

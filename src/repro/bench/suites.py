@@ -6,14 +6,13 @@ the tier-A correctness cross-checks, and a tier-B perf :class:`Budget`.
 One config-driven harness (:mod:`repro.bench.executors`, driven by
 ``python -m repro.bench suite ...``) executes them all at three size
 classes and records ``BENCH_<suite>.json`` trajectories
-(:mod:`repro.bench.history`); the scripts under ``benchmarks/`` are thin
-standalone shims selecting a suite (and optionally a filter) from this
-registry.
+(:mod:`repro.bench.history`). ``suite run <suite> --filter <exp>`` runs
+a single experiment.
 
 Size classes:
 
 - ``tiny`` — CI smoke: seconds per suite, selected ε only, 1 trial;
-- ``small`` — developer loop: the old scripts' ``--quick`` scale;
+- ``small`` — developer loop;
 - ``full`` — bench scale (the defaults in
   :mod:`repro.bench.experiments`), where the paper-shape checks are
   enforced.

@@ -39,7 +39,6 @@ from repro.grid import GridIndex
 from repro.runtime.config import RuntimeConfig, _split_config
 from repro.runtime.plan import compile_similarity_join
 from repro.runtime.runner import Runner
-from repro.simt import CostParams, DeviceSpec
 
 __all__ = [
     "BipartiteKernelArgs",
@@ -54,9 +53,11 @@ class SimilarityJoin:
 
     Accepts the same :class:`OptimizationConfig` as :class:`SelfJoin`
     (``pattern`` must stay ``"full"``) — or a full
-    :class:`~repro.runtime.config.RuntimeConfig`. ``execute(left, right,
-    eps)`` returns a :class:`JoinResult` whose pairs are ``(left_idx,
-    right_idx)``.
+    :class:`~repro.runtime.config.RuntimeConfig`, positionally or as
+    ``runtime=``; a ``ShardingConfig`` in it shards A's queries over a
+    device pool while every device reads B's index. ``execute(left,
+    right, eps)`` returns a :class:`JoinResult` whose pairs are
+    ``(left_idx, right_idx)``.
     """
 
     def __init__(
@@ -64,19 +65,11 @@ class SimilarityJoin:
         config: OptimizationConfig | RuntimeConfig | None = None,
         *,
         runtime: RuntimeConfig | None = None,
-        device: DeviceSpec | None = None,
-        costs: CostParams | None = None,
-        seed: int = 0,
     ):
         config, runtime = _split_config(config, runtime, "SimilarityJoin")
         if runtime is None:
-            runtime = RuntimeConfig(
-                optimization=config if config is not None else OptimizationConfig(),
-                seed=seed,
-                device=device,
-                costs=costs,
-            )
-        elif config is not None:
+            runtime = RuntimeConfig()
+        if config is not None:
             runtime = runtime.with_(optimization=config)
         if runtime.optimization.pattern != "full":
             raise ValueError(
@@ -85,28 +78,6 @@ class SimilarityJoin:
             )
         self.runtime = runtime
 
-    # -- legacy attribute spellings ------------------------------------
-    @property
-    def config(self) -> OptimizationConfig:
-        return self.runtime.optimization
-
-    @property
-    def device(self) -> DeviceSpec:
-        return self.runtime.device if self.runtime.device is not None else DeviceSpec()
-
-    @property
-    def costs(self) -> CostParams:
-        return self.runtime.costs if self.runtime.costs is not None else CostParams()
-
-    @property
-    def seed(self) -> int:
-        return self.runtime.seed
-
-    @property
-    def engine(self) -> str:
-        return self.runtime.engine
-
-    # ------------------------------------------------------------------
     def execute(self, left, right, epsilon: float) -> JoinResult:
         """Join ``left`` against ``right``: all pairs within ``epsilon``.
 

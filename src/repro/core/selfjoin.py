@@ -21,8 +21,10 @@ run is re-planned with a doubled estimate — the same recovery a production
 implementation needs, and a tested code path here.
 
 :meth:`SelfJoin.execute_on_index` can run any *subset* of the query points
-against a prebuilt index on any executor. :mod:`repro.multigpu` compiles
-pooled plans over exactly the same runtime.
+against a prebuilt index on any executor. A pooled self-join is this same
+facade with ``RuntimeConfig(sharding=ShardingConfig(...))``: its plan
+gains a shard stage and the runner drives a
+:class:`~repro.multigpu.pool.DevicePool` through it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from repro.grid import GridIndex
 from repro.runtime.config import RuntimeConfig, _split_config
 from repro.runtime.plan import compile_self_join
 from repro.runtime.runner import Runner
-from repro.simt import CostParams, DeviceSpec
 
 __all__ = ["SelfJoin"]
 
@@ -53,26 +54,10 @@ class SelfJoin:
         also accepted here (or via ``runtime=``), carrying every
         execution knob in one value.
     runtime:
-        Explicit :class:`~repro.runtime.config.RuntimeConfig`; mutually
-        exclusive with passing one as ``config``.
-    device, costs:
-        Simulated hardware; defaults match the paper's testbed class.
-    include_self:
-        Whether each point joins with itself (``dist = 0 <= eps``).
-    seed:
-        Seed for the hardware scheduler's issue-order shuffle (only used
-        when the work-queue is off).
-    replay_mode:
-        Warp replay fidelity: ``"aggregate"`` (region-boundary
-        reconvergence; matches the analytic model) or ``"lockstep"``
-        (event-by-event divergence serialization; slower-or-equal warp
-        times, see :mod:`repro.simt.warp`).
-    estimate_safety_z:
-        Pad the result-size estimate by this many standard errors of the
-        sampled total before planning batches (0 = trust the point
-        estimate, the paper's behaviour). A caller that cannot afford an
-        overflow re-plan sizes its margin here instead of hoping the
-        sample was representative.
+        Explicit :class:`~repro.runtime.config.RuntimeConfig` — engine,
+        seed, device, ``include_self``, sharding and every other
+        execution knob; mutually exclusive with passing one as
+        ``config``. Read the knobs back as ``join.runtime.<field>``.
     """
 
     def __init__(
@@ -80,62 +65,14 @@ class SelfJoin:
         config: OptimizationConfig | RuntimeConfig | None = None,
         *,
         runtime: RuntimeConfig | None = None,
-        device: DeviceSpec | None = None,
-        costs: CostParams | None = None,
-        include_self: bool = True,
-        seed: int = 0,
-        replay_mode: str = "aggregate",
-        estimate_safety_z: float = 0.0,
     ):
         config, runtime = _split_config(config, runtime, "SelfJoin")
         if runtime is None:
-            runtime = RuntimeConfig(
-                optimization=config if config is not None else OptimizationConfig(),
-                replay_mode=replay_mode,
-                seed=seed,
-                include_self=include_self,
-                estimate_safety_z=estimate_safety_z,
-                device=device,
-                costs=costs,
-            )
-        elif config is not None:
+            runtime = RuntimeConfig()
+        if config is not None:
             runtime = runtime.with_(optimization=config)
         self.runtime = runtime
 
-    # -- legacy attribute spellings ------------------------------------
-    @property
-    def config(self) -> OptimizationConfig:
-        return self.runtime.optimization
-
-    @property
-    def device(self) -> DeviceSpec:
-        return self.runtime.device if self.runtime.device is not None else DeviceSpec()
-
-    @property
-    def costs(self) -> CostParams:
-        return self.runtime.costs if self.runtime.costs is not None else CostParams()
-
-    @property
-    def include_self(self) -> bool:
-        return self.runtime.include_self
-
-    @property
-    def seed(self) -> int:
-        return self.runtime.seed
-
-    @property
-    def replay_mode(self) -> str:
-        return self.runtime.replay_mode
-
-    @property
-    def engine(self) -> str:
-        return self.runtime.engine
-
-    @property
-    def estimate_safety_z(self) -> float:
-        return self.runtime.estimate_safety_z
-
-    # ------------------------------------------------------------------
     def execute(self, points, epsilon: float) -> JoinResult:
         """Run the self-join; returns exact pairs plus simulated metrics.
 

@@ -14,6 +14,7 @@ import sys
 from repro.core import PRESETS, SelfJoin, SimilarityJoin
 from repro.io.datasets import load_points
 from repro.io.results import save_result_bundle, write_pairs_csv
+from repro.runtime import RuntimeConfig
 from repro.util import format_seconds
 
 __all__ = ["main"]
@@ -59,7 +60,9 @@ def _finish(result, args) -> int:
 def _cmd_self(args) -> int:
     points = load_points(args.dataset)
     cfg = _config(args)
-    result = SelfJoin(cfg, seed=args.seed).execute(points, args.eps)
+    result = SelfJoin(runtime=RuntimeConfig(optimization=cfg, seed=args.seed)).execute(
+        points, args.eps
+    )
     return _finish(result, args)
 
 
@@ -74,7 +77,9 @@ def _cmd_bipartite(args) -> int:
             file=sys.stderr,
         )
         cfg = cfg.with_(pattern="full")
-    result = SimilarityJoin(cfg, seed=args.seed).execute(left, right, args.eps)
+    result = SimilarityJoin(runtime=RuntimeConfig(optimization=cfg, seed=args.seed)).execute(
+        left, right, args.eps
+    )
     return _finish(result, args)
 
 

@@ -26,21 +26,29 @@ the scheduler into its self-healing loop: shard requeue off dead devices,
 bounded transient retries, straggler speculation — with merged pairs
 identical to the fault-free run (see :mod:`repro.resilience`).
 
-Quickstart::
+A pooled join is the single-device facade with a
+:class:`~repro.runtime.config.ShardingConfig` in its runtime; it returns
+a :class:`MultiJoinResult`. Quickstart::
 
-    from repro.multigpu import MultiGpuSelfJoin
+    from repro import RuntimeConfig, SelfJoin, ShardingConfig
 
-    join = MultiGpuSelfJoin(num_devices=4, planner="balanced")
+    join = SelfJoin(runtime=RuntimeConfig(
+        sharding=ShardingConfig(num_devices=4, planner="balanced")))
     result = join.execute(points, epsilon=0.5)
     print(result.num_pairs, result.total_seconds,
           result.device_execution_efficiency)
+
+An explicit (e.g. heterogeneous) pool runs a compiled plan directly::
+
+    from repro import GridIndex, Runner, compile_self_join
+    from repro.multigpu import DevicePool
+
+    rt = RuntimeConfig(sharding=ShardingConfig(num_devices=2))
+    pool = DevicePool.from_runtime(rt, specs=[fast_spec, slow_spec])
+    result = Runner(pool=pool).run(compile_self_join(GridIndex(points, 0.5), rt))
 """
 
-from repro.multigpu.join import (
-    MultiGpuSelfJoin,
-    MultiGpuSimilarityJoin,
-    MultiJoinResult,
-)
+from repro.multigpu.join import MultiJoinResult
 from repro.multigpu.merge import merge_pairs, merge_shard_results, pipeline_from_trace
 from repro.multigpu.metrics import DeviceStats, PoolStats, pool_stats_from_trace
 from repro.multigpu.pool import DeviceHealth, DevicePool, PoolDevice
@@ -71,8 +79,6 @@ __all__ = [
     "EVENT_KINDS",
     "FailureRecord",
     "HostScheduler",
-    "MultiGpuSelfJoin",
-    "MultiGpuSimilarityJoin",
     "MultiJoinResult",
     "PoolDevice",
     "PoolStats",

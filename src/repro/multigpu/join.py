@@ -1,48 +1,36 @@
-"""Multi-device sharded joins: the public facades.
+"""The result of a multi-device sharded join.
 
-:class:`MultiGpuSelfJoin` runs one self-join as shards over a
-:class:`~repro.multigpu.pool.DevicePool`. Like the single-device facades
-it owns no execution logic: it validates input, builds the ε-grid index
-once on the host (shared, read-only — as the replicated index of a real
-multi-GPU deployment), compiles a pooled
+A pooled join is a :class:`~repro.core.selfjoin.SelfJoin` or
+:class:`~repro.core.join.SimilarityJoin` whose
+:class:`~repro.runtime.config.RuntimeConfig` carries a
+:class:`~repro.runtime.config.ShardingConfig`. It compiles a pooled
 :class:`~repro.runtime.plan.JoinPlan` — whose shard stage partitions the
 query points with the chosen planner (:mod:`repro.multigpu.sharding`) —
-and hands the plan to the :class:`~repro.runtime.runner.Runner`, which
-drives the pool through the shard set with the chosen scheduler mode
-(:mod:`repro.multigpu.scheduler`). Every shard runs the *unchanged*
-single-device join — same config, same kernels, same batching — then
-shard results are deterministically merged (:mod:`repro.multigpu.merge`)
-with pool-level metrics attached (:mod:`repro.multigpu.metrics`).
+and the :class:`~repro.runtime.runner.Runner` drives a
+:class:`~repro.multigpu.pool.DevicePool` through the shard set with the
+chosen scheduler mode (:mod:`repro.multigpu.scheduler`). Every shard runs
+the *unchanged* single-device join — same config, same kernels, same
+batching — over the one host-side ε-grid index (shared, read-only — as
+the replicated index of a real multi-GPU deployment); shard results are
+then deterministically merged (:mod:`repro.multigpu.merge`) with
+pool-level metrics attached (:mod:`repro.multigpu.metrics`).
 
 The returned :class:`MultiJoinResult` *is a*
 :class:`~repro.core.result.JoinResult` — exact pairs in canonical order,
 simulated response time (now the pool makespan), WEE over every warp of
 every device — plus the device-level trace and efficiency.
-
-:class:`MultiGpuSimilarityJoin` does the same for the bipartite join,
-sharding A's queries while every device reads B's index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import OptimizationConfig
 from repro.core.result import JoinResult
-from repro.core.validation import validate_inputs
-from repro.grid import GridIndex
 from repro.multigpu.metrics import PoolStats
-from repro.multigpu.pool import DevicePool
 from repro.multigpu.scheduler import RecoveryLog, ScheduleTrace
 from repro.multigpu.sharding import ShardPlan
-from repro.resilience.faults import FaultPlan
-from repro.resilience.policy import RecoveryPolicy
-from repro.runtime.config import RuntimeConfig, ShardingConfig, _split_config
-from repro.runtime.plan import compile_self_join, compile_similarity_join
-from repro.runtime.runner import Runner
-from repro.simt import CostParams, DeviceSpec
 
-__all__ = ["MultiGpuSelfJoin", "MultiGpuSimilarityJoin", "MultiJoinResult"]
+__all__ = ["MultiJoinResult"]
 
 
 @dataclass(frozen=True)
@@ -76,227 +64,3 @@ class MultiJoinResult(JoinResult):
     def recovery_log(self) -> RecoveryLog | None:
         """What the resilient scheduler did, or ``None`` on a fail-fast run."""
         return self.trace.recovery if self.trace is not None else None
-
-
-class _PoolJoinBase:
-    """Shared RuntimeConfig/pool resolution of the two pooled facades."""
-
-    _facade = "MultiGpuJoin"
-
-    def __init__(
-        self,
-        config,
-        *,
-        runtime: RuntimeConfig | None,
-        pool: DevicePool | None,
-        num_devices: int,
-        planner: str,
-        schedule: str,
-        shards_per_device: int,
-        device: DeviceSpec | None,
-        costs: CostParams | None,
-        include_self: bool,
-        seed: int,
-        replay_mode: str,
-    ):
-        config, runtime = _split_config(config, runtime, self._facade)
-        if runtime is None:
-            runtime = RuntimeConfig(
-                optimization=config if config is not None else OptimizationConfig(),
-                seed=seed,
-                replay_mode=replay_mode,
-                include_self=include_self,
-                device=device,
-                costs=costs,
-                sharding=ShardingConfig(
-                    num_devices=pool.num_devices if pool is not None else num_devices,
-                    planner=planner,
-                    schedule=schedule,
-                    shards_per_device=shards_per_device,
-                ),
-            )
-        else:
-            if config is not None:
-                runtime = runtime.with_(optimization=config)
-            if runtime.sharding is None:
-                runtime = runtime.with_(sharding=ShardingConfig())
-            if pool is not None and runtime.sharding.num_devices != pool.num_devices:
-                runtime = runtime.with_(
-                    sharding=ShardingConfig(
-                        num_devices=pool.num_devices,
-                        planner=runtime.sharding.planner,
-                        schedule=runtime.sharding.schedule,
-                        shards_per_device=runtime.sharding.shards_per_device,
-                    )
-                )
-        self.runtime = runtime
-        self.pool = pool if pool is not None else DevicePool.from_runtime(runtime)
-
-    # -- legacy attribute spellings ------------------------------------
-    @property
-    def config(self) -> OptimizationConfig:
-        return self.runtime.optimization
-
-    @property
-    def planner(self) -> str:
-        return self.runtime.sharding.planner
-
-    @property
-    def schedule(self) -> str:
-        return self.runtime.sharding.schedule
-
-    @property
-    def shards_per_device(self) -> int:
-        return self.runtime.sharding.shards_per_device
-
-    @property
-    def num_shards(self) -> int:
-        return self.runtime.sharding.num_shards
-
-    @property
-    def seed(self) -> int:
-        return self.runtime.seed
-
-    @property
-    def replay_mode(self) -> str:
-        return self.runtime.replay_mode
-
-    @property
-    def fault_plan(self) -> FaultPlan | None:
-        return self.runtime.fault_plan
-
-    @property
-    def recovery(self) -> RecoveryPolicy | None:
-        return self.runtime.recovery
-
-    def _runner(self) -> Runner:
-        return Runner(pool=self.pool)
-
-
-class MultiGpuSelfJoin(_PoolJoinBase):
-    """Self-join sharded over a pool of simulated devices.
-
-    Parameters
-    ----------
-    config:
-        Per-device optimization stack — any single-device configuration,
-        including WORKQUEUE and balanced batches, runs unchanged inside
-        each shard. A :class:`~repro.runtime.config.RuntimeConfig` is
-        also accepted here (or via ``runtime=``).
-    pool:
-        An explicit :class:`~repro.multigpu.pool.DevicePool` (e.g.
-        heterogeneous); by default a homogeneous pool is built from the
-        runtime config. An explicit pool's size wins over
-        ``num_devices``.
-    planner:
-        ``"strided"``, ``"cell_blocks"`` or ``"balanced"`` (LPT over the
-        SORTBYWL workload estimates) — see :mod:`repro.multigpu.sharding`.
-    schedule:
-        ``"static"`` pre-assignment or the ``"dynamic"`` shared
-        most-work-first device queue — see :mod:`repro.multigpu.scheduler`.
-    shards_per_device:
-        Queue depth: shards per device. 1 gives one shard per device
-        (pure partitioning); larger values give the dynamic scheduler
-        stealing granularity.
-
-    Fault injection and recovery are runtime concerns: set
-    ``RuntimeConfig.fault_plan`` / ``RuntimeConfig.recovery`` and pass the
-    config via ``runtime=`` (a plan implies ``RecoveryPolicy()`` unless
-    given; the merged pairs stay identical to the fault-free run).
-    """
-
-    _facade = "MultiGpuSelfJoin"
-
-    def __init__(
-        self,
-        config: OptimizationConfig | RuntimeConfig | None = None,
-        *,
-        runtime: RuntimeConfig | None = None,
-        pool: DevicePool | None = None,
-        num_devices: int = 2,
-        planner: str = "balanced",
-        schedule: str = "dynamic",
-        shards_per_device: int = 2,
-        device: DeviceSpec | None = None,
-        costs: CostParams | None = None,
-        include_self: bool = True,
-        seed: int = 0,
-        replay_mode: str = "aggregate",
-    ):
-        super().__init__(
-            config,
-            runtime=runtime,
-            pool=pool,
-            num_devices=num_devices,
-            planner=planner,
-            schedule=schedule,
-            shards_per_device=shards_per_device,
-            device=device,
-            costs=costs,
-            include_self=include_self,
-            seed=seed,
-            replay_mode=replay_mode,
-        )
-
-    @property
-    def include_self(self) -> bool:
-        return self.runtime.include_self
-
-    def execute(self, points, epsilon: float) -> MultiJoinResult:
-        """Run the sharded self-join; exact pairs plus pool metrics."""
-        points, epsilon = validate_inputs(points, epsilon=epsilon)
-        index = GridIndex(points, epsilon)
-        plan = compile_self_join(index, self.runtime)
-        return self._runner().run(plan)
-
-
-class MultiGpuSimilarityJoin(_PoolJoinBase):
-    """Bipartite ε-join sharded over a pool: A's queries split across
-    devices, B's index shared. ``pattern`` must stay ``"full"`` exactly as
-    on the single-device bipartite path."""
-
-    _facade = "MultiGpuSimilarityJoin"
-
-    def __init__(
-        self,
-        config: OptimizationConfig | RuntimeConfig | None = None,
-        *,
-        runtime: RuntimeConfig | None = None,
-        pool: DevicePool | None = None,
-        num_devices: int = 2,
-        planner: str = "balanced",
-        schedule: str = "dynamic",
-        shards_per_device: int = 2,
-        device: DeviceSpec | None = None,
-        costs: CostParams | None = None,
-        seed: int = 0,
-        replay_mode: str = "aggregate",
-    ):
-        super().__init__(
-            config,
-            runtime=runtime,
-            pool=pool,
-            num_devices=num_devices,
-            planner=planner,
-            schedule=schedule,
-            shards_per_device=shards_per_device,
-            device=device,
-            costs=costs,
-            include_self=True,
-            seed=seed,
-            replay_mode=replay_mode,
-        )
-        if self.config.pattern != "full":
-            raise ValueError(
-                "unidirectional patterns exploit self-join symmetry; the "
-                "bipartite join requires pattern='full'"
-            )
-
-    def execute(self, left, right, epsilon: float) -> MultiJoinResult:
-        """Join ``left`` against ``right``, sharding ``left``'s queries."""
-        left, right, epsilon = validate_inputs(
-            left, right, epsilon=epsilon, names=("left", "right")
-        )
-        index = GridIndex(right, epsilon)
-        plan = compile_similarity_join(index, left, self.runtime)
-        return self._runner().run(plan)

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.executor import DeviceExecutor
+from repro.runtime.config import NATIVE_ENGINE, OverflowConfig, RuntimeConfig
+from repro.runtime.runner import executor_from_runtime
 from repro.simt import CostParams, DeviceSpec
 
 __all__ = ["DeviceHealth", "DevicePool", "PoolDevice"]
@@ -127,27 +129,17 @@ class DevicePool:
             raise ValueError("specs must name at least one device")
         if workers not in ("inline", "process"):
             raise ValueError(f"unknown worker backend {workers!r}")
-        if workers == "process" and engine != "native":
+        if workers == "process" and engine != NATIVE_ENGINE:
             raise ValueError("workers='process' requires engine='native'")
-        costs = costs if costs is not None else CostParams()
+        runtime = RuntimeConfig(
+            engine=engine,
+            replay_mode=replay_mode,
+            seed=seed,
+            costs=costs,
+            overflow=OverflowConfig(policy=overflow_policy),
+        )
         self.workers = workers
-        self.devices: list[PoolDevice] = [
-            PoolDevice(
-                device_id=d,
-                spec=s,
-                executor=None
-                if engine == "native"
-                else DeviceExecutor(
-                    s,
-                    costs,
-                    seed=seed + d,
-                    replay_mode=replay_mode,
-                    engine=engine,
-                    overflow_policy=overflow_policy,
-                ),
-            )
-            for d, s in enumerate(specs)
-        ]
+        self.devices = _devices(runtime, specs)
 
     @classmethod
     def from_runtime(
@@ -169,29 +161,9 @@ class DevicePool:
             specs = [base] * runtime.sharding.num_devices
         elif not specs:
             raise ValueError("specs must name at least one device")
-        costs = runtime.costs if runtime.costs is not None else CostParams()
         pool = cls.__new__(cls)
         pool.workers = runtime.sharding.workers
-        pool.devices = [
-            PoolDevice(
-                device_id=d,
-                spec=s,
-                executor=None
-                if runtime.engine == "native"
-                else DeviceExecutor(
-                    s,
-                    costs,
-                    seed=runtime.seed + d,
-                    replay_mode=runtime.replay_mode,
-                    engine=runtime.engine,
-                    overflow_policy=runtime.overflow_policy,
-                    overflow_growth=runtime.overflow.growth,
-                    max_overflow_retries=runtime.overflow.max_retries,
-                    overflow_backoff_seconds=runtime.overflow.backoff_seconds,
-                ),
-            )
-            for d, s in enumerate(specs)
-        ]
+        pool.devices = _devices(runtime, specs)
         return pool
 
     @property
@@ -226,3 +198,18 @@ class DevicePool:
         dead = self.num_devices - len(self.alive_device_ids())
         suffix = f", dead={dead}" if dead else ""
         return f"DevicePool(n={self.num_devices}, specs={sorted(names)}{suffix})"
+
+
+def _devices(runtime: RuntimeConfig, specs: list[DeviceSpec]) -> list[PoolDevice]:
+    """One :class:`PoolDevice` per spec; device ``d`` gets the runtime's
+    executor at ``device_index=d`` (seeded ``seed + d``), none on native."""
+    return [
+        PoolDevice(
+            device_id=d,
+            spec=s,
+            executor=None
+            if runtime.engine == NATIVE_ENGINE
+            else executor_from_runtime(runtime.with_(device=s), device_index=d),
+        )
+        for d, s in enumerate(specs)
+    ]

@@ -27,12 +27,11 @@ and every second spent recovering is accounted in the
 
 Quickstart::
 
-    from repro.multigpu import MultiGpuSelfJoin
+    from repro import RuntimeConfig, SelfJoin, ShardingConfig
     from repro.resilience import DeviceFailure, FaultPlan, RecoveryPolicy
-    from repro.runtime import RuntimeConfig, ShardingConfig
 
     plan = FaultPlan(seed=7, failures=[DeviceFailure(device_id=1, at_shard=1)])
-    join = MultiGpuSelfJoin(runtime=RuntimeConfig(
+    join = SelfJoin(runtime=RuntimeConfig(
         sharding=ShardingConfig(num_devices=4),
         fault_plan=plan, recovery=RecoveryPolicy()))
     result = join.execute(points, epsilon=0.5)   # pairs identical to fault-free

@@ -215,15 +215,21 @@ class RuntimeConfig:
         with no SIMT simulation (see :mod:`repro.runtime.native`; results
         carry ``fidelity="none"``).
     replay_mode:
-        Warp replay fidelity: ``"aggregate"`` or ``"lockstep"``.
+        Warp replay fidelity: ``"aggregate"`` (region-boundary
+        reconvergence; matches the analytic model) or ``"lockstep"``
+        (event-by-event divergence serialization; slower-or-equal warp
+        times, see :mod:`repro.simt.warp`).
     seed:
-        Hardware-scheduler shuffle seed; pooled device ``d`` runs with
-        ``seed + d``.
+        Hardware-scheduler issue-order shuffle seed (only used when the
+        work-queue is off); pooled device ``d`` runs with ``seed + d``.
     include_self:
-        Self-join only: whether each point pairs with itself.
+        Self-join only: whether each point pairs with itself
+        (``dist = 0 <= eps``).
     estimate_safety_z:
         Pad the result-size estimate by this many standard errors before
-        planning batches (0 = the paper's point estimate).
+        planning batches (0 = the paper's point estimate). A caller that
+        cannot afford an overflow re-plan sizes its margin here instead
+        of hoping the sample was representative.
     device, costs:
         Simulated hardware; ``None`` means the paper's testbed class.
     overflow:

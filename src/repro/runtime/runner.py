@@ -18,9 +18,9 @@ of bipartite sub-plans through this same runner; the round algorithm
 lives on the op (:meth:`~repro.runtime.ops.KnnJoinOp.expansion`).
 
 The pooled path pulls :mod:`repro.multigpu` lazily: the runtime package
-sits *below* multigpu in the import graph (multigpu's facades compile
-into plans), so the upward reference resolves at call time, when the
-package is fully initialized.
+sits *below* multigpu in the import graph (the device pool builds its
+executors with :func:`executor_from_runtime`), so the upward reference
+resolves at call time, when the package is fully initialized.
 
 ``Runner.stream(plan)`` yields the result pairs in blocks. Execution is
 eager — the simulator prices the transfer pipeline over the whole batch
@@ -74,6 +74,8 @@ def executor_from_runtime(
     """Build the :class:`DeviceExecutor` a runtime config describes.
 
     Pooled device ``d`` uses ``device_index=d`` (seeded ``seed + d``).
+    The one builder of executors: :class:`~repro.multigpu.pool.DevicePool`
+    calls it per device, with that device's spec as ``runtime.device``.
     """
     return DeviceExecutor(
         runtime.device if runtime.device is not None else DeviceSpec(),
@@ -260,8 +262,10 @@ class Runner:
     pool:
         Optional explicit :class:`~repro.multigpu.pool.DevicePool` for
         pooled plans (e.g. heterogeneous); by default a homogeneous pool
-        is built from the runtime config. A reused pool's health records
-        are re-armed per run, keeping seeded fault runs reproducible.
+        is built from the runtime config. Its size must equal the
+        plan's ``ShardingConfig.num_devices``. A reused pool's health
+        records are re-armed per run, keeping seeded fault runs
+        reproducible.
 
     During and after an execution, ``last_checkpoint_stats`` holds the
     live :class:`~repro.resilience.checkpoint.CheckpointStats` of the
@@ -324,6 +328,13 @@ class Runner:
     def _execute(self, plan: JoinPlan, *, resume: bool, deadline_seconds):
         self.last_checkpoint_stats = None
         rc, stage = plan.config, plan.shard_stage
+        if stage is not None and self.pool is not None:
+            if self.pool.num_devices != stage.num_devices:
+                raise ValueError(
+                    f"pool has {self.pool.num_devices} devices but the plan was "
+                    f"compiled for {stage.num_devices}; size the pool with "
+                    "DevicePool.from_runtime(runtime)"
+                )
         guard = _ShardGuard(self, plan, resume=resume, deadline_seconds=deadline_seconds)
         if plan.expansion_stage is not None:
             return self._drive_rounds(plan, guard, resume=resume)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines import verify_selfjoin_result
 from repro.core import PRESETS, SelfJoin
+from repro.runtime import RuntimeConfig
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ class TestVerifier:
         pts, res = joined
         report = verify_selfjoin_result(pts, 0.4, res.pairs, include_self=False)
         assert any("include_self=False" in p for p in report.problems)
-        no_self = SelfJoin(include_self=False).execute(pts, 0.4)
+        no_self = SelfJoin(runtime=RuntimeConfig(include_self=False)).execute(pts, 0.4)
         assert verify_selfjoin_result(
             pts, 0.4, no_self.pairs, include_self=False
         ).ok

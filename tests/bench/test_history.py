@@ -10,7 +10,6 @@ from repro.bench.history import (
     SCHEMA_VERSION,
     bench_path,
     deltas,
-    deterministic_payload,
     entry_digest,
     latest_comparable,
     load_history,
@@ -133,21 +132,6 @@ class TestDeltas:
     def test_no_previous(self):
         cur = make_entry([make_result()], size="tiny", seed=0, trials=1)
         assert deltas(cur, None) == {}
-
-
-class TestDeterministicPayload:
-    def test_excludes_measurements(self):
-        payload = deterministic_payload(
-            "s", [make_result(wall=123.0, throughput=9.0)], size="tiny", seed=0
-        )
-        blob = json.dumps(payload)
-        assert "wall" not in blob and "throughput" not in blob
-        assert payload["experiments"]["e"]["digest"] == entry_digest({"k": 1})
-
-    def test_identical_for_identical_results(self):
-        a = deterministic_payload("s", [make_result(wall=1.0)], size="tiny", seed=0)
-        b = deterministic_payload("s", [make_result(wall=99.0)], size="tiny", seed=0)
-        assert a == b
 
 
 def test_render_history_smoke(tmp_path):

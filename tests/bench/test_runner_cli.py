@@ -107,16 +107,6 @@ class TestCli:
         assert "Ablation" in out_file.read_text()
 
 
-class TestValidateCommand:
-    def test_validate_passes(self, capsys):
-        from repro.bench.cli import main as bench_main
-
-        rc = bench_main(["validate", "--size", "200"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "validation passed" in out
-
-
 class TestTrials:
     def test_trials_average_only_stochastic_configs(self, tiny_spec):
         """Work-queue runs are deterministic (forced order); baseline runs
@@ -135,33 +125,6 @@ class TestTrials:
     def test_trials_validation(self, tiny_spec):
         with pytest.raises(ValueError):
             run_experiment(tiny_spec, size=100, trials=0)
-
-    def test_compare_command(self, capsys):
-        from repro.bench.cli import main as bench_main
-
-        rc = bench_main(
-            ["compare", "Unif2D2M", "--eps", "0.6", "--size", "500",
-             "gpucalcglobal", "lidunicomp"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "speedup vs first" in out
-
-    def test_compare_unknown_preset(self, capsys):
-        from repro.bench.cli import main as bench_main
-
-        rc = bench_main(
-            ["compare", "Unif2D2M", "--eps", "0.6", "nosuchpreset"]
-        )
-        assert rc == 2
-
-    def test_compare_unknown_dataset(self, capsys):
-        from repro.bench.cli import main as bench_main
-
-        rc = bench_main(
-            ["compare", "Borg9D", "--eps", "0.6", "gpucalcglobal"]
-        )
-        assert rc == 2
 
     def test_json_output(self, tmp_path, capsys):
         from repro.bench.cli import main as bench_main

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PRESETS, SimilarityJoin
+from repro.runtime import RuntimeConfig
 from repro.core.join import BipartiteKernelArgs
 from repro.grid import GridIndex
 from repro.grid.bipartite import (
@@ -154,7 +155,8 @@ class TestSimilarityJoinModel:
         A, B = datasets
         cfg = PRESETS[preset].with_(batch_result_capacity=2500)
         costs = CostParams(c_emit=0.0)
-        vm = SimilarityJoin(cfg, costs=costs, seed=9).execute(A, B, 0.3)
+        rt = RuntimeConfig(optimization=cfg, costs=costs, seed=9)
+        vm = SimilarityJoin(runtime=rt).execute(A, B, 0.3)
         model = PerformanceModel(costs=costs, seed=9)
         run = model.estimate_bipartite(model.profile_bipartite(A, B, 0.3), cfg)
         assert run.num_batches == vm.num_batches
@@ -187,7 +189,8 @@ class TestBipartiteBalancedModel:
             balanced_batches=True, batch_result_capacity=1500
         )
         costs = CostParams(c_emit=0.0)
-        vm = SimilarityJoin(cfg, costs=costs, seed=6).execute(A, B, 0.3)
+        rt = RuntimeConfig(optimization=cfg, costs=costs, seed=6)
+        vm = SimilarityJoin(runtime=rt).execute(A, B, 0.3)
         model = PerformanceModel(costs=costs, seed=6)
         run = model.estimate_bipartite(model.profile_bipartite(A, B, 0.3), cfg)
         assert run.num_batches == vm.num_batches > 1

@@ -154,7 +154,7 @@ class TestOverflowEquivalence:
         # rolled back, so the retried batch sees the same queue state on
         # both engines and the outcomes match retry-for-retry
         cfg = OptimizationConfig(work_queue=True, k=2, batch_result_capacity=4000)
-        join = SelfJoin(cfg, seed=0)
+        join = SelfJoin(runtime=RuntimeConfig(optimization=cfg, seed=0))
         results = [
             join.execute_on_index(
                 index, executor=self._clamped(engine, times=2, cap=16)

@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.data.adversarial import dense_core_sparse_halo
 from repro.grid import GridIndex
+from repro.runtime import RuntimeConfig
 from repro.simt import DeviceSpec
 
 _EPS = 0.8
@@ -27,8 +28,9 @@ def points() -> np.ndarray:
 def test_explicit_default_executor_is_identical(points):
     cfg = OptimizationConfig(work_queue=True, k=2)
     index = GridIndex(points, _EPS)
-    implicit = SelfJoin(cfg, seed=4).execute_on_index(index)
-    explicit = SelfJoin(cfg, seed=4).execute_on_index(
+    join = SelfJoin(runtime=RuntimeConfig(optimization=cfg, seed=4))
+    implicit = join.execute_on_index(index)
+    explicit = join.execute_on_index(
         index, executor=DeviceExecutor(seed=4)
     )
     assert implicit.pairs.tobytes() == explicit.pairs.tobytes()

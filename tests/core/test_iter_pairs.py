@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import SelfJoin
 from repro.data.adversarial import dense_core_sparse_halo
+from repro.runtime import RuntimeConfig
 
 _EPS = 0.8
 
@@ -76,7 +77,7 @@ def test_invalid_chunk_raises(result):
 
 def test_empty_result_yields_nothing():
     points = np.array([[0.0, 0.0], [100.0, 100.0]])
-    result = SelfJoin(include_self=False).execute(points, 0.5)
+    result = SelfJoin(runtime=RuntimeConfig(include_self=False)).execute(points, 0.5)
     assert result.num_pairs == 0
     assert list(result.iter_pairs()) == []
     assert list(result.iter_pairs(chunk=5)) == []

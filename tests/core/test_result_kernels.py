@@ -8,6 +8,7 @@ import pytest
 from repro.core import PRESETS, SelfJoin
 from repro.core.kernels import KernelArgs, selfjoin_kernel
 from repro.grid import GridIndex
+from repro.runtime import RuntimeConfig
 from repro.simt import AtomicCounter, DeviceSpec, GpuMachine, ResultBuffer
 
 
@@ -34,7 +35,7 @@ class TestJoinResult:
             assert q in nbs  # self pair
 
     def test_empty_result_paths(self):
-        res = SelfJoin(include_self=False).execute(
+        res = SelfJoin(runtime=RuntimeConfig(include_self=False)).execute(
             np.array([[0.0, 0.0], [100.0, 100.0]]), 0.5
         )
         assert res.num_pairs == 0

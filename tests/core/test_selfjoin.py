@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import brute_force_pairs, kdtree_pairs
 from repro.core import PRESETS, OptimizationConfig, SelfJoin
+from repro.runtime import RuntimeConfig
 from repro.simt import DeviceSpec
 
 
@@ -45,7 +46,7 @@ class TestExactness:
         )
 
     def test_exclude_self(self, mixed_points):
-        res = SelfJoin(include_self=False).execute(mixed_points, 0.35)
+        res = SelfJoin(runtime=RuntimeConfig(include_self=False)).execute(mixed_points, 0.35)
         assert not (res.pairs[:, 0] == res.pairs[:, 1]).any()
         np.testing.assert_array_equal(
             res.sorted_pairs(),
@@ -93,6 +94,10 @@ class TestExactness:
             SelfJoin().execute(np.zeros((3, 2)), -1.0)
 
 
+def _seeded(preset: str) -> SelfJoin:
+    return SelfJoin(runtime=RuntimeConfig(optimization=PRESETS[preset], seed=1))
+
+
 class TestMetrics:
     def test_wee_in_unit_interval(self, mixed_points):
         for preset in PRESETS.values():
@@ -100,13 +105,13 @@ class TestMetrics:
             assert 0.0 < res.warp_execution_efficiency <= 1.0
 
     def test_workqueue_raises_wee_on_skewed_data(self, mixed_points):
-        base = SelfJoin(PRESETS["gpucalcglobal"], seed=1).execute(mixed_points, 0.35)
-        queued = SelfJoin(PRESETS["workqueue"], seed=1).execute(mixed_points, 0.35)
+        base = _seeded("gpucalcglobal").execute(mixed_points, 0.35)
+        queued = _seeded("workqueue").execute(mixed_points, 0.35)
         assert queued.warp_execution_efficiency > base.warp_execution_efficiency
 
     def test_half_pattern_reduces_kernel_time(self, mixed_points):
-        full = SelfJoin(PRESETS["gpucalcglobal"], seed=1).execute(mixed_points, 0.35)
-        lid = SelfJoin(PRESETS["lidunicomp"], seed=1).execute(mixed_points, 0.35)
+        full = _seeded("gpucalcglobal").execute(mixed_points, 0.35)
+        lid = _seeded("lidunicomp").execute(mixed_points, 0.35)
         assert lid.kernel_seconds < full.kernel_seconds
 
     def test_times_positive_and_pipeline_consistent(self, mixed_points):
@@ -125,8 +130,8 @@ class TestMetrics:
         assert all(int(q) in v.tolist() for q, v in list(lists.items())[:10])
 
     def test_seed_controls_scheduler_only(self, mixed_points):
-        a = SelfJoin(seed=1).execute(mixed_points, 0.35)
-        b = SelfJoin(seed=2).execute(mixed_points, 0.35)
+        a = SelfJoin(runtime=RuntimeConfig(seed=1)).execute(mixed_points, 0.35)
+        b = SelfJoin(runtime=RuntimeConfig(seed=2)).execute(mixed_points, 0.35)
         np.testing.assert_array_equal(a.sorted_pairs(), b.sorted_pairs())
 
 
@@ -147,10 +152,10 @@ class TestOverflowRecovery:
 
 class TestDeviceVariation:
     def test_more_slots_never_slower(self, mixed_points):
-        slow = SelfJoin(device=DeviceSpec(num_sms=2), seed=1).execute(
+        slow = SelfJoin(runtime=RuntimeConfig(device=DeviceSpec(num_sms=2), seed=1)).execute(
             mixed_points, 0.35
         )
-        fast = SelfJoin(device=DeviceSpec(num_sms=56), seed=1).execute(
+        fast = SelfJoin(runtime=RuntimeConfig(device=DeviceSpec(num_sms=56), seed=1)).execute(
             mixed_points, 0.35
         )
         assert fast.kernel_seconds <= slow.kernel_seconds

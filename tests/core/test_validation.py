@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core import SelfJoin, SimilarityJoin
-from repro.multigpu import MultiGpuSelfJoin, MultiGpuSimilarityJoin
+from repro.runtime import RuntimeConfig, ShardingConfig
+
+_POOLED = RuntimeConfig(sharding=ShardingConfig(num_devices=2))
 
 
 @pytest.fixture
@@ -23,11 +25,11 @@ def _nan_poisoned(points: np.ndarray, row: int = 7) -> np.ndarray:
 
 _SELF_FACADES = [
     lambda pts, eps: SelfJoin().execute(pts, eps),
-    lambda pts, eps: MultiGpuSelfJoin(num_devices=2).execute(pts, eps),
+    lambda pts, eps: SelfJoin(runtime=_POOLED).execute(pts, eps),
 ]
 _BIPARTITE_FACADES = [
     lambda l, r, eps: SimilarityJoin().execute(l, r, eps),
-    lambda l, r, eps: MultiGpuSimilarityJoin(num_devices=2).execute(l, r, eps),
+    lambda l, r, eps: SimilarityJoin(runtime=_POOLED).execute(l, r, eps),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines import brute_force_pairs
 from repro.core import PRESETS, SelfJoin
+from repro.runtime import RuntimeConfig
 from repro.data.adversarial import (
     ADVERSARIAL_GENERATORS,
     all_identical,
@@ -98,7 +99,8 @@ class TestModelOnAdversarial:
         pts = ADVERSARIAL_GENERATORS[dataset](100, 2, 3)
         costs = CostParams(c_emit=0.0)
         cfg = PRESETS["combined"]
-        vm = SelfJoin(cfg, costs=costs, seed=1).execute(pts, 1.0)
+        rt = RuntimeConfig(optimization=cfg, costs=costs, seed=1)
+        vm = SelfJoin(runtime=rt).execute(pts, 1.0)
         model = PerformanceModel(costs=costs, seed=1)
         run = model.estimate(model.profile(pts, 1.0), cfg)
         assert run.kernel_seconds == pytest.approx(vm.kernel_seconds, rel=1e-12)

@@ -10,6 +10,7 @@ from repro.baselines import brute_force_pairs
 from repro.bench.experiments import load_bench_dataset
 from repro.core import PRESETS, SelfJoin
 from repro.data import CATALOG
+from repro.runtime import RuntimeConfig
 
 
 class TestCatalogDatasets:
@@ -37,8 +38,8 @@ class TestReplayFidelity:
         pts = np.concatenate(
             [rng.normal(1, 0.2, (200, 2)), rng.uniform(0, 5, (200, 2))]
         )
-        agg = SelfJoin(seed=1, replay_mode="aggregate").execute(pts, 0.3)
-        lock = SelfJoin(seed=1, replay_mode="lockstep").execute(pts, 0.3)
+        agg = SelfJoin(runtime=RuntimeConfig(seed=1, replay_mode="aggregate")).execute(pts, 0.3)
+        lock = SelfJoin(runtime=RuntimeConfig(seed=1, replay_mode="lockstep")).execute(pts, 0.3)
         np.testing.assert_array_equal(agg.sorted_pairs(), lock.sorted_pairs())
         assert lock.kernel_seconds >= agg.kernel_seconds
         # lockstep serializes per event (pessimistic: every cell visit is a
@@ -48,7 +49,7 @@ class TestReplayFidelity:
     def test_invalid_mode_rejected_at_launch(self, rng):
         pts = rng.uniform(0, 2, (40, 2))
         with pytest.raises(ValueError, match="replay mode"):
-            SelfJoin(replay_mode="quantum").execute(pts, 0.5)
+            SelfJoin(runtime=RuntimeConfig(replay_mode="quantum")).execute(pts, 0.5)
 
 
 class TestQueuePersistence:
@@ -99,7 +100,9 @@ class TestPipelineConsistency:
             [rng.normal(1, 0.15, (250, 2)), rng.uniform(0, 5, (250, 2))]
         )
         base = PRESETS["workqueue"].with_(batch_result_capacity=2500)
-        one = SelfJoin(base.with_(num_streams=1), seed=2).execute(pts, 0.3)
-        three = SelfJoin(base.with_(num_streams=3), seed=2).execute(pts, 0.3)
+        one_stream = RuntimeConfig(optimization=base.with_(num_streams=1), seed=2)
+        three_streams = RuntimeConfig(optimization=base.with_(num_streams=3), seed=2)
+        one = SelfJoin(runtime=one_stream).execute(pts, 0.3)
+        three = SelfJoin(runtime=three_streams).execute(pts, 0.3)
         assert three.total_seconds <= one.total_seconds + 1e-12
         np.testing.assert_array_equal(one.sorted_pairs(), three.sorted_pairs())

@@ -7,15 +7,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import OptimizationConfig
+from repro.core import OptimizationConfig, SelfJoin, SimilarityJoin
 from repro.data.adversarial import stride_aliased_hotspots
-from repro.multigpu import (
-    SCHEDULE_MODES,
-    SHARD_PLANNERS,
-    DevicePool,
-    MultiGpuSelfJoin,
-    MultiGpuSimilarityJoin,
-)
+from repro.grid import GridIndex
+from repro.multigpu import SCHEDULE_MODES, SHARD_PLANNERS, DevicePool
+from repro.runtime import Runner, RuntimeConfig, ShardingConfig, compile_self_join
 
 _EPS = 1.5
 
@@ -26,16 +22,14 @@ def points() -> np.ndarray:
 
 
 def _run(points, *, planner, schedule, seed=7):
-    cfg = OptimizationConfig(work_queue=True, k=2)
-    join = MultiGpuSelfJoin(
-        cfg,
-        num_devices=3,
-        planner=planner,
-        schedule=schedule,
-        shards_per_device=2,
+    rt = RuntimeConfig(
+        optimization=OptimizationConfig(work_queue=True, k=2),
         seed=seed,
+        sharding=ShardingConfig(
+            num_devices=3, planner=planner, schedule=schedule, shards_per_device=2
+        ),
     )
-    return join.execute(points, _EPS)
+    return SelfJoin(runtime=rt).execute(points, _EPS)
 
 
 @pytest.mark.parametrize("planner", SHARD_PLANNERS)
@@ -68,13 +62,13 @@ def test_work_stealing_trace_is_reproducible(points):
 def test_random_issue_order_is_seeded_per_device(points):
     """Shard kernels issue warps in seeded-random order; the per-device seed
     (seed + device_id) must make that reproducible run-to-run."""
-    cfg = OptimizationConfig()  # no work queue → "random" issue order
-    a = MultiGpuSelfJoin(cfg, num_devices=2, planner="balanced", seed=13).execute(
-        points, _EPS
+    rt = RuntimeConfig(
+        optimization=OptimizationConfig(),  # no work queue → "random" issue order
+        seed=13,
+        sharding=ShardingConfig(num_devices=2, planner="balanced"),
     )
-    b = MultiGpuSelfJoin(cfg, num_devices=2, planner="balanced", seed=13).execute(
-        points, _EPS
-    )
+    a = SelfJoin(runtime=rt).execute(points, _EPS)
+    b = SelfJoin(runtime=rt).execute(points, _EPS)
     assert a.pairs.tobytes() == b.pairs.tobytes()
     assert a.trace.signature() == b.trace.signature()
 
@@ -82,9 +76,12 @@ def test_random_issue_order_is_seeded_per_device(points):
 def test_explicit_pool_reuse_is_deterministic(points):
     """Reusing one DevicePool across runs must not leak state between them."""
     pool = DevicePool(2, seed=3)
-    join = MultiGpuSelfJoin(OptimizationConfig(work_queue=True), pool=pool)
-    first = join.execute(points, _EPS)
-    second = join.execute(points, _EPS)
+    rt = RuntimeConfig(
+        optimization=OptimizationConfig(work_queue=True), sharding=ShardingConfig(num_devices=2)
+    )
+    plan = compile_self_join(GridIndex(points, _EPS), rt)
+    first = Runner(pool=pool).run(plan)
+    second = Runner(pool=pool).run(plan)
     assert first.pairs.tobytes() == second.pairs.tobytes()
     assert first.trace.signature() == second.trace.signature()
 
@@ -93,12 +90,12 @@ def test_bipartite_determinism(rng):
     left = rng.uniform(0, 8, size=(120, 2))
     right = rng.uniform(0, 8, size=(150, 2))
     runs = [
-        MultiGpuSimilarityJoin(
-            OptimizationConfig(work_queue=True),
-            num_devices=3,
-            planner="balanced",
-            schedule="dynamic",
-            seed=5,
+        SimilarityJoin(
+            runtime=RuntimeConfig(
+                optimization=OptimizationConfig(work_queue=True),
+                seed=5,
+                sharding=ShardingConfig(num_devices=3, planner="balanced", schedule="dynamic"),
+            )
         ).execute(left, right, 0.9)
         for _ in range(2)
     ]

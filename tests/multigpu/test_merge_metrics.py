@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import OptimizationConfig
+from repro.core import OptimizationConfig, SelfJoin
 from repro.data.adversarial import stride_aliased_hotspots
 from repro.multigpu import (
     DeviceStats,
-    MultiGpuSelfJoin,
     PoolStats,
     ScheduleTrace,
     ShardEvent,
@@ -18,6 +17,7 @@ from repro.multigpu import (
     pool_stats_from_trace,
 )
 from repro.profiling import DeviceReport, device_profile_row
+from repro.runtime import RuntimeConfig, ShardingConfig
 
 
 def test_merge_pairs_is_order_independent():
@@ -87,11 +87,11 @@ def test_pool_stats_degenerate_cases():
 @pytest.fixture(scope="module")
 def multi_run():
     pts = stride_aliased_hotspots(300, 2, period=8, seed=9)
-    join = MultiGpuSelfJoin(
-        OptimizationConfig(work_queue=True),
-        num_devices=2,
-        planner="balanced",
-        schedule="dynamic",
+    join = SelfJoin(
+        runtime=RuntimeConfig(
+            optimization=OptimizationConfig(work_queue=True),
+            sharding=ShardingConfig(num_devices=2, planner="balanced", schedule="dynamic"),
+        )
     )
     return join.execute(pts, 1.5)
 
@@ -113,11 +113,11 @@ def test_multi_join_result_surface(multi_run):
 
 def test_facade_validates_eagerly():
     with pytest.raises(ValueError, match="unknown planner"):
-        MultiGpuSelfJoin(planner="zigzag")
+        ShardingConfig(planner="zigzag")
     with pytest.raises(ValueError, match="unknown schedule mode"):
-        MultiGpuSelfJoin(schedule="adaptive")
+        ShardingConfig(schedule="adaptive")
     with pytest.raises(ValueError, match="shards_per_device"):
-        MultiGpuSelfJoin(shards_per_device=0)
+        ShardingConfig(shards_per_device=0)
 
 
 def test_device_profile_row_and_report(multi_run):

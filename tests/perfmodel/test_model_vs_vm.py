@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import PRESETS, SelfJoin
 from repro.perfmodel import PerformanceModel
+from repro.runtime import RuntimeConfig
 from repro.simt import CostParams, DeviceSpec
 
 
@@ -48,11 +49,13 @@ def test_model_matches_vm_exactly(preset, dsname):
     pts = datasets()[dsname]
     cfg = PRESETS[preset]
     device = DeviceSpec()
-    vm = SelfJoin(cfg, device=device, costs=NO_EMIT, seed=11).execute(pts, EPS)
+    rt = RuntimeConfig(optimization=cfg, device=device, costs=NO_EMIT, seed=11)
+    vm = SelfJoin(runtime=rt).execute(pts, EPS)
     model = PerformanceModel(device=device, costs=NO_EMIT, seed=11)
     run = model.estimate(model.profile(pts, EPS), cfg)
 
     assert run.num_batches == vm.num_batches
+    assert run.total_result_rows == vm.num_pairs
     # warp-level totals
     vm_busy = sum(w.warp_cycles for s in vm.batch_stats for w in s.warp_stats)
     vm_active = sum(w.active_cycles for s in vm.batch_stats for w in s.warp_stats)
@@ -75,7 +78,9 @@ def test_multibatch_agreement():
     pts = np.concatenate([rng.normal(2, 0.2, (250, 2)), rng.uniform(0, 6, (250, 2))])
     for preset in ("gpucalcglobal", "workqueue", "combined"):
         cfg = PRESETS[preset].with_(batch_result_capacity=4000)
-        vm = SelfJoin(cfg, costs=NO_EMIT, seed=5).execute(pts, 0.4)
+        vm = SelfJoin(runtime=RuntimeConfig(optimization=cfg, costs=NO_EMIT, seed=5)).execute(
+            pts, 0.4
+        )
         assert vm.num_batches > 1
         model = PerformanceModel(costs=NO_EMIT, seed=5)
         run = model.estimate(model.profile(pts, 0.4), cfg)
@@ -89,7 +94,7 @@ def test_emission_model_error_is_small():
     rng = np.random.default_rng(9)
     pts = rng.exponential(0.5, (400, 2))
     cfg = PRESETS["combined"]
-    vm = SelfJoin(cfg, seed=2).execute(pts, 0.4)
+    vm = SelfJoin(runtime=RuntimeConfig(optimization=cfg, seed=2)).execute(pts, 0.4)
     model = PerformanceModel(seed=2)
     run = model.estimate(model.profile(pts, 0.4), cfg)
     assert run.kernel_seconds == pytest.approx(vm.kernel_seconds, rel=0.05)
@@ -101,7 +106,7 @@ def test_emission_model_error_is_small():
 def test_model_total_result_rows_exact():
     rng = np.random.default_rng(1)
     pts = rng.uniform(0, 5, (300, 2))
-    vm = SelfJoin(seed=0).execute(pts, 0.5)
+    vm = SelfJoin(runtime=RuntimeConfig(seed=0)).execute(pts, 0.5)
     model = PerformanceModel(seed=0)
     run = model.estimate(model.profile(pts, 0.5))
     assert run.total_result_rows == vm.num_pairs

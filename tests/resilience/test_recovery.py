@@ -10,12 +10,7 @@ import pytest
 
 from repro.core import SelfJoin, SimilarityJoin
 from repro.data.adversarial import dense_core_sparse_halo
-from repro.multigpu import (
-    SCHEDULE_MODES,
-    SHARD_PLANNERS,
-    MultiGpuSelfJoin,
-    MultiGpuSimilarityJoin,
-)
+from repro.multigpu import SCHEDULE_MODES, SHARD_PLANNERS
 from repro.profiling import resilience_report
 from repro.resilience import (
     AllDevicesLostError,
@@ -62,13 +57,13 @@ def baseline(points) -> np.ndarray:
 
 def _join(
     planner="balanced", schedule="dynamic", fault_plan=None, recovery=None
-) -> MultiGpuSelfJoin:
+) -> SelfJoin:
     runtime = RuntimeConfig(
         sharding=ShardingConfig(num_devices=4, planner=planner, schedule=schedule),
         fault_plan=fault_plan,
         recovery=recovery,
     )
-    return MultiGpuSelfJoin(runtime=runtime)
+    return SelfJoin(runtime=runtime)
 
 
 # ------------------------------------------------------- pair identity
@@ -92,7 +87,7 @@ def test_kill_scenario_matches_across_planners(points, baseline, planner):
 def test_bipartite_recovery_matches(points):
     left, right = points[:130], points[110:]
     single = SimilarityJoin().execute(left, right, _EPS)
-    multi = MultiGpuSimilarityJoin(
+    multi = SimilarityJoin(
         runtime=RuntimeConfig(
             sharding=ShardingConfig(num_devices=3),
             fault_plan=FaultPlan(seed=8, failures=[DeviceFailure(0, at_shard=1)]),
@@ -147,7 +142,7 @@ def test_hopeless_transients_exhaust_attempt_budget(points):
     plan = FaultPlan(
         transients=[TransientFaults(d, probability=1.0) for d in range(2)]
     )
-    join = MultiGpuSelfJoin(
+    join = SelfJoin(
         runtime=RuntimeConfig(
             sharding=ShardingConfig(num_devices=2),
             fault_plan=plan,

@@ -22,7 +22,6 @@ import hashlib
 import numpy as np
 
 from repro import PRESETS, RuntimeConfig, SelfJoin, ShardingConfig, SimilarityJoin
-from repro.multigpu import MultiGpuSelfJoin, MultiGpuSimilarityJoin
 from repro.resilience import (
     DeviceFailure,
     FaultPlan,
@@ -115,12 +114,12 @@ def run_scenario(preset: str, devices: int, faulted: bool) -> dict:
     pts = dataset()
     cfg = PRESETS[preset]
     if devices == 1 and not faulted:
-        result = SelfJoin(cfg, seed=SEED).execute(pts, EPSILON)
+        result = SelfJoin(runtime=RuntimeConfig(optimization=cfg, seed=SEED)).execute(pts, EPSILON)
         return result_fingerprint(result)
     fault_plan = None
     if faulted:
         fault_plan = FAULTS_1DEV if devices == 1 else FAULTS_4DEV
-    join = MultiGpuSelfJoin(
+    join = SelfJoin(
         runtime=RuntimeConfig(
             optimization=cfg,
             seed=SEED,
@@ -134,10 +133,11 @@ def run_scenario(preset: str, devices: int, faulted: bool) -> dict:
 def run_bipartite_scenario(preset: str, devices: int) -> dict:
     left, right = bipartite_dataset()
     cfg = PRESETS[preset]
+    runtime = RuntimeConfig(optimization=cfg, seed=SEED)
     if devices == 1:
-        result = SimilarityJoin(cfg, seed=SEED).execute(left, right, EPSILON)
+        result = SimilarityJoin(runtime=runtime).execute(left, right, EPSILON)
         return result_fingerprint(result)
-    join = MultiGpuSimilarityJoin(cfg, num_devices=devices, seed=SEED)
+    join = SimilarityJoin(runtime=runtime.with_(sharding=ShardingConfig(num_devices=devices)))
     return pooled_fingerprint(join.execute(left, right, EPSILON))
 
 

@@ -1,11 +1,12 @@
-"""The facade surface after the deprecation cycle: legacy kwargs are gone.
+"""The facade surface: one spelling per knob.
 
 The one-cycle shims (``engine=``, ``executor=``, ``fault_plan=``,
-``recovery=`` on the facades, and ``repro.runtime.shim``) were removed;
-these tests pin the end state — the legacy spellings raise ``TypeError``,
-the supported spellings (``runtime=RuntimeConfig(...)`` and a
-``RuntimeConfig`` in the config slot) carry every knob, and the readable
-convenience attributes survive.
+``recovery=`` on the facades, and ``repro.runtime.shim``), the kwargs
+that mirrored ``RuntimeConfig`` fields, the attributes that re-exported
+them and the pooled ``MultiGpu*`` facades were removed; these tests pin
+the end state — the removed spellings raise, and the supported spellings
+(``runtime=RuntimeConfig(...)`` and a ``RuntimeConfig`` in the config
+slot) carry every knob, pooled or not, readable as ``join.runtime``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ import pytest
 
 from repro import (
     PRESETS,
-    MultiGpuSelfJoin,
-    MultiGpuSimilarityJoin,
+    CostParams,
+    DeviceSpec,
     RuntimeConfig,
     SelfJoin,
     ShardingConfig,
     SimilarityJoin,
 )
 from repro.core.executor import DeviceExecutor
+from repro.multigpu import DevicePool
 from repro.resilience import FaultPlan, RecoveryPolicy
 from repro.resilience.faults import Straggler
 
@@ -39,10 +41,19 @@ def points(n=80, seed=0):
         (SelfJoin, {"executor": None}),
         (SimilarityJoin, {"engine": "vectorized"}),
         (SimilarityJoin, {"executor": None}),
-        (MultiGpuSelfJoin, {"fault_plan": FaultPlan()}),
-        (MultiGpuSelfJoin, {"recovery": RecoveryPolicy()}),
-        (MultiGpuSimilarityJoin, {"fault_plan": FaultPlan()}),
-        (MultiGpuSimilarityJoin, {"recovery": RecoveryPolicy()}),
+        (SelfJoin, {"fault_plan": FaultPlan()}),
+        (SelfJoin, {"recovery": RecoveryPolicy()}),
+        (SimilarityJoin, {"fault_plan": FaultPlan()}),
+        (SimilarityJoin, {"recovery": RecoveryPolicy()}),
+        (SelfJoin, {"device": DeviceSpec()}),
+        (SelfJoin, {"costs": CostParams()}),
+        (SelfJoin, {"include_self": False}),
+        (SelfJoin, {"seed": 1}),
+        (SelfJoin, {"replay_mode": "lockstep"}),
+        (SelfJoin, {"estimate_safety_z": 1.0}),
+        (SimilarityJoin, {"device": DeviceSpec()}),
+        (SimilarityJoin, {"costs": CostParams()}),
+        (SimilarityJoin, {"seed": 1}),
     ],
     ids=lambda p: getattr(p, "__name__", None) or "+".join(sorted(p)),
 )
@@ -56,6 +67,11 @@ def test_shim_module_is_gone():
         import repro.runtime.shim  # noqa: F401
 
 
+def test_pooled_facades_are_gone():
+    with pytest.raises(ImportError):
+        from repro import MultiGpuSelfJoin  # noqa: F401
+
+
 # ------------------------------------------------- supported spellings
 def test_runtime_kwarg_carries_engine():
     join = SelfJoin(
@@ -63,8 +79,8 @@ def test_runtime_kwarg_carries_engine():
             optimization=PRESETS["combined"], engine="vectorized", seed=3
         )
     )
-    assert join.engine == "vectorized"
-    assert join.config == PRESETS["combined"]
+    assert join.runtime.engine == "vectorized"
+    assert join.runtime.optimization == PRESETS["combined"]
 
 
 def test_runtime_config_in_config_slot():
@@ -101,37 +117,45 @@ def test_executor_moves_to_execute_on_index():
 
 def test_fault_plan_and_recovery_ride_the_runtime():
     plan = FaultPlan(seed=5, stragglers=[Straggler(device_id=0, slowdown=2.0)])
-    join = MultiGpuSelfJoin(
+    join = SelfJoin(
         runtime=RuntimeConfig(
             optimization=PRESETS["combined"],
             sharding=ShardingConfig(num_devices=3),
             fault_plan=plan,
         )
     )
-    assert join.fault_plan == plan
+    assert join.runtime.fault_plan == plan
     # the fault plan implies the default recovery policy
-    assert join.recovery == RecoveryPolicy()
+    assert join.runtime.recovery == RecoveryPolicy()
     assert join.runtime.overflow_policy == "retry"
-    assert join.pool[0].executor.overflow_policy == "retry"
+    assert DevicePool.from_runtime(join.runtime)[0].executor.overflow_policy == "retry"
 
 
 def test_recovery_via_runtime_on_bipartite_facade():
-    join = MultiGpuSimilarityJoin(
+    join = SimilarityJoin(
         runtime=RuntimeConfig(
             sharding=ShardingConfig(),
             recovery=RecoveryPolicy(max_shard_attempts=5),
         )
     )
-    assert join.recovery == RecoveryPolicy(max_shard_attempts=5)
+    assert join.runtime.recovery == RecoveryPolicy(max_shard_attempts=5)
     assert join.runtime.overflow_policy == "retry"
 
 
-def test_legacy_attributes_still_readable():
-    join = SelfJoin(PRESETS["combined"], seed=7, include_self=False)
-    assert join.config == PRESETS["combined"]
-    assert join.seed == 7
-    assert join.include_self is False
-    assert join.engine == "interpreted"
-    assert join.replay_mode == "aggregate"
-    mg = MultiGpuSelfJoin(num_devices=3, planner="strided", schedule="static")
-    assert (mg.planner, mg.schedule, mg.num_shards) == ("strided", "static", 6)
+def test_knobs_are_read_from_the_runtime():
+    join = SelfJoin(
+        runtime=RuntimeConfig(optimization=PRESETS["combined"], seed=7, include_self=False)
+    )
+    rt = join.runtime
+    assert (rt.optimization, rt.seed, rt.include_self) == (PRESETS["combined"], 7, False)
+    assert (rt.engine, rt.replay_mode) == ("interpreted", "aggregate")
+    for attr in ("config", "device", "costs", "include_self", "seed", "replay_mode", "engine"):
+        assert not hasattr(join, attr)
+        assert not hasattr(SimilarityJoin(), attr)
+    pooled = SelfJoin(
+        runtime=RuntimeConfig(
+            sharding=ShardingConfig(num_devices=3, planner="strided", schedule="static")
+        )
+    )
+    sharding = pooled.runtime.sharding
+    assert (sharding.planner, sharding.schedule, sharding.num_shards) == ("strided", "static", 6)

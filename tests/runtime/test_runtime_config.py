@@ -21,6 +21,7 @@ from repro.grid import GridIndex
 from repro.multigpu import DevicePool, MultiJoinResult
 from repro.resilience import FaultPlan, RecoveryPolicy
 from repro.resilience.faults import ForcedOverflow, Straggler
+from repro.runtime import CheckpointConfig
 from repro.runtime.plan import (
     EstimateStage,
     IndexStage,
@@ -181,6 +182,21 @@ def test_runner_accepts_explicit_pool():
     np.testing.assert_array_equal(
         result.sorted_pairs(), Runner().run(plan).sorted_pairs()
     )
+
+
+def test_runner_rejects_pool_of_another_size(tmp_path):
+    journal_dir = tmp_path / "journal"
+    rt = RuntimeConfig(
+        optimization=PRESETS["combined"],
+        sharding=ShardingConfig(num_devices=2),
+        checkpoint=CheckpointConfig(directory=str(journal_dir)),
+    )
+    plan = compile_self_join(index(), rt)
+    runner = Runner(pool=DevicePool(3))
+    with pytest.raises(ValueError, match="pool has 3 devices .* compiled for 2"):
+        runner.run(plan)
+    assert not journal_dir.exists()
+    assert runner.last_checkpoint_stats is None
 
 
 def test_single_device_fault_plan_wraps_executor():

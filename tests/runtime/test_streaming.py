@@ -7,11 +7,11 @@ import pytest
 
 from repro import (
     PRESETS,
-    MultiGpuSelfJoin,
     ProfilingOptions,
     Runner,
     RuntimeConfig,
     SelfJoin,
+    ShardingConfig,
     SimilarityJoin,
 )
 from repro.grid import GridIndex
@@ -60,9 +60,8 @@ def test_bipartite_streaming_matches():
 
 
 def test_pooled_result_falls_back_to_merged_pairs():
-    result = MultiGpuSelfJoin(PRESETS["combined"], num_devices=3).execute(
-        points(), 0.7
-    )
+    rt = RuntimeConfig(optimization=PRESETS["combined"], sharding=ShardingConfig(num_devices=3))
+    result = SelfJoin(runtime=rt).execute(points(), 0.7)
     assert result.fragments is None  # merge re-ordered; no per-batch blocks
     np.testing.assert_array_equal(concat(result.iter_pairs(chunk=97)), result.pairs)
 
