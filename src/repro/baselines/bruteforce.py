@@ -1,7 +1,11 @@
 """Blocked O(N²) brute-force self-join — the correctness oracle.
 
 The double loop of the paper's introduction, vectorized in row blocks to
-keep peak memory at ``block × N`` distances.
+keep peak memory at ``block × N`` distances. The oracle shares no code
+with the grid, but it follows the package's boundary contract
+(:func:`repro.grid.query.within_epsilon`): squared differences summed
+over dimensions 0…n−1 in that order, a pair kept iff
+``d2 <= epsilon * epsilon``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,14 @@ from repro.util import as_points_array, check_epsilon
 __all__ = ["brute_force_neighbor_counts", "brute_force_pairs"]
 
 _DEFAULT_BLOCK = 512
+
+
+def _within(rows: np.ndarray, pts: np.ndarray, eps: float) -> np.ndarray:
+    """``(len(rows), N)`` mask of the pairs within ``eps``."""
+    d2 = (rows[:, None, 0] - pts[None, :, 0]) ** 2
+    for k in range(1, pts.shape[1]):
+        d2 += (rows[:, None, k] - pts[None, :, k]) ** 2
+    return d2 <= eps * eps
 
 
 def brute_force_pairs(
@@ -27,15 +39,13 @@ def brute_force_pairs(
     Returned in lexicographic order, shape ``(M, 2)`` int64.
     """
     pts = as_points_array(points)
-    eps2 = check_epsilon(epsilon) ** 2
+    eps = check_epsilon(epsilon)
     if block < 1:
         raise ValueError("block must be >= 1")
     n = len(pts)
     out: list[np.ndarray] = []
     for start in range(0, n, block):
-        rows = pts[start : start + block]
-        d2 = ((rows[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-        i_loc, j = np.nonzero(d2 <= eps2)
+        i_loc, j = np.nonzero(_within(pts[start : start + block], pts, eps))
         i = i_loc + start
         if not include_self:
             keep = i != j
@@ -56,15 +66,13 @@ def brute_force_neighbor_counts(
 ) -> np.ndarray:
     """Exact ε-neighbor count per point, shape ``(N,)`` int64."""
     pts = as_points_array(points)
-    eps2 = check_epsilon(epsilon) ** 2
+    eps = check_epsilon(epsilon)
     n = len(pts)
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, n, block):
         rows = pts[start : start + block]
-        d2 = ((rows[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-        hit = d2 <= eps2
+        hit = _within(rows, pts, eps)
         if not include_self:
-            for r in range(len(rows)):
-                hit[r, start + r] = False
+            hit[np.arange(len(rows)), start + np.arange(len(rows))] = False
         counts[start : start + len(rows)] = hit.sum(axis=1)
     return counts

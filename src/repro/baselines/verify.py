@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.grid import GridIndex
-from repro.grid.query import grid_neighbor_counts, iter_candidate_blocks
+from repro.grid.query import epsilon_filter, grid_neighbor_counts
 from repro.util import as_points_array, check_epsilon, resolve_rng
 
 __all__ = ["VerificationReport", "verify_selfjoin_result"]
@@ -74,8 +74,8 @@ def verify_selfjoin_result(
         problems.append("duplicate pairs present")
 
     if pairs.size:
-        d2 = ((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2).sum(axis=1)
-        bad = int((d2 > eps * eps).sum())
+        keep = epsilon_filter(pts, pts, eps)
+        bad = int((~keep(pairs[:, 0], pairs[:, 1])).sum())
         if bad:
             problems.append(f"{bad} claimed pairs exceed epsilon")
 

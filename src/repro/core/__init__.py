@@ -42,7 +42,6 @@ from repro.core.join import SimilarityJoin
 from repro.core.patterns import (
     PATTERN_NAMES,
     pattern_cells_for_query,
-    pattern_offset_selector,
 )
 from repro.core.result import JoinResult
 from repro.core.selfjoin import SelfJoin
@@ -66,7 +65,6 @@ __all__ = [
     "estimate_result_size",
     "estimate_result_size_detailed",
     "pattern_cells_for_query",
-    "pattern_offset_selector",
     "plan_batches",
     "plan_batches_balanced",
     "point_workloads",

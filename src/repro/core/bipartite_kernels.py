@@ -24,7 +24,8 @@ from repro.core.granularity import split_candidates
 from repro.core.kernels import BulkEmitter, resolve_bulk_queries
 from repro.core.workqueue import fetch_query_slot
 from repro.grid import GridIndex
-from repro.grid.neighbors import neighbor_offsets
+from repro.grid.bipartite import probe_offsets
+from repro.grid.query import within_epsilon
 from repro.simt import AtomicCounter, ThreadContext
 from repro.simt.vectorized import (
     BulkKernelResult,
@@ -55,7 +56,6 @@ class BipartiteKernelArgs:
             raise ValueError("k must be >= 1")
         if (self.queue_counter is None) != (self.queue_order is None):
             raise ValueError("queue_counter and queue_order must be given together")
-        self._eps2 = self.index.epsilon**2
 
     @property
     def uses_queue(self) -> bool:
@@ -84,15 +84,13 @@ def bipartite_kernel(ctx: ThreadContext, args: BipartiteKernelArgs) -> None:
     ctx.charge_setup()
     index = args.index
     query = args.queries[q]
-    coords = index.spec.cell_coords(query.reshape(1, -1), clamp=False)[0]
 
     offset = 0
-    for off in neighbor_offsets(index.ndim):
-        probe = coords + off
-        if not index.spec.in_bounds(probe.reshape(1, -1))[0]:
+    for inside, ranks in probe_offsets(index, query.reshape(1, -1)):
+        if not inside[0]:
             continue
         ctx.charge_cell_visit()
-        rank = int(index.lookup(index.spec.linearize(probe.reshape(1, -1)))[0])
+        rank = int(ranks[0])
         if rank < 0:
             continue
         cand = index.points_in_cell(rank)
@@ -100,8 +98,7 @@ def bipartite_kernel(ctx: ThreadContext, args: BipartiteKernelArgs) -> None:
         ctx.charge_candidates(len(mine), index.ndim)
         if len(mine) == 0:
             continue
-        d2 = ((index.points[mine] - query) ** 2).sum(axis=1)
-        hit = mine[d2 <= args._eps2]
+        hit = mine[within_epsilon((index.points[mine] - query).T, index.epsilon)]
         if len(hit):
             qcol = np.full(len(hit), q, dtype=np.int64)
             ctx.emit_pairs(np.stack([qcol, hit], axis=1))
@@ -115,8 +112,8 @@ def bipartite_bulk(launch: BulkLaunch, args: BipartiteKernelArgs) -> BulkKernelR
     side effects. The bipartite probe differs from the self-join in that
     queries live outside the index — their (unclamped) cell coordinates
     may fall outside the grid, so the probe set is the full 3**n offsets
-    with a per-offset bounds check rather than a
-    :class:`~repro.core.patterns.PatternPlan`.
+    of :func:`~repro.grid.bipartite.probe_offsets`, bounds-checked per
+    offset, rather than a :class:`~repro.core.patterns.PatternPlan`.
     """
     index = args.index
     k = args.k
@@ -139,20 +136,13 @@ def bipartite_bulk(launch: BulkLaunch, args: BipartiteKernelArgs) -> BulkKernelR
     setup[present] = launch.costs.c_setup
     charges["setup"] = LabelCharges(setup, present)
 
-    emitter = BulkEmitter(index, issue_pos, n_active, k, width, args._eps2)
+    emitter = BulkEmitter(index, issue_pos, n_active, k, width)
     visits_of_group = np.zeros(groups, dtype=np.int64)
     if len(lg):
         q_points = args.queries[qs]
-        coords = index.spec.cell_coords(q_points, clamp=False)
         flat_base = np.zeros(len(lg), dtype=np.int64)
-        for oi, off in enumerate(neighbor_offsets(index.ndim)):
-            probe = coords + off
-            inside = index.spec.in_bounds(probe)
+        for oi, (inside, ranks) in enumerate(probe_offsets(index, q_points)):
             visits_of_group[lg[inside]] += 1  # in-bounds probes cost a visit
-            if not inside.any():
-                continue
-            ranks = np.full(len(lg), -1, dtype=np.int64)
-            ranks[inside] = index.lookup(index.spec.linearize(probe[inside]))
             sel = np.flatnonzero(ranks >= 0)
             if not len(sel):
                 continue

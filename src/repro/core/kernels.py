@@ -28,6 +28,7 @@ from repro.core.granularity import split_candidates
 from repro.core.patterns import get_pattern_plan, pattern_cells_for_query
 from repro.core.workqueue import fetch_query_slot
 from repro.grid import GridIndex
+from repro.grid.query import within_epsilon
 from repro.simt import AtomicCounter, ThreadContext
 from repro.simt.vectorized import (
     BulkKernelResult,
@@ -59,7 +60,6 @@ class KernelArgs:
             raise ValueError("k must be >= 1")
         if (self.queue_counter is None) != (self.queue_order is None):
             raise ValueError("queue_counter and queue_order must be given together")
-        self._eps2 = self.index.epsilon * self.index.epsilon
 
     @property
     def uses_queue(self) -> bool:
@@ -84,8 +84,7 @@ def _refine_and_emit(
     ctx.charge_candidates(len(candidates), index.ndim)
     if len(candidates) == 0:
         return
-    d2 = ((index.points[candidates] - index.points[q]) ** 2).sum(axis=1)
-    hit = candidates[d2 <= args._eps2]
+    hit = candidates[within_epsilon((index.points[candidates] - index.points[q]).T, index.epsilon)]
     if not args.include_self:
         hit = hit[hit != q]
     if len(hit) == 0:
@@ -238,7 +237,6 @@ class BulkEmitter:
         n_active: int,
         k: int,
         width: int,
-        eps2: float,
         *,
         include_self: bool = True,
     ):
@@ -247,7 +245,6 @@ class BulkEmitter:
         self.n_active = n_active
         self.k = k
         self.width = width
-        self.eps2 = eps2
         self.include_self = include_self
         self.dist_counts = np.zeros(width, dtype=np.int64)
         self.emit_counts = np.zeros(width, dtype=np.int64)
@@ -305,9 +302,9 @@ class BulkEmitter:
             self.dist_counts += np.bincount(owner[keep], minlength=self.width)
         diff = index.points[cand]
         diff -= q_points[qrow]
-        np.square(diff, out=diff)
-        d2 = diff.sum(axis=1)
-        hit = d2 <= self.eps2 if keep is None else keep & (d2 <= self.eps2)
+        hit = within_epsilon(diff.T, index.epsilon)
+        if keep is not None:
+            hit &= keep
         qcol = q_ids[qrow]
         if not self.include_self:
             hit &= cand != qcol
@@ -398,13 +395,7 @@ def selfjoin_bulk(launch: BulkLaunch, args: KernelArgs) -> BulkKernelResult:
     charges["cells"] = LabelCharges(cells, present.copy())
 
     emitter = BulkEmitter(
-        index,
-        issue_pos,
-        n_active,
-        k,
-        width,
-        args._eps2,
-        include_self=args.include_self,
+        index, issue_pos, n_active, k, width, include_self=args.include_self
     )
     if len(lg):
         q_points = index.points[qs]

@@ -39,7 +39,6 @@ __all__ = [
     "PatternPlan",
     "get_pattern_plan",
     "pattern_cells_for_query",
-    "pattern_offset_selector",
     "unicomp_pivot_dims",
 ]
 
@@ -65,55 +64,6 @@ def unicomp_pivot_dims(ndim: int) -> np.ndarray:
     rev_first = np.argmax(nz[:, ::-1], axis=1)
     pivot[has_nz] = ndim - 1 - rev_first[has_nz]
     return pivot
-
-
-def pattern_offset_selector(pattern: str, index: GridIndex):
-    """Vectorized pattern membership.
-
-    Returns ``selector(offset_idx) -> mask`` where ``mask`` is a boolean
-    array over the non-empty cells saying whether each cell takes the given
-    neighbor offset. The zero offset (the origin cell) is always excluded —
-    callers handle the origin cell explicitly, since its comparison rule
-    (one-directional emission) differs from pattern cells (mirrored
-    emission).
-    """
-    if pattern not in PATTERN_NAMES:
-        raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERN_NAMES}")
-    ndim = index.ndim
-    offs = neighbor_offsets(ndim)
-    num_cells = index.num_nonempty_cells
-    zero_idx = len(offs) // 2
-
-    if pattern == "full":
-
-        def selector(offset_idx: int) -> np.ndarray:
-            if offset_idx == zero_idx:
-                return np.zeros(num_cells, dtype=bool)
-            return np.ones(num_cells, dtype=bool)
-
-        return selector
-
-    if pattern == "lidunicomp":
-        deltas = offset_linear_deltas(index, offs)
-
-        def selector(offset_idx: int) -> np.ndarray:
-            if deltas[offset_idx] > 0:
-                return np.ones(num_cells, dtype=bool)
-            return np.zeros(num_cells, dtype=bool)
-
-        return selector
-
-    # unicomp
-    pivots = unicomp_pivot_dims(ndim)
-    coords = index.cell_coords_arr
-
-    def selector(offset_idx: int) -> np.ndarray:
-        piv = pivots[offset_idx]
-        if piv < 0:
-            return np.zeros(num_cells, dtype=bool)
-        return (coords[:, piv] & 1) == 1
-
-    return selector
 
 
 class PatternPlan:
@@ -183,7 +133,8 @@ class PatternPlan:
 
     def take_mask(self, offset_idx: int) -> np.ndarray:
         """Per-cell pattern membership of one neighbor offset (bounds not
-        yet applied; the origin offset is always all-False)."""
+        yet applied). The origin offset is always all-False: callers scan
+        the origin cell themselves, with one-directional emission."""
         num_cells = self.index.num_nonempty_cells
         if not self._take_all[offset_idx]:
             return np.zeros(num_cells, dtype=bool)
@@ -284,7 +235,7 @@ def pattern_cells_for_query(
       offset, or -1 when that cell is empty.
 
     The origin cell itself is never included (see
-    :func:`pattern_offset_selector`). Delegates to the
+    :meth:`PatternPlan.take_mask`). Delegates to the
     :class:`PatternPlan` memoized on the index, so every thread of a batch
     pointing at the same cell shares one computation.
     """

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.patterns import pattern_offset_selector
+from repro.core.patterns import get_pattern_plan
 from repro.grid import GridIndex, neighbor_offsets, neighbor_ranks_for_offset
 from repro.util import gather_slices, stable_argsort_desc
 
@@ -73,13 +73,9 @@ def pattern_workload_components(
     cand = thread_share_counts(counts, k)  # own cell, all patterns
     visited = np.ones(num_cells, dtype=np.int64)  # own cell
 
-    offs = neighbor_offsets(index.ndim)
-    zero_idx = len(offs) // 2
-    selector = pattern_offset_selector(pattern, index)
-    for oi, off in enumerate(offs):
-        if oi == zero_idx:
-            continue
-        mask = selector(oi)
+    plan = get_pattern_plan(pattern, index)
+    for oi, off in enumerate(neighbor_offsets(index.ndim)):
+        mask = plan.take_mask(oi)
         if not mask.any():
             continue
         in_bounds = index.spec.in_bounds(index.cell_coords_arr + off)

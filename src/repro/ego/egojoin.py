@@ -5,7 +5,8 @@ Two contiguous sequences of the EGO-sorted array are joined by:
 - **prune** — if the sequences' cell bounding boxes are more than one cell
   apart in *any* dimension, no pair can be within ε (each cell is ε wide);
 - **simple join** — below a size threshold, refine all cross pairs with one
-  vectorized distance pass (SUPER-EGO's unrolled inner loop);
+  vectorized pass of the package's ε test (SUPER-EGO's unrolled inner
+  loop), in the dataset's dimension order, not the reordered one;
 - **recurse** — otherwise split (both halves for a self block, the longer
   sequence for a cross block) and join the sub-sequences.
 
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ego.egosort import EgoSorted
+from repro.grid.query import within_epsilon
 
 __all__ = ["EgoOpCounts", "ego_join"]
 
@@ -55,7 +57,7 @@ class EgoOpCounts:
 @dataclass
 class _JoinState:
     sorted_data: EgoSorted
-    eps2: float
+    dims: np.ndarray  # column of each dataset dimension in the reordered points
     threshold: int
     collect: bool
     counts: EgoOpCounts = field(default_factory=EgoOpCounts)
@@ -79,8 +81,9 @@ def _simple_join(state: _JoinState, a: slice, b: slice, self_block: bool) -> Non
     pa, pb = pts[a], pts[b]
     state.counts.simple_joins += 1
     state.counts.distance_computations += len(pa) * len(pb)
-    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1)
-    i_loc, j_loc = np.nonzero(d2 <= state.eps2)
+    diff = pa[:, None, :] - pb[None, :, :]
+    hit = within_epsilon((diff[..., d] for d in state.dims), state.sorted_data.epsilon)
+    i_loc, j_loc = np.nonzero(hit)
     i = i_loc + a.start
     j = j_loc + b.start
     if self_block:
@@ -140,7 +143,7 @@ def ego_join(
     n = sorted_data.num_points
     state = _JoinState(
         sorted_data=sorted_data,
-        eps2=sorted_data.epsilon**2,
+        dims=np.argsort(sorted_data.dim_order),
         threshold=simple_join_size,
         collect=collect_pairs,
     )

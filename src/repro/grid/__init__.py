@@ -14,6 +14,10 @@ Public surface:
 - :mod:`repro.grid.neighbors` — neighbor-offset enumeration and vectorized
   per-cell neighbor resolution used by both the kernels and the performance
   model.
+- :mod:`repro.grid.query` — the one candidate-block walker and the one ε
+  test every engine, estimator and model refines through.
+- :mod:`repro.grid.bipartite` — the one per-query probe of external
+  queries, and the reference similarity join built on it.
 """
 
 from repro.grid.cells import GridSpec

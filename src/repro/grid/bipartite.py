@@ -6,8 +6,9 @@ from an external dataset A: query cell coordinates are *unclamped*, so
 queries outside B's bounding box probe exactly the boundary cells their
 ε-ball can reach (or nothing, if they are farther than one cell away).
 
-These vectorized helpers power the bipartite join's estimator, workload
-quantification and reference results, mirroring :mod:`repro.grid.query`.
+:func:`probe_offsets` is the one per-query probe, shared with the bipartite
+kernels; the helpers power the bipartite join's estimator, workload
+quantification and reference results through :mod:`repro.grid.query`.
 """
 
 from __future__ import annotations
@@ -18,30 +19,32 @@ import numpy as np
 
 from repro.grid.index import GridIndex
 from repro.grid.neighbors import neighbor_offsets
-from repro.util import as_points_array, gather_slices
+from repro.grid.query import candidate_blocks, epsilon_filter, pair_array, refine_blocks
+from repro.util import as_points_array
 
 __all__ = [
     "bipartite_neighbor_counts",
     "bipartite_pairs",
     "bipartite_workloads",
     "iter_bipartite_blocks",
+    "probe_offsets",
 ]
 
-_DEFAULT_CHUNK = 4_000_000
 
-
-def _query_neighbor_ranks_per_offset(
-    index: GridIndex, coords: np.ndarray
-) -> Iterator[np.ndarray]:
-    """For each neighbor offset, the non-empty B-cell rank behind each
-    query (or -1). ``coords`` are unclamped query cell coordinates."""
+def probe_offsets(
+    index: GridIndex, queries: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per neighbor offset of each query's *unclamped* cell: ``(inside,
+    ranks)`` — whether the probed cell is in the grid (even an empty one
+    costs the binary search), and the non-empty B-cell there, or -1."""
+    coords = index.spec.cell_coords(queries, clamp=False)
     for off in neighbor_offsets(index.ndim):
         probe = coords + off
         inside = index.spec.in_bounds(probe)
         ranks = np.full(len(coords), -1, dtype=np.int64)
         if inside.any():
             ranks[inside] = index.lookup(index.spec.linearize(probe[inside]))
-        yield ranks
+        yield inside, ranks
 
 
 def iter_bipartite_blocks(
@@ -49,15 +52,13 @@ def iter_bipartite_blocks(
     queries: np.ndarray,
     query_ids: np.ndarray | None = None,
     *,
-    chunk_pairs: int = _DEFAULT_CHUNK,
+    chunk_pairs: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(query_id, b_point_idx)`` candidate blocks for A ⋈ B.
 
     ``queries`` are A's coordinates (``query_ids`` defaults to their row
     numbers); every (query, candidate) pair appears exactly once.
     """
-    if chunk_pairs < 1:
-        raise ValueError("chunk_pairs must be >= 1")
     queries = as_points_array(queries)
     if query_ids is None:
         query_ids = np.arange(len(queries), dtype=np.int64)
@@ -65,43 +66,23 @@ def iter_bipartite_blocks(
         query_ids = np.asarray(query_ids, dtype=np.int64)
     if len(queries) == 0 or index.num_points == 0:
         return
-    coords = index.spec.cell_coords(queries, clamp=False)
-
-    for ranks in _query_neighbor_ranks_per_offset(index, coords):
-        valid = ranks >= 0
-        if not valid.any():
-            continue
-        q_sel = query_ids[valid]
-        n_sel = ranks[valid]
-        lengths = index.cell_counts[n_sel]
-        csum = np.cumsum(lengths)
-        start = 0
-        while start < len(q_sel):
-            base = csum[start - 1] if start > 0 else 0
-            stop = int(np.searchsorted(csum, base + chunk_pairs, side="right"))
-            stop = min(max(stop, start + 1), len(q_sel))
-            sl = slice(start, stop)
-            lens = lengths[sl]
-            qi = np.repeat(q_sel[sl], lens)
-            cj = gather_slices(index.point_order, index.cell_starts[n_sel[sl]], lens)
-            if qi.size:
-                yield qi, cj
-            start = stop
+    for _, ranks in probe_offsets(index, queries):
+        yield from candidate_blocks(index, query_ids, ranks, chunk_pairs=chunk_pairs)
 
 
 def bipartite_neighbor_counts(
     index: GridIndex,
     queries: np.ndarray,
     *,
-    chunk_pairs: int = _DEFAULT_CHUNK,
+    chunk_pairs: int | None = None,
 ) -> np.ndarray:
     """Exact |{b ∈ B : dist(a, b) <= ε}| for each query ``a``."""
     queries = as_points_array(queries)
     counts = np.zeros(len(queries), dtype=np.int64)
-    eps2 = index.epsilon**2
-    for qi, cj in iter_bipartite_blocks(index, queries, chunk_pairs=chunk_pairs):
-        d2 = ((queries[qi] - index.points[cj]) ** 2).sum(axis=1)
-        np.add.at(counts, qi[d2 <= eps2], 1)
+    keep = epsilon_filter(queries, index.points, index.epsilon)
+    blocks = iter_bipartite_blocks(index, queries, chunk_pairs=chunk_pairs)
+    for qi, _ in refine_blocks(blocks, keep):
+        np.add.at(counts, qi, 1)
     return counts
 
 
@@ -109,20 +90,13 @@ def bipartite_pairs(
     index: GridIndex,
     queries: np.ndarray,
     *,
-    chunk_pairs: int = _DEFAULT_CHUNK,
+    chunk_pairs: int | None = None,
 ) -> np.ndarray:
     """All pairs ``(a_idx, b_idx)`` with ``dist <= ε``, shape ``(M, 2)``."""
     queries = as_points_array(queries)
-    eps2 = index.epsilon**2
-    found: list[np.ndarray] = []
-    for qi, cj in iter_bipartite_blocks(index, queries, chunk_pairs=chunk_pairs):
-        d2 = ((queries[qi] - index.points[cj]) ** 2).sum(axis=1)
-        hit = d2 <= eps2
-        if hit.any():
-            found.append(np.stack([qi[hit], cj[hit]], axis=1))
-    if not found:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(found, axis=0)
+    keep = epsilon_filter(queries, index.points, index.epsilon)
+    blocks = iter_bipartite_blocks(index, queries, chunk_pairs=chunk_pairs)
+    return pair_array(refine_blocks(blocks, keep))
 
 
 def bipartite_workloads(
@@ -130,8 +104,8 @@ def bipartite_workloads(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-query ``(candidates, visited_cells)`` — the workload ingredients.
 
-    ``visited_cells`` counts the in-bounds neighbor probes (probing an
-    empty B-cell still costs the binary search), matching the kernel.
+    ``visited_cells`` counts the in-bounds neighbor probes, matching the
+    kernel.
     """
     queries = as_points_array(queries)
     nq = len(queries)
@@ -139,15 +113,8 @@ def bipartite_workloads(
     visited = np.zeros(nq, dtype=np.int64)
     if nq == 0 or index.num_points == 0:
         return cand, visited
-    coords = index.spec.cell_coords(queries, clamp=False)
-    for off in neighbor_offsets(index.ndim):
-        probe = coords + off
-        inside = index.spec.in_bounds(probe)
+    for inside, ranks in probe_offsets(index, queries):
         visited += inside
-        if not inside.any():
-            continue
-        ranks = index.lookup(index.spec.linearize(probe[inside]))
         hit = ranks >= 0
-        idx = np.flatnonzero(inside)[hit]
-        cand[idx] += index.cell_counts[ranks[hit]]
+        cand[hit] += index.cell_counts[ranks[hit]]
     return cand, visited

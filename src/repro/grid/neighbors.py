@@ -4,11 +4,11 @@ In ``n`` dimensions a query point's ε-neighborhood is contained in the
 ≤ 3**n cells whose coordinates differ from the query's cell by -1/0/+1 in
 every dimension. Two access paths are provided:
 
-- per-cell (:func:`neighbor_ranks_of_cell`) — used by the SIMT-VM kernels,
-  which walk one query point at a time;
+- per-cell (:func:`neighbor_ranks_of_cell`) — the single-cell reference
+  the tests check the kernels' pattern geometry against;
 - per-offset over *all* cells at once (:func:`neighbor_ranks_for_offset`) —
-  used by the vectorized workload/performance model, which streams the 3**n
-  offsets instead of materializing a (cells × 3**n) table.
+  the cell mapping the walker of :mod:`repro.grid.query` consumes, which
+  streams the 3**n offsets instead of materializing a (cells × 3**n) table.
 """
 
 from __future__ import annotations

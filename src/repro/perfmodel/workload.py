@@ -17,15 +17,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.patterns import pattern_offset_selector
+from repro.core.patterns import get_pattern_plan
 from repro.core.sortbywl import (
     WorkloadComponents,
     pattern_workload_components,
     sort_by_workload,
 )
 from repro.grid import GridIndex, neighbor_offsets, neighbor_ranks_for_offset
-from repro.grid.query import grid_neighbor_counts
-from repro.util import gather_slices
+from repro.grid.query import (
+    candidate_blocks,
+    epsilon_filter,
+    grid_neighbor_counts,
+    refine_blocks,
+)
 
 __all__ = ["BipartiteProfile", "WorkloadProfile"]
 
@@ -122,61 +126,38 @@ class WorkloadProfile:
         """Per-point ε-hits within the point's own cell."""
         if getattr(self, "_own_hits", None) is None:
             index = self.index
-            counts = np.zeros(index.num_points, dtype=np.int64)
-            eps2 = index.epsilon**2
-            pts = index.points
-            lens = index.cell_counts
-            qi = np.repeat(
-                gather_slices(index.point_order, index.cell_starts, lens),
-                np.repeat(lens, lens),
+            self._own_hits = self._cell_hits(
+                np.arange(index.num_nonempty_cells, dtype=np.int64),
+                epsilon_filter(index.points, index.points, index.epsilon),
+                include_self=self.include_self,
             )
-            cj = gather_slices(
-                index.point_order,
-                np.repeat(index.cell_starts, lens),
-                np.repeat(lens, lens),
-            )
-            d2 = ((pts[qi] - pts[cj]) ** 2).sum(axis=1)
-            hit = d2 <= eps2
-            if not self.include_self:
-                hit &= qi != cj
-            np.add.at(counts, qi[hit], 1)
-            self._own_hits = counts
         return self._own_hits
 
     def _pattern_cell_hits(self, pattern: str) -> np.ndarray:
         """Per-point ε-hits found in the point's *pattern* cells (the cells
         whose results get mirrored)."""
         index = self.index
+        keep = epsilon_filter(index.points, index.points, index.epsilon)
+        plan = get_pattern_plan(pattern, index)
         counts = np.zeros(index.num_points, dtype=np.int64)
-        eps2 = index.epsilon**2
-        pts = index.points
-        offs = neighbor_offsets(index.ndim)
-        zero_idx = len(offs) // 2
-        selector = pattern_offset_selector(pattern, index)
-        for oi, off in enumerate(offs):
-            if oi == zero_idx:
-                continue
-            mask = selector(oi)
-            if not mask.any():
-                continue
-            ranks = neighbor_ranks_for_offset(index, off)
-            sel = np.flatnonzero(mask & (ranks >= 0))
-            if not len(sel):
-                continue
-            q_lens = index.cell_counts[sel]
-            nb = ranks[sel]
-            qi = np.repeat(
-                gather_slices(index.point_order, index.cell_starts[sel], q_lens),
-                np.repeat(index.cell_counts[nb], q_lens),
-            )
-            cj = gather_slices(
-                index.point_order,
-                np.repeat(index.cell_starts[nb], q_lens),
-                np.repeat(index.cell_counts[nb], q_lens),
-            )
-            d2 = ((pts[qi] - pts[cj]) ** 2).sum(axis=1)
-            hit = d2 <= eps2
-            np.add.at(counts, qi[hit], 1)
+        for oi, off in enumerate(neighbor_offsets(index.ndim)):
+            mask = plan.take_mask(oi)
+            if mask.any():
+                ranks = neighbor_ranks_for_offset(index, off)
+                counts += self._cell_hits(np.where(mask, ranks, -1), keep)
+        return counts
+
+    def _cell_hits(self, cell_nbr, keep, *, include_self: bool = True) -> np.ndarray:
+        """Per-point ε-hits among the points of cell ``cell_nbr[c]``, ``c``
+        the point's own cell (-1: none), walked in
+        :data:`~repro.grid.query.BLOCK_PAIRS`-bounded blocks."""
+        index = self.index
+        queries = index.point_order
+        cells = cell_nbr[index.point_cell_rank[queries]]
+        counts = np.zeros(index.num_points, dtype=np.int64)
+        blocks = candidate_blocks(index, queries, cells)
+        for qi, _ in refine_blocks(blocks, keep, include_self=include_self):
+            counts += np.bincount(qi, minlength=index.num_points)
         return counts
 
     # ------------------------------------------------------------------

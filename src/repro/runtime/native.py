@@ -3,14 +3,16 @@
 The simulated engines (``"interpreted"``, ``"vectorized"``) reconstruct
 the paper's SIMT machine cycle-for-cycle; this module computes the same
 exact pair *set* with pure NumPy array passes and nothing else — no warp
-accounting, no replay, no batch planning. Cell-pair blocks come from the
-same :class:`~repro.grid.GridIndex` neighbor topology the kernels walk,
-but only the lexicographically-positive half of the ``3**n`` offsets is
+accounting, no replay, no batch planning. Candidate blocks come from
+:func:`repro.grid.query.candidate_blocks` over the same
+:class:`~repro.grid.GridIndex` neighbor topology the kernels walk, but
+only the lexicographically-positive half of the ``3**n`` offsets is
 searched (plus each cell's id-increasing half internally): every hit is
 emitted with its mirror, which restores the kernels' full directed pair
 set at half the candidate volume. Queries visit in the paper's SORTBYWL
 heaviest-cells-first order when the optimization config asks for it, and
-each block is refined with one vectorized distance pass.
+each block is refined with the package's one ε test,
+:func:`repro.grid.query.epsilon_filter`.
 Results carry ``fidelity="none"``: ``batch_stats`` is empty, WEE is
 undefined, and the pipeline times are host wall-clock seconds.
 
@@ -44,9 +46,15 @@ from repro.core.sortbywl import sort_by_workload
 from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_workloads, iter_bipartite_blocks
 from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
+from repro.grid.query import (
+    BLOCK_PAIRS,
+    candidate_blocks,
+    epsilon_filter,
+    refine_blocks,
+)
 from repro.runtime.ops import BipartiteOp, SelfJoinOp
 from repro.simt.streams import PipelineResult
-from repro.util import gather_slices, stable_argsort_desc
+from repro.util import stable_argsort_desc
 
 __all__ = [
     "NATIVE_CHUNK_PAIRS",
@@ -57,9 +65,9 @@ __all__ = [
     "share_array",
 ]
 
-#: candidate pairs refined per vectorized block — bounds peak memory of
-#: one distance pass (~64 MB of intermediates at the default)
-NATIVE_CHUNK_PAIRS = 4_000_000
+#: candidate pairs refined per block, recorded in the plan's launch stage
+#: — the grid walker's default bound
+NATIVE_CHUNK_PAIRS = BLOCK_PAIRS
 
 
 # ----------------------------------------------------------------------
@@ -97,53 +105,7 @@ def native_query_order(
     return ids
 
 
-def _file_backed(arr) -> bool:
-    base = arr
-    while base is not None:
-        if isinstance(base, np.memmap):
-            return True
-        base = getattr(base, "base", None)
-    return False
-
-
-def _refiner(left, right, eps2):
-    """``hits(qi, cj) -> kept indices`` for the ε distance predicate.
-
-    Resident datasets get contiguous per-dimension columns (1-D gathers,
-    no row materialization, no axis reduction); file-backed datasets keep
-    row gathers so only the touched pages ever become resident.
-    """
-    if _file_backed(left) or _file_backed(right):
-
-        def hits(qi, cj):
-            d2 = ((left[qi] - right[cj]) ** 2).sum(axis=1)
-            return np.flatnonzero(d2 <= eps2)
-
-        return hits
-
-    lcols = [np.ascontiguousarray(left[:, k]) for k in range(left.shape[1])]
-    rcols = (
-        lcols
-        if right is left
-        else [np.ascontiguousarray(right[:, k]) for k in range(right.shape[1])]
-    )
-
-    def hits(qi, cj):
-        d2 = None
-        for lc, rc in zip(lcols, rcols):
-            d = lc[qi]
-            d -= rc[cj]
-            d *= d
-            if d2 is None:
-                d2 = d
-            else:
-                d2 += d
-        return np.flatnonzero(d2 <= eps2)
-
-    return hits
-
-
-def _half_offsets(ndim: int) -> list[np.ndarray]:
+def _half_offsets(ndim: int) -> np.ndarray:
     """The ``(3**n - 1) / 2`` lexicographically-positive neighbor offsets.
 
     For distinct adjacent cells A and B exactly one of ``B - A`` / ``A - B``
@@ -152,42 +114,20 @@ def _half_offsets(ndim: int) -> list[np.ndarray]:
     pair exactly once from the query side; mirrored emission restores the
     full directed pair set. Because the relation is defined purely by the
     query's cell and id, a union over any query-subset partition (shards)
-    still covers every pair exactly once.
+    still covers every pair exactly once. The canonical offset order is
+    lexicographic, so they are the offsets after the zero offset.
     """
-    out = []
-    for off in neighbor_offsets(ndim):
-        nz = np.flatnonzero(off)
-        if nz.size and off[nz[0]] > 0:
-            out.append(off)
-    return out
+    return neighbor_offsets(ndim)[3**ndim // 2 + 1 :]
 
 
-def _offset_blocks(index, queries, nbr, *, chunk_pairs):
-    """``(query_idx, candidate_idx)`` blocks for one neighbor-rank mapping."""
-    valid = nbr >= 0
-    if not valid.any():
-        return
-    q_sel = queries[valid]
-    n_sel = nbr[valid]
-    lengths = index.cell_counts[n_sel]
-    csum = np.cumsum(lengths)
-    start = 0
-    while start < len(q_sel):
-        base = csum[start - 1] if start > 0 else 0
-        # largest stop with csum[stop-1] - base <= chunk_pairs, but at
-        # least one query per block so oversized cells still progress
-        stop = int(np.searchsorted(csum, base + chunk_pairs, side="right"))
-        stop = min(max(stop, start + 1), len(q_sel))
-        sl = slice(start, stop)
-        lens = lengths[sl]
-        qi = np.repeat(q_sel[sl], lens)
-        cj = gather_slices(index.point_order, index.cell_starts[n_sel[sl]], lens)
-        if qi.size:
-            yield qi, cj
-        start = stop
+def _upper_half(blocks):
+    for qi, cj in blocks:
+        up = np.flatnonzero(cj > qi)
+        yield qi[up], cj[up]
 
 
-def _mirrored(qi, cj):
+def _mirrored(pair):
+    qi, cj = pair
     out = np.empty((2 * len(qi), 2), dtype=np.int64)
     out[: len(qi), 0] = qi
     out[: len(qi), 1] = cj
@@ -197,45 +137,34 @@ def _mirrored(qi, cj):
 
 
 def _self_join_blocks(index, order, *, include_self, chunk_pairs):
-    eps2 = index.epsilon * index.epsilon
     queries = np.asarray(order, dtype=np.int64)
     if queries.size == 0 or index.num_points == 0:
         return
-    hits = _refiner(index.points, index.points, eps2)
+    keep = epsilon_filter(index.points, index.points, index.epsilon)
     if include_self:
         for start in range(0, len(queries), max(chunk_pairs, 1)):
             q = queries[start : start + chunk_pairs]
             yield np.stack([q, q], axis=1)
     q_rank = index.point_cell_rank[queries]
+    # map() drops each refined block once it is emitted, so it is freed
+    # before the next block is built (for-loop variables would hold it)
     # within-cell: the id-increasing half of each cell's pairs, mirrored
-    for qi, cj in _offset_blocks(index, queries, q_rank, chunk_pairs=chunk_pairs):
-        upper = np.flatnonzero(cj > qi)
-        if not upper.size:
-            continue
-        qi = qi[upper]
-        cj = cj[upper]
-        keep = hits(qi, cj)
-        if keep.size:
-            yield _mirrored(qi[keep], cj[keep])
+    own = candidate_blocks(index, queries, q_rank, chunk_pairs=chunk_pairs)
+    yield from map(_mirrored, refine_blocks(_upper_half(own), keep))
     # cross-cell: one lex-positive offset per unordered cell pair, mirrored
     for off in _half_offsets(index.ndim):
         nbr = neighbor_ranks_for_offset(index, off)[q_rank]
-        for qi, cj in _offset_blocks(index, queries, nbr, chunk_pairs=chunk_pairs):
-            keep = hits(qi, cj)
-            if keep.size:
-                yield _mirrored(qi[keep], cj[keep])
+        blocks = candidate_blocks(index, queries, nbr, chunk_pairs=chunk_pairs)
+        yield from map(_mirrored, refine_blocks(blocks, keep))
 
 
 def _bipartite_blocks(op, index, order, *, chunk_pairs):
-    eps2 = index.epsilon * index.epsilon
     queries = op.queries
-    hits = _refiner(queries, index.points, eps2)
-    for qi, cj in iter_bipartite_blocks(
+    keep = epsilon_filter(queries, index.points, index.epsilon)
+    blocks = iter_bipartite_blocks(
         index, queries[order], query_ids=order, chunk_pairs=chunk_pairs
-    ):
-        keep = hits(qi, cj)
-        if keep.size:
-            yield np.stack([qi[keep], cj[keep]], axis=1)
+    )
+    yield from map(np.column_stack, refine_blocks(blocks, keep))
 
 
 def execute_shard_native(

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.patterns import (
     PATTERN_NAMES,
+    PatternPlan,
     pattern_cells_for_query,
-    pattern_offset_selector,
     unicomp_pivot_dims,
 )
 from repro.grid import GridIndex, neighbor_offsets, neighbor_ranks_of_cell
@@ -47,23 +47,25 @@ class TestUnicompPivots:
 
 
 class TestSelectorShapes:
+    """Pattern membership through :meth:`PatternPlan.take_mask`."""
+
     @pytest.mark.parametrize("pattern", PATTERN_NAMES)
     def test_zero_offset_never_selected(self, pattern):
         idx = build_index(0, 2)
-        sel = pattern_offset_selector(pattern, idx)
+        sel = PatternPlan(pattern, idx).take_mask
         zero = 3**2 // 2
         assert not sel(zero).any()
 
     def test_unknown_pattern(self):
         idx = build_index(0, 2)
         with pytest.raises(ValueError, match="unknown pattern"):
-            pattern_offset_selector("spiral", idx)
+            PatternPlan("spiral", idx)
         with pytest.raises(ValueError, match="unknown pattern"):
             pattern_cells_for_query("spiral", idx, 0)
 
     def test_full_selects_all_nonzero(self):
         idx = build_index(1, 2)
-        sel = pattern_offset_selector("full", idx)
+        sel = PatternPlan("full", idx).take_mask
         for oi in range(9):
             if oi == 4:  # zero offset
                 assert not sel(oi).any()
@@ -72,7 +74,7 @@ class TestSelectorShapes:
 
     def test_lid_is_cell_independent_half(self):
         idx = build_index(2, 3)
-        sel = pattern_offset_selector("lidunicomp", idx)
+        sel = PatternPlan("lidunicomp", idx).take_mask
         chosen = [oi for oi in range(27) if sel(oi).any()]
         for oi in chosen:
             assert sel(oi).all()  # same for every cell
@@ -80,7 +82,7 @@ class TestSelectorShapes:
 
     def test_unicomp_depends_on_parity(self):
         idx = build_index(3, 2)
-        sel = pattern_offset_selector("unicomp", idx)
+        sel = PatternPlan("unicomp", idx).take_mask
         pivots = unicomp_pivot_dims(2)
         coords = idx.cell_coords_arr
         for oi in range(9):

@@ -13,6 +13,7 @@ from repro.baselines import (
     kdtree_pairs,
 )
 from repro.grid import GridIndex
+from repro.grid.bipartite import bipartite_neighbor_counts, bipartite_pairs
 from repro.grid.query import (
     grid_neighbor_counts,
     grid_selfjoin_pairs,
@@ -114,3 +115,27 @@ class TestSelfJoinPairs:
         a = canon(grid_selfjoin_pairs(idx))
         b = canon(grid_selfjoin_pairs(idx, chunk_pairs=13))
         np.testing.assert_array_equal(a, b)
+
+
+class TestSelfJoinIsBipartiteAEqualsB:
+    """The self-join is the similarity join of a dataset with itself: both
+    walk the same candidate blocks through the same ε test."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        ndim=st.integers(1, 4),
+        n=st.integers(1, 80),
+        steps=st.integers(1, 4),
+    )
+    @settings(max_examples=25)
+    def test_counts_and_pairs_agree(self, seed, ndim, n, steps):
+        # a coarse lattice: duplicate points and many pairs at exactly ε
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 6, size=(n, ndim)) * 0.25
+        idx = GridIndex(pts, 0.25 * steps)
+        np.testing.assert_array_equal(
+            bipartite_neighbor_counts(idx, idx.points), grid_neighbor_counts(idx)
+        )
+        np.testing.assert_array_equal(
+            canon(bipartite_pairs(idx, idx.points)), canon(grid_selfjoin_pairs(idx))
+        )

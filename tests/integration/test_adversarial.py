@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.baselines import brute_force_pairs
 from repro.core import PRESETS, SelfJoin
-from repro.runtime import RuntimeConfig
+from repro.ego import SuperEgo
+from repro.grid import GridIndex
+from repro.grid.bipartite import bipartite_pairs
+from repro.grid.query import grid_selfjoin_pairs
+from repro.io import load_dataset
+from repro.runtime import (
+    Runner,
+    RuntimeConfig,
+    compile_self_join,
+    compile_similarity_join,
+)
 from repro.data.adversarial import (
     ADVERSARIAL_GENERATORS,
     all_identical,
@@ -62,6 +74,59 @@ class TestGenerators:
         assert pts[:, 0].max() - pts[:, 0].min() > 5e3
 
 
+def _order_sensitive_pair(*, threshold: str):
+    """Two 8-D points and an ε at which summation order decides the pair.
+
+    Draws ``a ~ U(0,1)^8`` and ``b = a + U(-0.3, 0.3)^8`` from
+    ``default_rng(1)`` until NumPy's ``.sum`` of the squared differences
+    and their dimension-order sum differ, the smaller one is the
+    ``threshold`` sum, and it is some float's square: ε is that root.
+    """
+    rng = np.random.default_rng(1)
+    while True:
+        a = rng.uniform(0.0, 1.0, 8)
+        b = a + rng.uniform(-0.3, 0.3, 8)
+        sq = (a - b) ** 2
+        numpy_sum = float(sq[None, :].sum(axis=1)[0])
+        ordered = 0.0
+        for x in sq:
+            ordered += float(x)
+        sums = {"numpy": numpy_sum, "ordered": ordered}
+        low = sums[threshold]
+        eps = math.sqrt(low)
+        if numpy_sum != ordered and low == min(sums.values()) and eps * eps == low:
+            return np.stack([a, b]), eps
+
+
+def _assert_every_path(points, eps, tmp_path, expected):
+    """Every engine, plan, storage and reference join yields ``expected``."""
+    path = tmp_path / "points.npy"
+    np.save(path, points)
+    storages = {"resident": points, "mmap": load_dataset(path, mmap=True)}
+    got = {}
+    for engine in ("native", "vectorized", "interpreted"):
+        rt = RuntimeConfig(engine=engine)
+        for storage, data in storages.items():
+            if storage == "mmap" and engine != "native":
+                continue
+            plans = {
+                "self": compile_self_join(GridIndex(data, eps), rt),
+                "similarity": compile_similarity_join(GridIndex(data, eps), data, rt),
+            }
+            for kind, plan in plans.items():
+                got[f"{engine}/{storage}/{kind}"] = Runner().run(plan).canonical_pairs()
+    index = GridIndex(points, eps)
+    for name, pairs in (
+        ("grid_selfjoin_pairs", grid_selfjoin_pairs(index)),
+        ("bipartite_pairs", bipartite_pairs(index, points)),
+    ):
+        got[name] = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    got["superego"] = SuperEgo().join(points, eps).sorted_pairs()
+    got["brute_force"] = brute_force_pairs(points, eps)
+    wrong = [name for name, pairs in got.items() if not np.array_equal(pairs, expected)]
+    assert not wrong, f"paths disagreeing with {expected.tolist()}: {wrong}"
+
+
 class TestBoundarySemantics:
     def test_pairs_at_exactly_epsilon_included(self):
         """dist(p, q) == eps must be in the result (<= predicate)."""
@@ -76,6 +141,27 @@ class TestBoundarySemantics:
             if i != j and np.isclose(np.linalg.norm(pts[i] - pts[j]), 1.0)
         )
         np.testing.assert_array_equal(res.sorted_pairs(), brute_force_pairs(pts, 1.0))
+
+    # Two points, d2 one ulp from ε·ε: every join path must agree on the
+    # pair (the contract of repro.grid.query.within_epsilon).
+    SELF_ONLY = np.array([[0, 0], [1, 1]])
+    BOTH = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+
+    def test_pair_where_epsilon_squared_rounds_low_kept_everywhere(self, tmp_path):
+        eps = 7.463412840658728
+        assert eps**2 == 55.702531230109585 and eps * eps == 55.70253123010959
+        pts = np.array([[0.0, 0.0], [eps, 0.0]])
+        _assert_every_path(pts, eps, tmp_path, self.BOTH)
+
+    def test_8d_pair_dropped_when_numpy_sum_equals_threshold(self, tmp_path):
+        pts, eps = _order_sensitive_pair(threshold="numpy")
+        assert eps * eps == 0.2218329852950977
+        _assert_every_path(pts, eps, tmp_path, self.SELF_ONLY)
+
+    def test_8d_pair_kept_when_ordered_sum_equals_threshold(self, tmp_path):
+        pts, eps = _order_sensitive_pair(threshold="ordered")
+        assert eps * eps == 0.38685189996676245
+        _assert_every_path(pts, eps, tmp_path, self.BOTH)
 
     def test_identical_points_quadratic_result(self):
         pts = all_identical(30, 2, seed=1)

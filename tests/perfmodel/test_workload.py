@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.baselines import brute_force_neighbor_counts
-from repro.grid import GridIndex
+from repro.grid import GridIndex, query
 from repro.perfmodel import WorkloadProfile
 
 
@@ -66,6 +68,23 @@ class TestEmittedRows:
         own = profile._own_cell_hits()
         assert (own >= 1).all()  # self pair at minimum
         assert (own <= profile.neighbor_counts()).all()
+
+    def test_own_cell_hits_walk_bounded_blocks(self, rng, monkeypatch):
+        """One cell of 1,500 points holds 2.25M own-cell pairs: built at
+        once they peak near 100 MB, walked in 20k-pair blocks near 1 MB."""
+        pts = rng.uniform(0.0, 0.99, size=(1500, 2))
+        index = GridIndex(pts, 1.0)
+        assert index.num_nonempty_cells == 1
+        monkeypatch.setattr(query, "BLOCK_PAIRS", 20_000)
+        profile = WorkloadProfile(index)
+        tracemalloc.start()
+        try:
+            own = profile._own_cell_hits()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(own, brute_force_neighbor_counts(pts, 1.0))
+        assert peak < 4 * 2**20
 
     def test_exclude_self(self, rng):
         pts = rng.uniform(0, 4, (200, 2))
