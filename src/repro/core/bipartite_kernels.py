@@ -24,7 +24,6 @@ from repro.core.granularity import split_candidates
 from repro.core.kernels import BulkEmitter, resolve_bulk_queries
 from repro.core.workqueue import fetch_query_slot
 from repro.grid import GridIndex
-from repro.grid.bipartite import probe_offsets
 from repro.grid.query import within_epsilon
 from repro.simt import AtomicCounter, ThreadContext
 from repro.simt.vectorized import (
@@ -86,7 +85,7 @@ def bipartite_kernel(ctx: ThreadContext, args: BipartiteKernelArgs) -> None:
     query = args.queries[q]
 
     offset = 0
-    for inside, ranks in probe_offsets(index, query.reshape(1, -1)):
+    for inside, ranks in index.neighbors.probe(query.reshape(1, -1)):
         if not inside[0]:
             continue
         ctx.charge_cell_visit()
@@ -112,7 +111,7 @@ def bipartite_bulk(launch: BulkLaunch, args: BipartiteKernelArgs) -> BulkKernelR
     side effects. The bipartite probe differs from the self-join in that
     queries live outside the index — their (unclamped) cell coordinates
     may fall outside the grid, so the probe set is the full 3**n offsets
-    of :func:`~repro.grid.bipartite.probe_offsets`, bounds-checked per
+    of :meth:`~repro.grid.neighbors.NeighborTable.probe`, bounds-checked per
     offset, rather than a :class:`~repro.core.patterns.PatternPlan`.
     """
     index = args.index
@@ -141,7 +140,7 @@ def bipartite_bulk(launch: BulkLaunch, args: BipartiteKernelArgs) -> BulkKernelR
     if len(lg):
         q_points = args.queries[qs]
         flat_base = np.zeros(len(lg), dtype=np.int64)
-        for oi, (inside, ranks) in enumerate(probe_offsets(index, q_points)):
+        for oi, (inside, ranks) in enumerate(index.neighbors.probe(q_points)):
             visits_of_group[lg[inside]] += 1  # in-bounds probes cost a visit
             sel = np.flatnonzero(ranks >= 0)
             if not len(sel):

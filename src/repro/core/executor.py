@@ -103,11 +103,6 @@ class BatchOutcome:
     def overflow_wasted_seconds(self) -> float:
         return float(sum(r.wasted_seconds for r in self.overflow_retries))
 
-    def merged_pairs(self) -> np.ndarray:
-        if not self.pairs_per_batch:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(self.pairs_per_batch, axis=0)
-
 
 class BatchExecutor(Protocol):
     """Anything that can run a planned sequence of batch kernels."""

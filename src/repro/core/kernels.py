@@ -405,11 +405,11 @@ def selfjoin_bulk(launch: BulkLaunch, args: KernelArgs) -> BulkKernelResult:
         flat_base += index.cell_counts[qcell]
         mirror = args.pattern != "full"
         for o in plan.pattern_offsets():
-            visit, nranks = plan.offset_visits(int(o))
-            sel = np.flatnonzero(visit[qcell] & (nranks[qcell] >= 0))
+            _, nranks = plan.offset_visits(int(o), qcell)
+            sel = np.flatnonzero(nranks >= 0)
             if not len(sel):
                 continue
-            ranks = nranks[qcell[sel]]
+            ranks = nranks[sel]
             emitter.process_stage(
                 int(o),
                 lg[sel],

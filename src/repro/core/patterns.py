@@ -44,11 +44,6 @@ __all__ = [
 
 PATTERN_NAMES = ("full", "unicomp", "lidunicomp")
 
-#: Above this many (offset, cell) entries the plan stops retaining dense
-#: per-offset visit arrays and recomputes them on demand — keeps 6-D grids
-#: (3**6 = 729 offsets) from pinning hundreds of MB.
-PLAN_DENSE_LIMIT = 8_000_000
-
 
 def unicomp_pivot_dims(ndim: int) -> np.ndarray:
     """For each non-zero neighbor offset, the dimension whose parity decides
@@ -71,16 +66,17 @@ class PatternPlan:
 
     The kernels ask the same two questions for every thread: *which offsets
     does my cell probe* and *which non-empty cell sits behind each probe*.
-    Both depend only on ``(pattern, cell_rank)``, so the plan answers them
-    from caches:
+    Both depend only on ``(pattern, cell_rank)``; the plan answers them
+    through the index's :class:`~repro.grid.neighbors.NeighborTable`:
 
     - :meth:`cells_for_rank` — the single-cell view the interpreted kernel
       consumes, computed once per origin cell;
-    - :meth:`offset_visits` — the transposed, all-cells-at-once view the
-      bulk engine consumes, computed once per offset (retained only while
-      the dense arrays stay under :data:`PLAN_DENSE_LIMIT` entries);
+    - :meth:`offset_visits` — the transposed view the bulk engine
+      consumes: one offset seen from a launch's query cells, computed per
+      launch at a cost linear in those cells;
     - :meth:`visited_counts` / :meth:`candidate_counts` — the per-cell
-      probe and candidate totals every analytic cycle charge reduces to.
+      probe and candidate totals every analytic cycle charge reduces to,
+      computed once per plan.
 
     Plans are obtained through :func:`get_pattern_plan`, which memoizes
     them on ``index.plan_cache`` so all engines (and the perf model) share
@@ -97,12 +93,8 @@ class PatternPlan:
         self._offs = neighbor_offsets(index.ndim)
         self._zero_idx = len(self._offs) // 2
         self._cell_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._offset_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._visited_counts: np.ndarray | None = None
         self._candidate_counts: np.ndarray | None = None
-        self._keep_dense = (
-            len(self._offs) * max(index.num_nonempty_cells, 1) <= PLAN_DENSE_LIMIT
-        )
         if pattern == "full":
             self._take_all = np.ones(len(self._offs), dtype=bool)
             self._take_all[self._zero_idx] = False
@@ -131,42 +123,36 @@ class PatternPlan:
         — the traversal order of the kernels' pattern-cell loop."""
         return self._offset_candidates
 
-    def take_mask(self, offset_idx: int) -> np.ndarray:
-        """Per-cell pattern membership of one neighbor offset (bounds not
-        yet applied). The origin offset is always all-False: callers scan
-        the origin cell themselves, with one-directional emission."""
-        num_cells = self.index.num_nonempty_cells
-        if not self._take_all[offset_idx]:
-            return np.zeros(num_cells, dtype=bool)
-        if self._pivots is None:
-            return np.ones(num_cells, dtype=bool)
+    def take_mask(self, offset_idx: int, cells: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Pattern membership of one neighbor offset for every non-empty
+        cell, or for the cell ranks ``cells`` (bounds not yet applied). The
+        origin offset is always all-False: callers scan the origin cell
+        themselves, with one-directional emission."""
+        take = self._take_all[offset_idx]
+        if self._pivots is None or not take:
+            return np.full(self.index.cell_ids[cells].shape, take)
         piv = self._pivots[offset_idx]
-        return (self.index.cell_coords_arr[:, piv] & 1) == 1
+        return (self.index.cell_coords_arr[cells, piv] & 1) == 1
 
-    def offset_visits(self, offset_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """All-cells view of one offset: ``(visit_mask, neighbor_ranks)``.
+    def offset_visits(self, offset_idx: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One offset seen from the origin cell ranks ``cells``:
+        ``(visit_mask, neighbor_ranks)``.
 
-        ``visit_mask[c]`` — cell ``c`` probes this offset (member and
-        in-bounds, so it pays a cell-visit charge); ``neighbor_ranks[c]`` —
-        rank of the non-empty cell behind the probe, or -1 (empty neighbor
-        or no probe).
+        ``visit_mask[i]`` — cell ``cells[i]`` probes this offset (member
+        and in-bounds, so it pays a cell-visit charge);
+        ``neighbor_ranks[i]`` — rank of the non-empty cell behind the
+        probe, or -1 (empty neighbor or no probe). The cost is linear in
+        ``len(cells)``, so the bulk kernel asks for its launch's query
+        cells only.
         """
-        cached = self._offset_cache.get(offset_idx)
-        if cached is not None:
-            return cached
-        index = self.index
-        take = self.take_mask(offset_idx)
-        visit = np.zeros(index.num_nonempty_cells, dtype=bool)
-        ranks = np.full(index.num_nonempty_cells, -1, dtype=np.int64)
-        if take.any():
-            coords = index.cell_coords_arr[take] + self._offs[offset_idx]
-            inside = index.spec.in_bounds(coords)
-            visit[np.flatnonzero(take)[inside]] = True
-            ranks[visit] = index.lookup(index.spec.linearize(coords[inside]))
-        result = (visit, ranks)
-        if self._keep_dense:
-            self._offset_cache[offset_idx] = result
-        return result
+        table = self.index.neighbors
+        visit = self.take_mask(offset_idx, cells)
+        ranks = np.full(len(visit), -1, dtype=np.int32)
+        if visit.any():
+            visit &= table.inside(offset_idx, cells)
+            probes = self.index.cell_ids[cells[visit]] + table.deltas[offset_idx]
+            ranks[visit] = table.lookup(probes)
+        return visit, ranks
 
     def cells_for_rank(self, cell_rank: int) -> tuple[np.ndarray, np.ndarray]:
         """Single-cell view (see :func:`pattern_cells_for_query`), memoized
@@ -175,15 +161,13 @@ class PatternPlan:
         if got is not None:
             return got
         index = self.index
-        origin = index.cell_coords_arr[cell_rank]
+        table = index.neighbors
         take = self._take_all.copy()
         if self._pivots is not None:
             cand = self._offset_candidates
-            take[cand] = (origin[self._pivots[cand]] & 1) == 1
-        coords = origin + self._offs[take]
-        inside = index.spec.in_bounds(coords)
-        visited = np.flatnonzero(take)[inside]
-        ranks = index.lookup(index.spec.linearize(coords[inside]))
+            take[cand] = (index.cell_coords_arr[cell_rank, self._pivots[cand]] & 1) == 1
+        visited = np.flatnonzero(take & table.cell_inside(cell_rank))
+        ranks = table.lookup(index.cell_ids[cell_rank] + table.deltas[visited])
         got = (visited, ranks)
         self._cell_cache[cell_rank] = got
         return got
@@ -191,9 +175,10 @@ class PatternPlan:
     def visited_counts(self) -> np.ndarray:
         """Per-cell number of probed pattern offsets (origin excluded)."""
         if self._visited_counts is None:
-            total = np.zeros(self.index.num_nonempty_cells, dtype=np.int64)
+            cells = np.arange(self.index.num_nonempty_cells)
+            total = np.zeros(len(cells), dtype=np.int64)
             for o in self._offset_candidates:
-                visit, _ = self.offset_visits(int(o))
+                visit, _ = self.offset_visits(int(o), cells)
                 total += visit
             self._visited_counts = total
         return self._visited_counts
@@ -203,8 +188,9 @@ class PatternPlan:
         visited non-empty pattern neighbor."""
         if self._candidate_counts is None:
             counts = self.index.cell_counts.copy()
+            cells = np.arange(len(counts))
             for o in self._offset_candidates:
-                visit, ranks = self.offset_visits(int(o))
+                visit, ranks = self.offset_visits(int(o), cells)
                 hit = visit & (ranks >= 0)
                 counts[hit] += self.index.cell_counts[ranks[hit]]
             self._candidate_counts = counts

@@ -9,7 +9,18 @@ import numpy as np
 from repro.simt import KernelStats
 from repro.simt.streams import PipelineResult
 
-__all__ = ["JoinResult"]
+__all__ = ["JoinResult", "stack_fragments"]
+
+
+def stack_fragments(blocks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``(pairs, fragments)``: the ``(M, 2)`` concatenation of pair blocks,
+    and the blocks again as row views into it, so each pair is stored once."""
+    blocks = list(blocks)
+    if not blocks:
+        return np.empty((0, 2), dtype=np.int64), ()
+    pairs = np.concatenate(blocks, axis=0)
+    bounds = np.cumsum([len(b) for b in blocks[:-1]], dtype=np.int64)
+    return pairs, tuple(np.split(pairs, bounds))
 
 
 @dataclass(frozen=True)

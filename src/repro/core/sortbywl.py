@@ -78,11 +78,9 @@ def pattern_workload_components(
         mask = plan.take_mask(oi)
         if not mask.any():
             continue
-        in_bounds = index.spec.in_bounds(index.cell_coords_arr + off)
-        probe = mask & in_bounds
-        visited += probe
+        visited += mask & index.neighbors.inside(oi)
         ranks = neighbor_ranks_for_offset(index, off)
-        hit = probe & (ranks >= 0)
+        hit = mask & (ranks >= 0)
         cand[:, hit] += thread_share_counts(counts[ranks[hit]], k)
     return WorkloadComponents(thread_candidates=cand, visited_cells=visited)
 

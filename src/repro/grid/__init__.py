@@ -11,13 +11,14 @@ Public surface:
   cell ids.
 - :class:`GridIndex` — the built index: sorted unique linear ids of non-empty
   cells, per-cell point ranges, and point lookup.
-- :mod:`repro.grid.neighbors` — neighbor-offset enumeration and vectorized
-  per-cell neighbor resolution used by both the kernels and the performance
-  model.
+- :mod:`repro.grid.neighbors` — neighbor-offset enumeration and the
+  index's one :class:`~repro.grid.neighbors.NeighborTable`
+  (``index.neighbors``) behind every cell probe of the kernels, walkers,
+  estimators and the performance model.
 - :mod:`repro.grid.query` — the one candidate-block walker and the one ε
   test every engine, estimator and model refines through.
-- :mod:`repro.grid.bipartite` — the one per-query probe of external
-  queries, and the reference similarity join built on it.
+- :mod:`repro.grid.bipartite` — external-query range queries over the
+  table's per-query probe, and the reference similarity join built on it.
 """
 
 from repro.grid.cells import GridSpec

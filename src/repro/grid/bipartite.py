@@ -6,9 +6,10 @@ from an external dataset A: query cell coordinates are *unclamped*, so
 queries outside B's bounding box probe exactly the boundary cells their
 ε-ball can reach (or nothing, if they are farther than one cell away).
 
-:func:`probe_offsets` is the one per-query probe, shared with the bipartite
-kernels; the helpers power the bipartite join's estimator, workload
-quantification and reference results through :mod:`repro.grid.query`.
+:meth:`NeighborTable.probe <repro.grid.neighbors.NeighborTable.probe>` of
+the index is the one per-query probe, shared with the bipartite kernels;
+the helpers power the bipartite join's estimator, workload quantification
+and reference results through :mod:`repro.grid.query`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.grid.index import GridIndex
-from repro.grid.neighbors import neighbor_offsets
 from repro.grid.query import candidate_blocks, epsilon_filter, pair_array, refine_blocks
 from repro.util import as_points_array
 
@@ -27,24 +27,7 @@ __all__ = [
     "bipartite_pairs",
     "bipartite_workloads",
     "iter_bipartite_blocks",
-    "probe_offsets",
 ]
-
-
-def probe_offsets(
-    index: GridIndex, queries: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per neighbor offset of each query's *unclamped* cell: ``(inside,
-    ranks)`` — whether the probed cell is in the grid (even an empty one
-    costs the binary search), and the non-empty B-cell there, or -1."""
-    coords = index.spec.cell_coords(queries, clamp=False)
-    for off in neighbor_offsets(index.ndim):
-        probe = coords + off
-        inside = index.spec.in_bounds(probe)
-        ranks = np.full(len(coords), -1, dtype=np.int64)
-        if inside.any():
-            ranks[inside] = index.lookup(index.spec.linearize(probe[inside]))
-        yield inside, ranks
 
 
 def iter_bipartite_blocks(
@@ -66,7 +49,7 @@ def iter_bipartite_blocks(
         query_ids = np.asarray(query_ids, dtype=np.int64)
     if len(queries) == 0 or index.num_points == 0:
         return
-    for _, ranks in probe_offsets(index, queries):
+    for _, ranks in index.neighbors.probe(queries):
         yield from candidate_blocks(index, query_ids, ranks, chunk_pairs=chunk_pairs)
 
 
@@ -113,7 +96,7 @@ def bipartite_workloads(
     visited = np.zeros(nq, dtype=np.int64)
     if nq == 0 or index.num_points == 0:
         return cand, visited
-    for inside, ranks in probe_offsets(index, queries):
+    for inside, ranks in index.neighbors.probe(queries):
         visited += inside
         hit = ranks >= 0
         cand[hit] += index.cell_counts[ranks[hit]]

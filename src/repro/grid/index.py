@@ -18,10 +18,12 @@ the paper relies on.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 
 from repro.grid.cells import GridSpec
+from repro.grid.neighbors import NeighborTable
 from repro.util import as_points_array
 
 __all__ = ["BUILD_METHODS", "GridIndex", "dataset_fingerprint"]
@@ -130,6 +132,8 @@ class GridIndex:
         # a plain dict so plans live exactly as long as the index they describe
         self.plan_cache: dict = {}
         self._fingerprint: str | None = None
+        self._neighbors: NeighborTable | None = None
+        self._neighbors_lock = threading.Lock()
 
     @classmethod
     def build(
@@ -181,6 +185,16 @@ class GridIndex:
         found = self.cell_ids[pos_clipped] == ids
         return np.where(found, pos_clipped, -1).astype(np.int64)
 
+    @property
+    def neighbors(self) -> NeighborTable:
+        """The index's one :class:`~repro.grid.neighbors.NeighborTable`,
+        built on first use and kept for the index's lifetime."""
+        if self._neighbors is None:
+            with self._neighbors_lock:
+                if self._neighbors is None:
+                    self._neighbors = NeighborTable(self)
+        return self._neighbors
+
     def points_in_cell(self, rank: int) -> np.ndarray:
         """Original indices of the points stored in non-empty cell ``rank``."""
         if not 0 <= rank < self.num_nonempty_cells:
@@ -213,7 +227,8 @@ class GridIndex:
         return self._fingerprint
 
     def memory_bytes(self) -> int:
-        """Bytes used by the index arrays (excluding the point data itself)."""
+        """Bytes used by the index arrays and, once built, its neighbour
+        table with the table's memo (excluding the point data itself)."""
         arrays = (
             self.point_order,
             self.cell_ids,
@@ -222,7 +237,8 @@ class GridIndex:
             self.point_cell_rank,
             self.cell_coords_arr,
         )
-        return int(sum(a.nbytes for a in arrays))
+        table = self._neighbors
+        return int(sum(a.nbytes for a in arrays)) + (table.nbytes if table is not None else 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -196,7 +196,7 @@ def grid_neighbor_counts(
     unique_queries, inverse = np.unique(queries, return_inverse=True)
     counts_unique = np.zeros(len(unique_queries), dtype=np.int64)
     keep = epsilon_filter(index.points, index.points, index.epsilon)
-    blocks = iter_candidate_blocks(index, queries, chunk_pairs=chunk_pairs)
+    blocks = iter_candidate_blocks(index, unique_queries, chunk_pairs=chunk_pairs)
     for qi, _ in refine_blocks(blocks, keep, include_self=include_self):
         np.add.at(counts_unique, np.searchsorted(unique_queries, qi), 1)
     return counts_unique[inverse]

@@ -89,6 +89,10 @@ def load_shard_fragment(path) -> tuple[JoinResult, dict]:
             f"unsupported shard fragment version {meta.get('format_version')!r}"
         )
     batch_stats, pipeline, fragments = pickle.loads(payload)
+    if fragments:
+        # the pickled blocks are copies: keep each pair once, as row views of pairs
+        bounds = np.cumsum([len(f) for f in fragments[:-1]], dtype=np.int64)
+        fragments = tuple(np.split(pairs, bounds))
     result = JoinResult(
         pairs=pairs,
         epsilon=float(meta["epsilon"]),

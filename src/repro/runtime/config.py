@@ -189,10 +189,12 @@ class ProfilingOptions:
     """Which execution artifacts the returned result retains.
 
     ``keep_fragments`` preserves the per-batch pair blocks that back
-    :meth:`~repro.core.result.JoinResult.iter_pairs` streaming;
-    ``keep_trace`` preserves the pooled run's
+    :meth:`~repro.core.result.JoinResult.iter_pairs` streaming. In memory
+    they are row views of ``pairs``, but pickling a result (a journaled
+    shard) copies them: turn them off to keep the journal at one copy of
+    the pairs. ``keep_trace`` preserves the pooled run's
     :class:`~repro.multigpu.scheduler.ScheduleTrace` (pool statistics are
-    computed either way). Turn them off to shed memory on huge runs.
+    computed either way); turn it off to shed memory on huge runs.
     """
 
     keep_fragments: bool = True

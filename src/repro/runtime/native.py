@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.result import JoinResult
+from repro.core.result import JoinResult, stack_fragments
 from repro.core.sortbywl import sort_by_workload
 from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_workloads, iter_bipartite_blocks
@@ -182,7 +182,8 @@ def execute_shard_native(
     The returned pair set equals the simulated engines' merged set
     order-normalized (compare via
     :meth:`~repro.core.result.JoinResult.canonical_pairs`); fragments are
-    the per-block pair buffers, so streaming consumption works unchanged.
+    row views of ``pairs``, one per refined block, so streaming
+    consumption works unchanged.
     Pipeline times are host wall-clock, ``fidelity="none"``.
     """
     order = native_query_order(op, index, cfg, subset=subset)
@@ -205,11 +206,7 @@ def execute_shard_native(
         ends.append(now)
         prev = now
     wall = time.perf_counter() - t0
-    pairs = (
-        np.concatenate(fragments, axis=0)
-        if fragments
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    pairs, views = stack_fragments(fragments)
     pipeline = PipelineResult(
         total_seconds=wall,
         kernel_start=np.array(starts, dtype=np.float64),
@@ -223,7 +220,7 @@ def execute_shard_native(
         batch_stats=[],
         pipeline=pipeline,
         config_description=description if description is not None else op.describe(cfg),
-        fragments=tuple(fragments) if keep_fragments else None,
+        fragments=views if keep_fragments else None,
         fidelity="none",
     )
 

@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.executor import BatchExecutor, DeviceExecutor
 from repro.core.batching import plan_batches, plan_batches_balanced
 from repro.core.config import OptimizationConfig
-from repro.core.result import JoinResult
+from repro.core.result import JoinResult, stack_fragments
 from repro.grid import GridIndex
 from repro.resilience.executor import FaultyExecutor
 from repro.resilience.faults import SimulatedCrashError
@@ -140,8 +140,9 @@ def execute_shard(
             # estimator under-guessed; double and re-plan
             est = max(est * 2, cfg.batch_result_capacity + 1)
             continue
+        pairs, fragments = stack_fragments(outcome.pairs_per_batch)
         return JoinResult(
-            pairs=outcome.merged_pairs(),
+            pairs=pairs,
             epsilon=op.result_epsilon(index),
             num_points=len(prep.order),
             batch_stats=outcome.batch_stats,
@@ -149,7 +150,7 @@ def execute_shard(
             config_description=description if description is not None else op.describe(cfg),
             overflow_retries=outcome.num_overflow_retries,
             overflow_wasted_seconds=outcome.overflow_wasted_seconds,
-            fragments=tuple(outcome.pairs_per_batch) if keep_fragments else None,
+            fragments=fragments if keep_fragments else None,
         )
     raise RuntimeError(
         f"batch planning failed to converge after {_MAX_REPLANS} attempts"

@@ -8,7 +8,10 @@ query cost — so a serving layer must not rebuild the ε-grid per request.
 subsequent request on the same registered dataset. The memoized
 :class:`~repro.core.patterns.PatternPlan`\\ s ride along for free: they
 live on ``index.plan_cache``, so a cache hit reuses the pattern geometry
-too (every engine shares one copy per pattern).
+too (every engine shares one copy per pattern). So do the neighbour
+ranks: a cached index carries its :class:`~repro.grid.neighbors.NeighborTable`
+(``index.neighbors``), whose per-offset ranks the estimator and the native
+pass of earlier requests memoized, within the index's own byte budget.
 
 Eviction is LRU over a fixed entry budget; hits, misses and evictions are
 counted for the :class:`~repro.profiling.ServiceReport`.

@@ -12,6 +12,7 @@ from repro.core import (
     SelfJoin,
     SimilarityJoin,
 )
+from repro.core.result import stack_fragments
 from repro.data.adversarial import dense_core_sparse_halo
 from repro.grid import GridIndex
 from repro.runtime import RuntimeConfig
@@ -111,6 +112,6 @@ def test_batch_outcome_merge_empty():
         transfer_seconds=[],
         pipeline=None,
     )
-    merged = outcome.merged_pairs()
-    assert merged.shape == (0, 2)
+    pairs, fragments = stack_fragments(outcome.pairs_per_batch)
+    assert pairs.shape == (0, 2) and fragments == ()
     assert outcome.num_batches == 0

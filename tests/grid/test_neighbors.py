@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.patterns import PATTERN_NAMES, PatternPlan
 from repro.grid import (
     GridIndex,
     neighbor_offsets,
     neighbor_ranks_for_offset,
     neighbor_ranks_of_cell,
+    neighbors,
 )
-from repro.grid.neighbors import offset_linear_deltas
+from repro.grid.neighbors import DENSE_CELLS_PER_NONEMPTY, NeighborTable, offset_linear_deltas
 
 
 class TestNeighborOffsets:
@@ -111,3 +118,243 @@ class TestNeighborRanks:
         inner = idx.lookup(idx.spec.linearize(np.array([[2, 2]])))[0]
         assert len(neighbor_ranks_of_cell(idx, int(corner))) == 4
         assert len(neighbor_ranks_of_cell(idx, int(inner))) == 9
+
+
+# ----------------------------------------------------------------------
+# The neighbour table against the probes it replaced
+# ----------------------------------------------------------------------
+def reference_probe(index, queries):
+    """The per-query probe the table replaced, kept as the bipartite
+    reference: unclamped cell + offset, in-bounds test, linearize, binary
+    search. Out-of-grid coordinates are never linearized."""
+    coords = index.spec.cell_coords(queries, clamp=False)
+    for off in neighbor_offsets(index.ndim):
+        probe = coords + off
+        inside = index.spec.in_bounds(probe)
+        ranks = np.full(len(coords), -1, dtype=np.int64)
+        if inside.any():
+            ranks[inside] = index.lookup(index.spec.linearize(probe[inside]))
+        yield inside, ranks
+
+
+def reference_ranks_for_offset(index, offset):
+    """``neighbor_ranks_for_offset`` as computed before the table."""
+    coords = index.cell_coords_arr + offset
+    inside = index.spec.in_bounds(coords)
+    ranks = np.full(index.num_nonempty_cells, -1, dtype=np.int64)
+    if inside.any():
+        ranks[inside] = index.lookup(index.spec.linearize(coords[inside]))
+    return ranks
+
+
+def reference_offset_visits(plan, offset_idx):
+    """``PatternPlan.offset_visits`` as computed before the table."""
+    index = plan.index
+    take = plan.take_mask(offset_idx)
+    visit = np.zeros(index.num_nonempty_cells, dtype=bool)
+    ranks = np.full(index.num_nonempty_cells, -1, dtype=np.int64)
+    if take.any():
+        coords = index.cell_coords_arr[take] + neighbor_offsets(index.ndim)[offset_idx]
+        inside = index.spec.in_bounds(coords)
+        visit[np.flatnonzero(take)[inside]] = True
+        ranks[visit] = index.lookup(index.spec.linearize(coords[inside]))
+    return visit, ranks
+
+
+def reference_cells_for_rank(plan, cell_rank):
+    """``PatternPlan.cells_for_rank`` as computed before the table."""
+    index = plan.index
+    offs = neighbor_offsets(index.ndim)
+    take = np.array([plan.take_mask(oi)[cell_rank] for oi in range(len(offs))])
+    coords = index.cell_coords_arr[cell_rank] + offs[take]
+    inside = index.spec.in_bounds(coords)
+    visited = np.flatnonzero(take)[inside]
+    ranks = index.lookup(index.spec.linearize(coords[inside]))
+    return visited, ranks
+
+
+def rank_paths(index):
+    """Tables over ``index`` on both rank paths: searchsorted always, and
+    dense whenever the virtual grid is small enough to allocate here."""
+    with mock.patch.object(neighbors, "DENSE_CELLS_PER_NONEMPTY", 0):
+        tables = [NeighborTable(index)]
+    if 0 < index.spec.total_cells <= 1 << 20 and index.num_nonempty_cells:
+        with mock.patch.object(neighbors, "DENSE_CELLS_PER_NONEMPTY", index.spec.total_cells):
+            tables.append(NeighborTable(index))
+    assert [t.dense is not None for t in tables] == [False, True][: len(tables)]
+    return tables
+
+
+@st.composite
+def grid_indexes(draw, max_dim=6):
+    """Small 1–6-D indexes: width-1 dimensions (span 0 or below ε), one
+    cell, no points, duplicates, and coarsened specs (tiny ε)."""
+    ndim = draw(st.integers(1, max_dim))
+    n = draw(st.integers(0, 24))
+    spans = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.2, 1.5, 4.0]), min_size=ndim, max_size=ndim))
+    )
+    eps = draw(st.sampled_from([0.35, 1.0, 1e-9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(0.0, 1.0, (n, ndim)) * spans
+    if n and draw(st.booleans()):
+        pts[rng.integers(0, n, n // 2)] = pts[0]  # duplicates
+    return GridIndex(pts, eps)
+
+
+class TestNeighborTable:
+    @given(index=grid_indexes())
+    def test_ranks_match_per_cell_reference(self, index):
+        offs = neighbor_offsets(index.ndim)
+        coords = index.cell_coords_arr
+        for table in rank_paths(index):
+            ranks = np.stack([table.ranks(oi) for oi in range(len(offs))], axis=1)
+            inside = np.stack([table.inside(oi) for oi in range(len(offs))], axis=1)
+            assert ranks.dtype == np.int32
+            assert ranks.shape == (index.num_nonempty_cells, len(offs))
+            for r in range(index.num_nonempty_cells):
+                in_grid = index.spec.in_bounds(coords[r] + offs)
+                np.testing.assert_array_equal(inside[r], in_grid)
+                np.testing.assert_array_equal(table.cell_inside(r), in_grid)
+                assert (ranks[r][~in_grid] == -1).all()
+                np.testing.assert_array_equal(
+                    ranks[r][ranks[r] >= 0], neighbor_ranks_of_cell(index, r)
+                )
+        for oi, off in enumerate(offs):
+            np.testing.assert_array_equal(neighbor_ranks_for_offset(index, off), ranks[:, oi])
+
+    @given(index=grid_indexes(), seed=st.integers(0, 2**32 - 1))
+    def test_probe_matches_bipartite_reference(self, index, seed):
+        # query cells at -1 and w (just outside), inside, and 10**6 cells away
+        spec = index.spec
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(-2, spec.widths + 2, size=(12, index.ndim))
+        cells[0] = -1
+        cells[1] = spec.widths
+        cells[2, 0] = 10**6
+        cells[3, -1] = -(10**6)
+        queries = spec.mins + (cells + 0.5) * spec.cell_length
+        assert (spec.cell_coords(queries, clamp=False) == cells).all()
+        for table in rank_paths(index):
+            got = list(table.probe(queries))
+            want = list(reference_probe(index, queries))
+            assert len(got) == len(want) == 3**index.ndim
+            for (inside, ranks), (ref_inside, ref_ranks) in zip(got, want):
+                np.testing.assert_array_equal(inside, ref_inside)
+                np.testing.assert_array_equal(ranks, ref_ranks)
+
+    @given(index=grid_indexes(max_dim=4), seed=st.integers(0, 2**32 - 1))
+    def test_pattern_plans_match_previous_probe(self, index, seed):
+        # all cells, and a launch-like subset: unsorted, with repeats
+        n = index.num_nonempty_cells
+        every = np.arange(n)
+        launch = np.random.default_rng(seed).integers(0, max(n, 1), size=min(n, 7) * 2)
+        for pattern in PATTERN_NAMES:
+            plan = PatternPlan(pattern, index)
+            for oi in range(3**index.ndim):
+                ref_visit, ref_ranks = reference_offset_visits(plan, oi)
+                for cells in (every, launch):
+                    visit, ranks = plan.offset_visits(oi, cells)
+                    np.testing.assert_array_equal(visit, ref_visit[cells])
+                    np.testing.assert_array_equal(ranks, ref_ranks[cells])
+            for r in range(index.num_nonempty_cells):
+                visited, ranks = plan.cells_for_rank(r)
+                ref_visited, ref_ranks = reference_cells_for_rank(plan, r)
+                np.testing.assert_array_equal(visited, ref_visited)
+                np.testing.assert_array_equal(ranks, ref_ranks)
+
+    def test_no_points(self):
+        index = GridIndex(np.empty((0, 3)), 1.0)
+        assert neighbor_ranks_for_offset(index, neighbor_offsets(3)[0]).shape == (0,)
+        probes = list(index.neighbors.probe(np.zeros((2, 3))))
+        assert all((ranks == -1).all() for _, ranks in probes)
+
+    def test_single_cell(self):
+        index = GridIndex(np.ones((5, 2)), 0.5)
+        ranks = [neighbor_ranks_for_offset(index, off) for off in neighbor_offsets(2)]
+        assert [int(r[0]) for r in ranks] == [-1] * 4 + [0] + [-1] * 4
+
+    def test_coarsened_spec(self):
+        index = GridIndex(np.random.default_rng(0).uniform(0, 1, (50, 3)), 1e-9)
+        assert index.spec.is_coarsened and index.neighbors.dense is None
+        for r in range(index.num_nonempty_cells):
+            got = np.array([neighbor_ranks_for_offset(index, o)[r] for o in neighbor_offsets(3)])
+            np.testing.assert_array_equal(got[got >= 0], neighbor_ranks_of_cell(index, r))
+
+    def test_rank_path_follows_grid_density(self):
+        rng = np.random.default_rng(0)
+        dense = GridIndex(rng.uniform(0, 5, (2000, 2)), 0.5)
+        sparse = GridIndex(rng.uniform(0, 50, (100, 2)), 0.5)
+        assert dense.spec.total_cells <= DENSE_CELLS_PER_NONEMPTY * dense.num_nonempty_cells
+        assert dense.neighbors.dense is not None and sparse.neighbors.dense is None
+
+    def test_rejects_offsets_beyond_adjacent_cells(self):
+        index = GridIndex(np.random.default_rng(0).uniform(0, 5, (50, 2)), 0.5)
+        with pytest.raises(ValueError, match="neighbor_offsets"):
+            neighbor_ranks_for_offset(index, np.array([2, 0]))
+        with pytest.raises(ValueError, match="neighbor_offsets"):
+            neighbor_ranks_for_offset(index, np.array([1, 0, 0]))
+
+
+class TestNeighborMemo:
+    def test_returned_ranks_are_read_only(self, small_uniform_2d):
+        index = GridIndex(small_uniform_2d, 1.0)
+        ranks = neighbor_ranks_for_offset(index, neighbor_offsets(2)[0])
+        with pytest.raises(ValueError):
+            ranks[0] = 5
+
+    def test_threads_fill_the_memo_once(self):
+        # four threads ask for the same offsets in the same order, so most
+        # lookups race on an empty memo slot
+        offs = neighbor_offsets(2)
+        for seed in range(8):
+            index = GridIndex(np.random.default_rng(seed).uniform(0, 100, (20_000, 2)), 0.5)
+            expected = [reference_ranks_for_offset(index, off) for off in offs]
+            results = [[] for _ in range(4)]
+            barrier = threading.Barrier(4)
+
+            def work(t):
+                barrier.wait(timeout=30)
+                for off in offs:
+                    results[t].append(neighbor_ranks_for_offset(index, off))
+
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(previous)
+            assert not any(thread.is_alive() for thread in threads)
+            for oi, off in enumerate(offs):
+                stored = neighbor_ranks_for_offset(index, off)
+                for t in range(4):
+                    assert results[t][oi] is stored
+                    np.testing.assert_array_equal(results[t][oi], expected[oi])
+            # 2-D: the nine offsets fit the budget, and each is counted once
+            assert index.neighbors.memo_bytes == len(offs) * index.num_nonempty_cells * 4
+
+    def test_memory_bytes_count_table_and_memo(self, small_uniform_2d):
+        index = GridIndex(small_uniform_2d, 1.0)
+        arrays = index.memory_bytes()
+        table = index.neighbors
+        assert table.memo_budget == arrays
+        for off in neighbor_offsets(2):
+            neighbor_ranks_for_offset(index, off)
+        assert 0 < table.memo_bytes <= table.nbytes
+        assert index.memory_bytes() == arrays + table.nbytes
+
+    def test_memo_stays_within_budget_on_hidim_index(self):
+        # the 6-D shape of the hidim benchmark workload: 364 half offsets,
+        # each used once by the native pass
+        index = GridIndex(np.random.default_rng(0).uniform(0, 100, (30_000, 6)), 15.0)
+        arrays = index.memory_bytes()
+        for off in neighbor_offsets(6)[3**6 // 2 + 1 :]:
+            neighbor_ranks_for_offset(index, off)
+        table = index.neighbors
+        assert 0 < table.memo_bytes <= table.memo_budget == arrays
+        assert index.memory_bytes() == arrays + table.nbytes
+

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from repro import (
     SelfJoin,
     ShardingConfig,
     SimilarityJoin,
+    compile_self_join,
 )
 from repro.grid import GridIndex
+from repro.runtime import CheckpointConfig
 
 
 def points(n=300, seed=0):
@@ -57,6 +61,26 @@ def test_bipartite_streaming_matches():
     left, right = rng.uniform(0, 10, (150, 2)), rng.uniform(0, 10, (200, 2))
     result = SimilarityJoin(PRESETS["gpucalcglobal"]).execute(left, right, 0.8)
     np.testing.assert_array_equal(concat(result.iter_pairs(chunk=64)), result.pairs)
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["run", "resumed"])
+@pytest.mark.parametrize("engine", ["vectorized", "native"])
+def test_fragments_are_views_of_pairs(engine, resumed, tmp_path):
+    # each pair is stored once: the fragments slice the pair array, also
+    # when a resumed run reads its shard back from the journal
+    cfg = dataclasses.replace(PRESETS["combined"], batch_result_capacity=400)
+    journal = CheckpointConfig(directory=str(tmp_path), keep=True)
+    rt = RuntimeConfig(optimization=cfg, engine=engine, checkpoint=journal)
+    plan = compile_self_join(GridIndex(points(), 0.7), rt)
+    runner = Runner()
+    result = runner.run(plan)
+    if resumed:
+        result = runner.resume(plan)
+        assert runner.last_checkpoint_stats.loads == 1
+    assert len(result.fragments) > 1
+    for fragment in result.fragments:
+        assert np.shares_memory(fragment, result.pairs)
+    np.testing.assert_array_equal(concat(result.fragments), result.pairs)
 
 
 def test_pooled_result_falls_back_to_merged_pairs():
