@@ -4,10 +4,19 @@ A *shard fragment* is one completed shard's :class:`JoinResult`, written
 as an ``.npz`` the moment the shard finishes so a crashed run can resume
 without repeating the work (see :mod:`repro.resilience.checkpoint`). The
 format extends the result-bundle idiom of :mod:`repro.io.results` with a
-pickled execution payload (batch stats, pipeline, fragments) so the
-reloaded result is *bit-identical* to the in-memory one — same pair
+pickled execution payload (batch stats, pipeline, fragment lengths) so
+the reloaded result is *bit-identical* to the in-memory one — same pair
 bytes, same float64 simulated times — which is what lets a resumed run
 merge to the exact golden result.
+
+The archive is stored, not compressed: writing it costs a copy, not a
+zlib pass, and each zip member still carries its CRC-32, so a flipped
+byte fails the read. ``pairs`` is stored as int32 when every id fits and
+always loads as int64. Each per-batch fragment is recorded by its length
+only; the loader splits ``pairs`` into row views of those lengths, so a
+pair is written once. A fragment of another format version (an older
+build's compressed archive) does not load: the journal treats it as
+unreadable and its shard re-executes.
 
 Writes are atomic: the archive is written to a ``.tmp`` sibling and
 ``os.replace``\\ d into place, so a crash mid-write leaves either the
@@ -29,7 +38,7 @@ from repro.core.result import JoinResult
 
 __all__ = ["load_shard_fragment", "save_shard_fragment"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def save_shard_fragment(
@@ -52,15 +61,19 @@ def save_shard_fragment(
         "overflow_wasted_seconds": result.overflow_wasted_seconds,
         "fidelity": result.fidelity,
     }
+    lengths = None if result.fragments is None else tuple(len(f) for f in result.fragments)
     payload = pickle.dumps(
-        (result.batch_stats, result.pipeline, result.fragments),
+        (result.batch_stats, result.pipeline, lengths),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
+    pairs = result.pairs
+    if pairs.size == 0 or (pairs.min() >= 0 and pairs.max() < 2**31):
+        pairs = pairs.astype(np.int32)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        np.savez_compressed(
+        np.savez(
             fh,
-            pairs=result.pairs,
+            pairs=pairs,
             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
             payload=np.frombuffer(payload, dtype=np.uint8),
         )
@@ -81,17 +94,17 @@ def load_shard_fragment(path) -> tuple[JoinResult, dict]:
     with np.load(path, allow_pickle=False) as archive:
         if "pairs" not in archive or "meta" not in archive or "payload" not in archive:
             raise ValueError(f"{path} is not a shard fragment")
-        pairs = archive["pairs"].astype(np.int64)
         meta = json.loads(archive["meta"].tobytes().decode())
+        if meta.get("format_version") != _FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported shard fragment version {meta.get('format_version')!r}"
+            )
+        pairs = archive["pairs"].astype(np.int64, copy=False)
         payload = archive["payload"].tobytes()
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported shard fragment version {meta.get('format_version')!r}"
-        )
     batch_stats, pipeline, fragments = pickle.loads(payload)
     if fragments:
-        # the pickled blocks are copies: keep each pair once, as row views of pairs
-        bounds = np.cumsum([len(f) for f in fragments[:-1]], dtype=np.int64)
+        # fragments are stored as lengths: rebuild them as row views of pairs
+        bounds = np.cumsum(fragments[:-1], dtype=np.int64)
         fragments = tuple(np.split(pairs, bounds))
     result = JoinResult(
         pairs=pairs,

@@ -3,11 +3,15 @@
 Shards execute in whatever order the scheduler's simulated clock dictates,
 so the merge must not depend on execution order: pairs are gathered in
 *shard-id* order and then put into canonical lexicographic order, giving a
-byte-identical result for any interleaving of the same shard set. Planners
-that shard cell-granularly under a mirrored half-pattern are additionally
-deduped (``np.unique`` row dedup) — single-coverage emission makes this a
-no-op in practice, but the merge enforces the invariant rather than
-assuming it.
+byte-identical result for any interleaving of the same shard set. The
+order comes from sorting one int64 key per pair, ``q · width + c`` with
+``width`` the largest second-column id + 1, built block by block and
+decoded straight into the output — the ``(N, 2)`` concatenation and a
+sort permutation are never allocated. Planners that shard
+cell-granularly under a mirrored half-pattern are additionally deduped
+(an adjacent-difference mask on the sorted key) — single-coverage
+emission makes this a no-op in practice, but the merge enforces the
+invariant rather than assuming it.
 
 The merged pipeline is synthesized from the scheduler trace: per-shard
 kernel windows in dispatch order, total time = pool makespan. That keeps
@@ -27,19 +31,37 @@ __all__ = ["merge_pairs", "merge_shard_results", "pipeline_from_trace"]
 
 
 def merge_pairs(pairs_list: list[np.ndarray], *, dedup: bool = False) -> np.ndarray:
-    """Concatenate pair blocks and sort lexicographically (stable order).
+    """Merge pair blocks into one lexicographically sorted ``(N, 2)`` int64 array.
 
     ``dedup=True`` also removes duplicate rows — required when a shard
-    plan could emit one pair from two shards.
+    plan could emit one pair from two shards. A negative id, or ids so
+    large that the sort key ``q · width + c`` could overflow int64, raise
+    ``ValueError``.
     """
     blocks = [np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in pairs_list if len(p)]
     if not blocks:
         return np.empty((0, 2), dtype=np.int64)
-    pairs = np.concatenate(blocks, axis=0)
+    if min(int(b.min()) for b in blocks) < 0:
+        raise ValueError("pair ids must be non-negative")
+    width = max(int(b[:, 1].max()) for b in blocks) + 1
+    if (max(int(b[:, 0].max()) for b in blocks) + 1) * width > 2**63:
+        raise ValueError("pair ids would overflow the int64 merge key")
+    key = np.empty(sum(len(b) for b in blocks), dtype=np.int64)
+    start = 0
+    for b in blocks:
+        part = key[start : start + len(b)]
+        np.multiply(b[:, 0], width, out=part)
+        part += b[:, 1]
+        start += len(b)
+    key.sort()
     if dedup:
-        return np.unique(pairs, axis=0)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+        keep = np.empty(len(key), dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    out = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, width, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 def pipeline_from_trace(trace: ScheduleTrace) -> PipelineResult:

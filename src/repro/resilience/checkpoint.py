@@ -62,8 +62,8 @@ _MANIFEST_VERSION = 1
 
 #: what decoding a damaged ``.npz`` fragment raises: an empty file
 #: (``EOFError``), a torn or flipped archive (``BadZipFile``,
-#: ``zlib.error``, a bad seek's ``OSError``), mangled members
-#: (``ValueError``, ``UnpicklingError``, ``KeyError``)
+#: ``zlib.error``, a bad seek's ``OSError``), mangled members or another
+#: format version (``ValueError``, ``UnpicklingError``, ``KeyError``)
 _UNREADABLE = (
     EOFError,
     KeyError,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core import OptimizationConfig, SelfJoin
 from repro.data.adversarial import stride_aliased_hotspots
@@ -41,6 +43,53 @@ def test_merge_pairs_dedup_and_empty():
     assert empty.shape == (0, 2)
     assert empty.dtype == np.int64
     assert merge_pairs([np.empty((0, 2), dtype=np.int64)]).shape == (0, 2)
+
+
+def _reference_merge(pairs_list, *, dedup=False):
+    """The two-column merge that the one-key sort replaced."""
+    blocks = [np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in pairs_list if len(p)]
+    if not blocks:
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = np.concatenate(blocks, axis=0)
+    if dedup:
+        return np.unique(pairs, axis=0)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return pairs[order]
+
+
+# a few small ids make duplicate rows likely, within and across blocks
+_ids = st.one_of(st.integers(0, 3), st.integers(0, 2**31 - 1))
+_blocks = st.lists(
+    st.lists(st.tuples(_ids, _ids), max_size=500).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(-1, 2)
+    ),
+    max_size=5,
+)
+
+
+@given(blocks=_blocks, repeats=st.lists(st.integers(0, 4), max_size=3), dedup=st.booleans())
+@example(blocks=[np.array([[7, 2]])], repeats=[], dedup=False)
+@example(blocks=[np.array([[7, 2]])], repeats=[], dedup=True)
+@example(blocks=[np.empty((0, 2), dtype=np.int64), np.array([[0, 0]])], repeats=[0, 1], dedup=True)
+def test_merge_pairs_matches_two_column_reference(blocks, repeats, dedup):
+    if blocks:
+        blocks = blocks + [blocks[i % len(blocks)] for i in repeats]
+    merged = merge_pairs(blocks, dedup=dedup)
+    reference = _reference_merge(blocks, dedup=dedup)
+    assert merged.dtype == reference.dtype
+    assert merged.shape == reference.shape
+    assert merged.tobytes() == reference.tobytes()
+
+
+def test_merge_pairs_rejects_a_negative_id():
+    with pytest.raises(ValueError, match="non-negative"):
+        merge_pairs([np.array([[0, 1]]), np.array([[2, -1]])])
+
+
+def test_merge_pairs_rejects_a_key_that_would_overflow():
+    near = 2**32
+    with pytest.raises(ValueError, match="overflow"):
+        merge_pairs([np.array([[near, near - 1], [near - 2, near]])])
 
 
 def _trace() -> ScheduleTrace:

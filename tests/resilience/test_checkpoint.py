@@ -8,10 +8,16 @@ single-device/pooled execution.
 
 from __future__ import annotations
 
+import json
+import os
+import pickle
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
-from repro.core import SelfJoin
+from repro.core import JoinResult, OptimizationConfig, SelfJoin
 from repro.data import uniform
 from repro.grid import GridIndex
 from repro.io import load_shard_fragment, save_shard_fragment
@@ -35,6 +41,7 @@ from repro.runtime import (
     compile_self_join,
     compile_similarity_join,
 )
+from repro.simt.streams import PipelineResult
 
 _EPS = 0.09
 
@@ -114,6 +121,36 @@ def test_fragment_roundtrip_is_exact(points, tmp_path):
     assert loaded.pairs.tobytes() == result.pairs.tobytes()
     assert loaded.total_seconds == result.total_seconds
     assert loaded.num_pairs == result.num_pairs
+
+
+def _hand_built(pairs) -> JoinResult:
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return JoinResult(
+        pairs=pairs,
+        epsilon=0.25,
+        num_points=int(pairs.max()) + 1,
+        batch_stats=[],
+        pipeline=PipelineResult(1.5, np.zeros(1), np.ones(1), np.ones(1)),
+        fragments=(pairs[:1], pairs[1:1], pairs[1:]),
+    )
+
+
+@pytest.mark.parametrize(
+    "largest, stored", [(2**31 - 1, np.dtype(np.int32)), (2**31, np.dtype(np.int64))]
+)
+def test_fragment_stores_int32_pairs_when_ids_fit(tmp_path, largest, stored):
+    result = _hand_built([[0, 5], [3, largest], [largest, 1]])
+    path = tmp_path / "frag.npz"
+    save_shard_fragment(path, result, shard_id=0, run_fingerprint="abc123")
+    with np.load(path) as archive:
+        assert archive["pairs"].dtype == stored
+    loaded, meta = load_shard_fragment(path)
+    assert meta["format_version"] == 2
+    assert loaded.pairs.dtype == np.int64
+    assert loaded.pairs.tobytes() == result.pairs.tobytes()
+    assert [f.tobytes() for f in loaded.fragments] == [f.tobytes() for f in result.fragments]
+    for fragment in loaded.fragments:
+        assert np.shares_memory(fragment, loaded.pairs) or not len(fragment)
 
 
 # ------------------------------------------------------------ resume
@@ -202,19 +239,38 @@ def test_stale_journal_of_a_different_run_raises(index, tmp_path):
         store.journal(fp, kind="self", description="x", num_shards=99)
 
 
+def _member_data(path, member) -> tuple[int, int]:
+    """``(first data byte, data size)`` of one member of a stored ``.npz``."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member + ".npy")
+    assert info.compress_type == zipfile.ZIP_STORED
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+    return info.header_offset + 30 + name_len + extra_len, info.compress_size
+
+
 def _corrupt(path, how):
     data = path.read_bytes()
     if how == "empty":
         data = b""
     elif how == "truncated":
         data = data[: len(data) // 2]
-    else:  # one byte flipped inside the compressed members
+    elif how.startswith("flipped-"):
+        # the last byte of one member: array data, past the .npy header
+        start, size = _member_data(path, how.removeprefix("flipped-"))
+        data = bytearray(data)
+        data[start + size - 1] ^= 0xFF
+    else:  # one byte flipped in the middle of the archive
         data = bytearray(data)
         data[len(data) // 2] ^= 0xFF
     path.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize("how", ["empty", "truncated", "flipped"])
+@pytest.mark.parametrize(
+    "how",
+    ["empty", "truncated", "flipped", "flipped-pairs", "flipped-meta", "flipped-payload"],
+)
 def test_unreadable_fragment_is_re_executed(index, tmp_path, how):
     golden = Runner().run(compile_self_join(index, _pooled()))
     ck = CheckpointConfig(directory=str(tmp_path))
@@ -230,6 +286,77 @@ def test_unreadable_fragment_is_re_executed(index, tmp_path, how):
     assert resumed.pairs.tobytes() == golden.pairs.tobytes()
     assert resumed.trace.signature() == golden.trace.signature()
     assert runner.last_checkpoint_stats.loads == 1
+
+
+def _save_v1_fragment(path, result, *, shard_id, run_fingerprint):
+    """The writer of format version 1: a compressed archive that pickles
+    the fragment blocks themselves next to ``pairs``."""
+    meta = {
+        "format_version": 1,
+        "run": run_fingerprint,
+        "shard_id": int(shard_id),
+        "epsilon": result.epsilon,
+        "num_points": result.num_points,
+        "config": result.config_description,
+        "num_pairs": result.num_pairs,
+        "total_seconds": result.total_seconds,
+        "overflow_retries": result.overflow_retries,
+        "overflow_wasted_seconds": result.overflow_wasted_seconds,
+        "fidelity": result.fidelity,
+    }
+    payload = pickle.dumps(
+        (result.batch_stats, result.pipeline, result.fragments),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            pairs=result.pairs,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            payload=np.frombuffer(payload, dtype=np.uint8),
+        )
+    os.replace(tmp, path)
+    return path.stat().st_size
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_version_1_fragment_is_re_executed_and_overwritten(index, tmp_path, pooled):
+    """A fragment left by the compressed version-1 writer is unreadable:
+    its shard re-executes and the new fragment replaces it. The pooled
+    run crashes at shard 2; the single-device run journals its one shard,
+    with its per-batch fragments, and completes."""
+
+    def rc(**kw):
+        if pooled:
+            return _pooled(**kw)
+        # a small result buffer gives the one shard several batch fragments
+        return RuntimeConfig(optimization=OptimizationConfig(batch_result_capacity=400), **kw)
+
+    golden = Runner().run(compile_self_join(index, rc()))
+    ck = CheckpointConfig(directory=str(tmp_path), keep=True)
+    if pooled:
+        crashing = rc(fault_plan=FaultPlan(crashes=(CrashPoint(at_shard=2),)), checkpoint=ck)
+        with pytest.raises(SimulatedCrashError):
+            Runner().run(compile_self_join(index, crashing))
+    else:
+        Runner().run(compile_self_join(index, rc(checkpoint=ck)))
+    plan = compile_self_join(index, rc(checkpoint=ck))
+    fragments = sorted((tmp_path / run_fingerprint(plan)).glob("shard-*.npz"))
+    assert len(fragments) == (2 if pooled else 1)
+    result, meta = load_shard_fragment(fragments[0])
+    assert pooled or len(result.fragments) > 1
+    _save_v1_fragment(
+        fragments[0], result, shard_id=meta["shard_id"], run_fingerprint=meta["run"]
+    )
+    runner = Runner()
+    resumed = runner.resume(plan)
+    assert resumed.pairs.tobytes() == golden.pairs.tobytes()
+    assert runner.last_checkpoint_stats.loads == len(fragments) - 1
+    assert runner.last_checkpoint_stats.writes >= 1
+    rewritten, meta = load_shard_fragment(fragments[0])
+    assert meta["format_version"] == 2
+    assert rewritten.pairs.tobytes() == result.pairs.tobytes()
 
 
 def test_fragment_of_a_different_run_raises(index, tmp_path):
