@@ -19,7 +19,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.grid.index import GridIndex
-from repro.grid.query import candidate_blocks, epsilon_filter, pair_array, refine_blocks
+from repro.grid.query import candidate_blocks, cell_runs, epsilon_filter, pair_array, refine_blocks
 from repro.util import as_points_array
 
 __all__ = [
@@ -50,7 +50,9 @@ def iter_bipartite_blocks(
     if len(queries) == 0 or index.num_points == 0:
         return
     for _, ranks in index.neighbors.probe(queries):
-        yield from candidate_blocks(index, query_ids, ranks, chunk_pairs=chunk_pairs)
+        runs = cell_runs(index, query_ids, ranks)
+        for qi, slots in candidate_blocks(*runs, chunk_pairs=chunk_pairs):
+            yield qi, index.point_order[slots]
 
 
 def bipartite_neighbor_counts(

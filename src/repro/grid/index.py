@@ -72,6 +72,14 @@ class GridIndex:
         large datasets. ``"unique"`` is the original ``np.unique`` build;
         the two produce identical arrays and ``"unique"`` survives as the
         oracle the equivalence tests compare against.
+
+    Both methods order the points with one sort of the unique int64 key
+    ``linear · N + i`` (cell id, then point id) and decode
+    ``point_order = key % N``; because the keys are unique this equals
+    ``np.argsort(linear, kind="stable")`` byte for byte, so each cell's
+    points stay in increasing id order. When a key could overflow int64
+    — ``(largest linear id + 1) · N > 2⁶³ − 1``, e.g. ε = 1e-9 over a
+    unit box — the build falls back to that stable argsort.
     """
 
     def __init__(
@@ -92,15 +100,23 @@ class GridIndex:
         coords = self.spec.cell_coords(self.points)
         linear = self.spec.linearize(coords)
 
-        # Group points by cell: one stable sort, then run-length encode.
-        order = np.argsort(linear, kind="stable")
-        sorted_ids = linear[order]
+        # Group points by cell, then run-length encode. The unique key
+        # linear · N + i sorts to the stable argsort's order in one plain
+        # sort; a key that could overflow int64 falls back to the argsort.
+        n = len(linear)
+        if n and (int(linear.max()) + 1) * n > np.iinfo(np.int64).max:
+            order = np.argsort(linear, kind="stable")
+            sorted_ids = linear[order]
+        else:
+            key = linear * n
+            key += np.arange(n, dtype=np.int64)
+            key.sort()
+            sorted_ids, order = np.divmod(key, n)
         if method == "sorted":
             # Bulk build: cell boundaries fall wherever the sorted ids
             # change, so starts/counts/ranks all come from one boundary
             # scan — no second sort, no hash table. Handles the degenerate
             # all-points-in-one-cell case (no boundaries → a single run).
-            n = len(sorted_ids)
             if n == 0:
                 starts = np.empty(0, dtype=np.int64)
                 cell_ids = np.empty(0, dtype=np.int64)

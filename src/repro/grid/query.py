@@ -8,6 +8,14 @@ halves for every engine, estimator and model: the walker
 docstring is the boundary contract), applied to index pairs by
 :func:`epsilon_filter`.
 
+The walker works in slot space. A slot is a position in the index's
+``point_order``, which groups point ids by cell, so every non-empty cell
+is one run of slots (:func:`cell_runs`) and a block's candidates are
+runs, not gathered ids. The native self-join refines slots against the
+points in cell order (``epsilon_filter(..., order=point_order)``); the
+id-level walks (:func:`iter_candidate_blocks`, the bipartite
+``iter_bipartite_blocks``) map slots through ``point_order``.
+
 On top of them sit the host-side reference queries with the FULL access
 pattern. They serve three roles:
 
@@ -26,11 +34,11 @@ import numpy as np
 
 from repro.grid.index import GridIndex
 from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
-from repro.util import gather_slices
 
 __all__ = [
     "BLOCK_PAIRS",
     "candidate_blocks",
+    "cell_runs",
     "epsilon_filter",
     "grid_neighbor_counts",
     "grid_selfjoin_pairs",
@@ -46,39 +54,57 @@ BLOCK_PAIRS = 4_000_000
 
 
 def candidate_blocks(
-    index: GridIndex,
     queries: np.ndarray,
-    cells: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
     *,
     chunk_pairs: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(query_idx, candidate_idx)`` blocks pairing queries with cells.
+    """Yield ``(queries, slots)`` blocks pairing each query with a run of slots.
 
-    ``queries[i]`` meets every point of the non-empty cell of rank
-    ``cells[i]``, or nothing when ``cells[i] < 0``; every pair appears in
-    exactly one block, in query order. Blocks hold at most ``chunk_pairs``
-    pairs (default :data:`BLOCK_PAIRS`), or one query's whole cell.
+    A slot is a position in an index's ``point_order``. ``queries[i]``
+    meets slots ``starts[i] … starts[i] + lengths[i] − 1`` (nothing when
+    ``lengths[i] <= 0``); every pair appears in exactly one block, in query
+    order. The query side is one ``np.repeat``; the slot side is an
+    ``arange`` plus one repeat of the run starts. Blocks hold at most
+    ``chunk_pairs`` pairs (default :data:`BLOCK_PAIRS`), or one query's
+    whole run. :func:`cell_runs` turns cells into runs.
     """
     bound = BLOCK_PAIRS if chunk_pairs is None else chunk_pairs
     if bound < 1:
         raise ValueError("chunk_pairs must be >= 1")
-    valid = cells >= 0
-    q_sel = queries[valid]
-    n_sel = cells[valid]
-    lengths = index.cell_counts[n_sel]
+    nonempty = lengths > 0
+    if not nonempty.all():
+        runs = np.flatnonzero(nonempty)
+        queries, starts, lengths = queries.take(runs), starts.take(runs), lengths.take(runs)
     csum = np.cumsum(lengths)
     start = 0
-    while start < len(q_sel):
+    while start < len(queries):
         base = csum[start - 1] if start > 0 else 0
         # largest stop with csum[stop-1] - base <= bound, but at least one
-        # query per block so oversized cells still progress
+        # query per block so oversized runs still progress
         stop = int(np.searchsorted(csum, base + bound, side="right"))
-        stop = min(max(stop, start + 1), len(q_sel))
+        stop = min(max(stop, start + 1), len(queries))
         lens = lengths[start:stop]
-        qi = np.repeat(q_sel[start:stop], lens)
-        cj = gather_slices(index.point_order, index.cell_starts[n_sel[start:stop]], lens)
-        yield qi, cj
+        # slot = block position + (run start - the run's offset in the block)
+        slots = np.repeat(starts[start:stop] - (csum[start:stop] - lens - base), lens)
+        slots += np.arange(len(slots), dtype=np.int64)
+        yield np.repeat(queries[start:stop], lens), slots
         start = stop
+
+
+def cell_runs(
+    index: GridIndex, queries: np.ndarray, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(queries, starts, lengths)``: each query's cell as a slot run.
+
+    Non-empty cell ``c`` owns slots ``cell_starts[c] … cell_starts[c] +
+    cell_counts[c] − 1``; ``c < 0`` (no cell) is an empty run, and its
+    query is dropped.
+    """
+    valid = np.flatnonzero(cells >= 0)  # integer takes beat boolean masks 2×
+    ranks = cells.take(valid)
+    return queries.take(valid), index.cell_starts.take(ranks), index.cell_counts.take(ranks)
 
 
 def within_epsilon(diffs, epsilon: float) -> np.ndarray:
@@ -105,24 +131,39 @@ def within_epsilon(diffs, epsilon: float) -> np.ndarray:
     return d2 <= epsilon * epsilon
 
 
-def epsilon_filter(left: np.ndarray, right: np.ndarray, epsilon: float):
+def epsilon_filter(
+    left: np.ndarray, right: np.ndarray, epsilon: float, *, order: np.ndarray | None = None
+):
     """``keep(qi, cj)``: :func:`within_epsilon` of the pairs ``(left[qi], right[cj])``.
 
+    With ``order`` (an index's ``point_order``), ``qi`` and ``cj`` are
+    slots: slot ``s`` of either side is the point ``order[s]``.
+
     Two storage strategies, the same bits. Memory-mapped arrays are
-    gathered by rows, so only the touched pages ever become resident.
-    Resident arrays are split once into contiguous per-dimension columns;
-    their 1-D gathers refine 3–4× faster than row gathers.
+    gathered by rows with ``take(axis=0)``, so only the touched pages ever
+    become resident. Resident arrays are split once into per-dimension
+    columns with ``take`` (in slot order when ``order`` is given, so each
+    candidate run is a contiguous slice); their 1-D gathers refine 3–4×
+    faster than row gathers.
     """
     bases = [left, right]  # memory-mapped: an np.memmap in either base chain
     while bases:
         arr = bases.pop()
         if isinstance(arr, np.memmap):
-            return lambda qi, cj: within_epsilon((left[qi] - right[cj]).T, epsilon)
+            ids = (lambda s: s) if order is None else order.take
+            return lambda qi, cj: within_epsilon(
+                (left.take(ids(qi), axis=0) - right.take(ids(cj), axis=0)).T, epsilon
+            )
         if getattr(arr, "base", None) is not None:
             bases.append(arr.base)
 
-    lcols = np.ascontiguousarray(left.T)
-    rcols = lcols if right is left else np.ascontiguousarray(right.T)
+    def columns(points):
+        if order is None:
+            return np.ascontiguousarray(points.T)
+        return [points[:, d].take(order) for d in range(points.shape[1])]
+
+    lcols = columns(left)
+    rcols = lcols if right is left else columns(right)
 
     def diffs(qi, cj):
         for lc, rc in zip(lcols, rcols):
@@ -172,7 +213,9 @@ def iter_candidate_blocks(
     q_rank = index.point_cell_rank[queries]
     for off in neighbor_offsets(index.ndim):
         nbr = neighbor_ranks_for_offset(index, off)[q_rank]
-        yield from candidate_blocks(index, queries, nbr, chunk_pairs=chunk_pairs)
+        runs = cell_runs(index, queries, nbr)
+        for qi, slots in candidate_blocks(*runs, chunk_pairs=chunk_pairs):
+            yield qi, index.point_order[slots]
 
 
 def grid_neighbor_counts(

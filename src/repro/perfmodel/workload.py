@@ -26,6 +26,7 @@ from repro.core.sortbywl import (
 from repro.grid import GridIndex, neighbor_offsets, neighbor_ranks_for_offset
 from repro.grid.query import (
     candidate_blocks,
+    cell_runs,
     epsilon_filter,
     grid_neighbor_counts,
     refine_blocks,
@@ -128,7 +129,7 @@ class WorkloadProfile:
             index = self.index
             self._own_hits = self._cell_hits(
                 np.arange(index.num_nonempty_cells, dtype=np.int64),
-                epsilon_filter(index.points, index.points, index.epsilon),
+                self._slot_filter(),
                 include_self=self.include_self,
             )
         return self._own_hits
@@ -137,7 +138,7 @@ class WorkloadProfile:
         """Per-point ε-hits found in the point's *pattern* cells (the cells
         whose results get mirrored)."""
         index = self.index
-        keep = epsilon_filter(index.points, index.points, index.epsilon)
+        keep = self._slot_filter()
         plan = get_pattern_plan(pattern, index)
         counts = np.zeros(index.num_points, dtype=np.int64)
         for oi, off in enumerate(neighbor_offsets(index.ndim)):
@@ -147,17 +148,25 @@ class WorkloadProfile:
                 counts += self._cell_hits(np.where(mask, ranks, -1), keep)
         return counts
 
+    def _slot_filter(self):
+        """The ε test over slot pairs (positions in ``point_order``)."""
+        index = self.index
+        return epsilon_filter(index.points, index.points, index.epsilon, order=index.point_order)
+
     def _cell_hits(self, cell_nbr, keep, *, include_self: bool = True) -> np.ndarray:
         """Per-point ε-hits among the points of cell ``cell_nbr[c]``, ``c``
-        the point's own cell (-1: none), walked in
-        :data:`~repro.grid.query.BLOCK_PAIRS`-bounded blocks."""
+        the point's own cell (-1: none), walked over slots (``keep`` is a
+        :meth:`_slot_filter`) in :data:`~repro.grid.query.BLOCK_PAIRS`-bounded
+        blocks."""
         index = self.index
-        queries = index.point_order
-        cells = cell_nbr[index.point_cell_rank[queries]]
-        counts = np.zeros(index.num_points, dtype=np.int64)
-        blocks = candidate_blocks(index, queries, cells)
-        for qi, _ in refine_blocks(blocks, keep, include_self=include_self):
-            counts += np.bincount(qi, minlength=index.num_points)
+        slots = np.arange(index.num_points, dtype=np.int64)
+        cells = cell_nbr[index.point_cell_rank[index.point_order]]
+        per_slot = np.zeros(index.num_points, dtype=np.int64)
+        blocks = candidate_blocks(*cell_runs(index, slots, cells))
+        for qs, _ in refine_blocks(blocks, keep, include_self=include_self):
+            per_slot += np.bincount(qs, minlength=index.num_points)
+        counts = np.empty_like(per_slot)
+        counts[index.point_order] = per_slot
         return counts
 
     # ------------------------------------------------------------------

@@ -7,12 +7,22 @@ accounting, no replay, no batch planning. Candidate blocks come from
 :func:`repro.grid.query.candidate_blocks` over the same
 :class:`~repro.grid.GridIndex` neighbor topology the kernels walk, but
 only the lexicographically-positive half of the ``3**n`` offsets is
-searched (plus each cell's id-increasing half internally): every hit is
-emitted with its mirror, which restores the kernels' full directed pair
-set at half the candidate volume. Queries visit in the paper's SORTBYWL
-heaviest-cells-first order when the optimization config asks for it, and
+searched (plus, within each cell, the later slots of the query's own
+cell): every hit is emitted with its mirror, which restores the kernels'
+full directed pair set at half the candidate volume. Queries visit in
+the paper's SORTBYWL heaviest-cells-first order when the optimization
+config asks for it.
+
+The self-join refines in slot space. A slot is a position in the
+index's ``point_order``, so each candidate cell is one run of slots, and
 each block is refined with the package's one ε test,
-:func:`repro.grid.query.epsilon_filter`.
+:func:`repro.grid.query.epsilon_filter`, against the points in cell
+order (per-dimension columns for resident points, row gathers through
+``point_order`` for memory-mapped ones). Hits map back to ids through
+``point_order``, and the ``(M, 2)`` result is written once: the
+identity rows, then each block's rows followed by their mirror, with
+each block's rows a fragment view. The bipartite sweep keeps id
+candidates (:func:`~repro.grid.bipartite.iter_bipartite_blocks`).
 Results carry ``fidelity="none"``: ``batch_stats`` is empty, WEE is
 undefined, and the pipeline times are host wall-clock seconds.
 
@@ -41,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.result import JoinResult, stack_fragments
+from repro.core.result import JoinResult
 from repro.core.sortbywl import sort_by_workload
 from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_workloads, iter_bipartite_blocks
@@ -49,9 +59,11 @@ from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
 from repro.grid.query import (
     BLOCK_PAIRS,
     candidate_blocks,
+    cell_runs,
     epsilon_filter,
     refine_blocks,
 )
+from repro.resilience.faults import DeviceLostError
 from repro.runtime.ops import BipartiteOp, SelfJoinOp
 from repro.simt.streams import PipelineResult
 from repro.util import stable_argsort_desc
@@ -109,53 +121,49 @@ def _half_offsets(ndim: int) -> np.ndarray:
     """The ``(3**n - 1) / 2`` lexicographically-positive neighbor offsets.
 
     For distinct adjacent cells A and B exactly one of ``B - A`` / ``A - B``
-    is lex-positive, so walking only these offsets (plus the zero offset's
-    id-increasing half within each cell) visits every unordered candidate
-    pair exactly once from the query side; mirrored emission restores the
-    full directed pair set. Because the relation is defined purely by the
-    query's cell and id, a union over any query-subset partition (shards)
-    still covers every pair exactly once. The canonical offset order is
-    lexicographic, so they are the offsets after the zero offset.
+    is lex-positive, so walking only these offsets (plus, within each
+    cell, the later slots of the query's own cell) visits every unordered
+    candidate pair exactly once from the query side; mirrored emission
+    restores the full directed pair set. Because the relation is defined
+    purely by the query's cell and slot, a union over any query-subset
+    partition (shards) still covers every pair exactly once. The
+    canonical offset order is lexicographic, so they are the offsets
+    after the zero offset.
     """
     return neighbor_offsets(ndim)[3**ndim // 2 + 1 :]
 
 
-def _upper_half(blocks):
-    for qi, cj in blocks:
-        up = np.flatnonzero(cj > qi)
-        yield qi[up], cj[up]
-
-
-def _mirrored(pair):
-    qi, cj = pair
-    out = np.empty((2 * len(qi), 2), dtype=np.int64)
-    out[: len(qi), 0] = qi
-    out[: len(qi), 1] = cj
-    out[len(qi) :, 0] = cj
-    out[len(qi) :, 1] = qi
-    return out
-
-
 def _self_join_blocks(index, order, *, include_self, chunk_pairs):
+    """``(qi, cj, mirror)`` blocks of the half-neighborhood self-join: the
+    identity pairs (unmirrored), then every refined block's hits as ids,
+    to be emitted with their mirror."""
     queries = np.asarray(order, dtype=np.int64)
     if queries.size == 0 or index.num_points == 0:
         return
-    keep = epsilon_filter(index.points, index.points, index.epsilon)
     if include_self:
         for start in range(0, len(queries), max(chunk_pairs, 1)):
             q = queries[start : start + chunk_pairs]
-            yield np.stack([q, q], axis=1)
+            yield q, q, False
+    point_order = index.point_order
+    slot_of = np.empty(index.num_points, dtype=np.int64)
+    slot_of[point_order] = np.arange(index.num_points, dtype=np.int64)
+    q_slot = slot_of[queries]
     q_rank = index.point_cell_rank[queries]
-    # map() drops each refined block once it is emitted, so it is freed
-    # before the next block is built (for-loop variables would hold it)
-    # within-cell: the id-increasing half of each cell's pairs, mirrored
-    own = candidate_blocks(index, queries, q_rank, chunk_pairs=chunk_pairs)
-    yield from map(_mirrored, refine_blocks(_upper_half(own), keep))
-    # cross-cell: one lex-positive offset per unordered cell pair, mirrored
-    for off in _half_offsets(index.ndim):
-        nbr = neighbor_ranks_for_offset(index, off)[q_rank]
-        blocks = candidate_blocks(index, queries, nbr, chunk_pairs=chunk_pairs)
-        yield from map(_mirrored, refine_blocks(blocks, keep))
+    keep = epsilon_filter(index.points, index.points, index.epsilon, order=point_order)
+
+    def runs():
+        # within-cell: the later slots of the query's own cell
+        cell_end = index.cell_starts[q_rank] + index.cell_counts[q_rank]
+        yield from candidate_blocks(
+            q_slot, q_slot + 1, cell_end - q_slot - 1, chunk_pairs=chunk_pairs
+        )
+        # cross-cell: one lex-positive offset per unordered cell pair
+        for off in _half_offsets(index.ndim):
+            nbr = neighbor_ranks_for_offset(index, off)[q_rank]
+            yield from candidate_blocks(*cell_runs(index, q_slot, nbr), chunk_pairs=chunk_pairs)
+
+    for qs, cs in refine_blocks(runs(), keep):
+        yield point_order[qs], point_order[cs], True
 
 
 def _bipartite_blocks(op, index, order, *, chunk_pairs):
@@ -164,7 +172,35 @@ def _bipartite_blocks(op, index, order, *, chunk_pairs):
     blocks = iter_bipartite_blocks(
         index, queries[order], query_ids=order, chunk_pairs=chunk_pairs
     )
-    yield from map(np.column_stack, refine_blocks(blocks, keep))
+    for qi, cj in refine_blocks(blocks, keep):
+        yield qi, cj, False
+
+
+def _assemble(blocks: list) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``(pairs, fragments)`` from ``(qi, cj, mirror)`` blocks, written once.
+
+    Each block's rows ``(qi, cj)`` follow the previous block's, then their
+    mirror ``(cj, qi)`` when ``mirror``; its fragment is a row view of
+    ``pairs`` over both. Blocks are released from the list as they are
+    copied, so the pairs are never held twice.
+    """
+    sizes = [len(qi) * (2 if mirror else 1) for qi, _, mirror in blocks]
+    pairs = np.empty((sum(sizes), 2), dtype=np.int64)
+    fragments = []
+    at = 0
+    for i, size in enumerate(sizes):
+        qi, cj, mirror = blocks[i]
+        blocks[i] = None
+        rows = pairs[at : at + size]
+        n = len(qi)
+        rows[:n, 0] = qi
+        rows[:n, 1] = cj
+        if mirror:
+            rows[n:, 0] = cj
+            rows[n:, 1] = qi
+        fragments.append(rows)
+        at += size
+    return pairs, tuple(fragments)
 
 
 def execute_shard_native(
@@ -189,24 +225,24 @@ def execute_shard_native(
     order = native_query_order(op, index, cfg, subset=subset)
     include_self = getattr(op, "include_self", True)
     t0 = time.perf_counter()
-    fragments: list[np.ndarray] = []
+    blocks: list = []
     starts: list[float] = []
     ends: list[float] = []
     if op.kind == "self":
-        blocks = _self_join_blocks(
+        walk = _self_join_blocks(
             index, order, include_self=include_self, chunk_pairs=chunk_pairs
         )
     else:
-        blocks = _bipartite_blocks(op, index, order, chunk_pairs=chunk_pairs)
+        walk = _bipartite_blocks(op, index, order, chunk_pairs=chunk_pairs)
     prev = 0.0
-    for block in blocks:
+    for block in walk:
         now = time.perf_counter() - t0
-        fragments.append(block)
+        blocks.append(block)
         starts.append(prev)
         ends.append(now)
         prev = now
     wall = time.perf_counter() - t0
-    pairs, views = stack_fragments(fragments)
+    pairs, views = _assemble(blocks)
     pipeline = PipelineResult(
         total_seconds=wall,
         kernel_start=np.array(starts, dtype=np.float64),
@@ -369,13 +405,18 @@ def run_shards_process(
     — runs at real dispatch boundaries, and ``guard.after`` journals each
     shard as it completes. When the guard raises, dispatching stops, the
     in-flight shards finish and journal, and the shared-memory segments
-    are unlinked before the error propagates.
+    are unlinked before the error propagates. A worker process that dies
+    (killed, out of memory) breaks the pool and loses every in-flight
+    shard: the run raises :class:`~repro.resilience.faults.DeviceLostError`
+    for the worker of the first lost shard, after the same unlink, and
+    ``Runner.resume`` re-executes only the shards not yet journaled.
 
     Returns ``(results, trace)``: results indexed by shard id, and a
     :class:`~repro.multigpu.scheduler.ScheduleTrace` in host wall-clock
     seconds since pool start.
     """
     from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
 
     from repro.multigpu.scheduler import ScheduleTrace, ShardEvent
 
@@ -394,7 +435,10 @@ def run_shards_process(
     def retire(fut):
         shard, worker = running.pop(fut)
         idle.append(worker)
-        result = fut.result()
+        try:
+            result = fut.result()
+        except BrokenProcessPool as exc:
+            raise DeviceLostError(worker) from exc
         end = time.perf_counter() - t0
         results[shard.shard_id] = result
         guard.after(shard.shard_id, result)

@@ -82,3 +82,49 @@ class TestBuildApi:
             for method in BUILD_METHODS
         }
         assert np.array_equal(pair_sets["sorted"], pair_sets["unique"])
+
+
+def _linear(index):
+    return index.spec.linearize(index.spec.cell_coords(index.points))
+
+
+def _overflows(linear):
+    """The build's fallback condition: a key ``linear · N + i`` could overflow."""
+    return len(linear) > 0 and (int(linear.max()) + 1) * len(linear) > np.iinfo(np.int64).max
+
+
+class TestOneKeySort:
+    """``point_order`` comes from one sort of the unique key ``linear · N + i``
+    (or the stable argsort when the key could overflow); either way it is
+    the stable argsort's permutation, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name, points, epsilon",
+        [(name, points, 0.5) for name, points in sorted(_datasets().items())]
+        + [
+            ("empty", np.empty((0, 2)), 0.5),
+            ("one_cell", np.random.default_rng(7).uniform(0.0, 0.5, (64, 2)), 10.0),
+            ("one_point", np.array([[0.25, 0.75]]), 0.1),
+        ],
+    )
+    def test_key_sort_equals_stable_argsort(self, name, points, epsilon):
+        index = GridIndex(points, epsilon)
+        linear = _linear(index)
+        assert not _overflows(linear)
+        reference = np.argsort(linear, kind="stable")
+        assert index.point_order.dtype == reference.dtype
+        assert np.array_equal(index.point_order, reference), name
+
+    @pytest.mark.parametrize("n", [10, 500])
+    def test_overflowing_key_falls_back_to_stable_argsort(self, n):
+        # ε = 1e-9 over a unit box: ~1e18 cells, so linear · N overflows
+        rng = np.random.default_rng(n)
+        points = np.concatenate([[[0.0, 0.0], [1.0, 1.0]], rng.uniform(0.0, 1.0, (n, 2))])
+        points = np.concatenate([points, points[:3]])  # duplicates share a cell
+        index = GridIndex(points, 1e-9)
+        linear = _linear(index)
+        assert _overflows(linear)
+        assert np.array_equal(index.point_order, np.argsort(linear, kind="stable"))
+        unique = GridIndex(points, 1e-9, method="unique")
+        for attr in _ARRAYS:
+            assert np.array_equal(getattr(index, attr), getattr(unique, attr)), attr

@@ -15,10 +15,14 @@ from repro.baselines import (
 from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_neighbor_counts, bipartite_pairs
 from repro.grid.query import (
+    BLOCK_PAIRS,
+    candidate_blocks,
+    cell_runs,
     grid_neighbor_counts,
     grid_selfjoin_pairs,
     iter_candidate_blocks,
 )
+from repro.util import gather_slices
 
 
 def canon(pairs):
@@ -60,6 +64,82 @@ class TestCandidateBlocks:
         idx = GridIndex(small_uniform_2d, 1.0)
         with pytest.raises(ValueError):
             list(iter_candidate_blocks(idx, chunk_pairs=0))
+
+
+def _id_blocks(index, queries, cells, *, chunk_pairs=None):
+    """The id-candidate walker the slot walker replaced: each block's
+    candidates gathered from ``point_order`` per candidate."""
+    bound = BLOCK_PAIRS if chunk_pairs is None else chunk_pairs
+    valid = cells >= 0
+    q_sel = queries[valid]
+    n_sel = cells[valid]
+    lengths = index.cell_counts[n_sel]
+    csum = np.cumsum(lengths)
+    start = 0
+    while start < len(q_sel):
+        base = csum[start - 1] if start > 0 else 0
+        stop = int(np.searchsorted(csum, base + bound, side="right"))
+        stop = min(max(stop, start + 1), len(q_sel))
+        lens = lengths[start:stop]
+        qi = np.repeat(q_sel[start:stop], lens)
+        cj = gather_slices(index.point_order, index.cell_starts[n_sel[start:stop]], lens)
+        yield qi, cj
+        start = stop
+
+
+class TestSlotRuns:
+    """``candidate_blocks`` walks slot runs; mapped through ``point_order``
+    its blocks are the id walker's, block for block."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        ndim=st.integers(1, 3),
+        chunk=st.sampled_from([1, 5, 37, None]),
+    )
+    @settings(max_examples=30)
+    def test_slots_map_to_id_candidates(self, seed, ndim, chunk):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 3, size=(int(rng.integers(1, 120)), ndim))
+        index = GridIndex(pts, float(rng.uniform(0.2, 1.5)))
+        queries = rng.permutation(index.num_points).astype(np.int64)
+        cells = rng.integers(-1, index.num_nonempty_cells, len(queries))
+        got = list(candidate_blocks(*cell_runs(index, queries, cells), chunk_pairs=chunk))
+        ref = list(_id_blocks(index, queries, cells, chunk_pairs=chunk))
+        assert len(got) == len(ref)
+        for (qi, slots), (ref_qi, ref_cj) in zip(got, ref):
+            assert np.array_equal(qi, ref_qi)
+            assert np.array_equal(index.point_order[slots], ref_cj)
+
+    def test_block_bounds_with_one_oversized_run(self):
+        rng = np.random.default_rng(11)
+        # one dense cell of 50 points among sparse ones
+        pts = np.concatenate([rng.uniform(0, 0.1, (50, 2)), rng.uniform(1, 9, (40, 2))])
+        index = GridIndex(pts, 0.5)
+        queries = np.arange(index.num_points, dtype=np.int64)
+        cells = index.point_cell_rank[queries]
+        chunk = 20
+        blocks = list(candidate_blocks(*cell_runs(index, queries, cells), chunk_pairs=chunk))
+        for qi, slots in blocks:
+            assert len(qi) == len(slots) > 0
+            assert len(qi) <= chunk or np.unique(qi).size == 1
+        assert any(len(qi) > chunk for qi, _ in blocks)  # the dense cell's runs
+        total = sum(len(qi) for qi, _ in blocks)
+        assert total == int(index.cell_counts[cells].sum())
+
+    def test_arbitrary_runs_match_a_loop(self):
+        rng = np.random.default_rng(3)
+        starts = rng.integers(0, 100, 60)
+        lengths = rng.integers(-2, 9, 60)  # empty runs, some negative
+        queries = np.arange(60, dtype=np.int64) * 10
+        expect_q, expect_s = [], []
+        for q, s0, n in zip(queries, starts, lengths):
+            for s in range(s0, s0 + max(n, 0)):
+                expect_q.append(q)
+                expect_s.append(s)
+        blocks = list(candidate_blocks(queries, starts, lengths, chunk_pairs=7))
+        assert all(len(qi) for qi, _ in blocks)
+        assert np.concatenate([qi for qi, _ in blocks]).tolist() == expect_q
+        assert np.concatenate([s for _, s in blocks]).tolist() == expect_s
 
 
 class TestNeighborCounts:

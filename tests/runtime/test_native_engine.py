@@ -9,6 +9,10 @@ and the process worker backend, and is honest about its fidelity
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -26,12 +30,13 @@ from repro.grid import GridIndex
 from repro.resilience import (
     CrashPoint,
     DeviceFailure,
+    DeviceLostError,
     FaultPlan,
     RecoveryPolicy,
     SimulatedCrashError,
     Straggler,
 )
-from repro.runtime import CheckpointConfig, NativeLaunchStage, native_query_order
+from repro.runtime import CheckpointConfig, NativeLaunchStage, native, native_query_order
 from repro.runtime.plan import LaunchStage
 
 NATIVE_PRESETS = ("gpucalcglobal", "lidunicomp", "sortbywl", "workqueue_k8", "combined")
@@ -240,6 +245,43 @@ class TestCheckpointResume:
         resumed = runner.resume(compile_self_join(index, rc(resume_workers)))
         assert np.array_equal(resumed.canonical_pairs(), golden.canonical_pairs())
         assert runner.last_checkpoint_stats.loads == kill_at
+
+
+# -- a lost process worker -----------------------------------------------
+_real_worker_run = native._worker_run
+
+
+def _killed_on_point_zero(subset, chunk_pairs):
+    """A process worker that SIGKILLs itself on the shard holding point 0
+    (forked workers inherit the monkeypatched module attribute)."""
+    if 0 in subset:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_worker_run(subset, chunk_pairs)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm") or multiprocessing.get_start_method() != "fork",
+    reason="needs POSIX shared memory and forked workers",
+)
+def test_lost_process_worker_raises_device_lost(tmp_path, monkeypatch):
+    index = GridIndex(_points(n=240, seed=5), 0.4)
+    sharding = ShardingConfig(num_devices=2, workers="process")
+    uninterrupted = _run(index, "native", PRESETS["combined"], sharding=sharding)
+    journaled = RuntimeConfig(
+        optimization=PRESETS["combined"],
+        engine="native",
+        sharding=sharding,
+        checkpoint=CheckpointConfig(directory=tmp_path),
+        seed=0,
+    )
+    segments = set(os.listdir("/dev/shm"))
+    monkeypatch.setattr(native, "_worker_run", _killed_on_point_zero)
+    with pytest.raises(DeviceLostError):
+        Runner().run(compile_self_join(index, journaled))
+    assert set(os.listdir("/dev/shm")) - segments == set()
+    monkeypatch.undo()
+    resumed = Runner().resume(compile_self_join(index, journaled))
+    assert np.array_equal(resumed.pairs, uninterrupted.pairs)
 
 
 # -- config validation ---------------------------------------------------
