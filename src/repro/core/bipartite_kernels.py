@@ -135,26 +135,22 @@ def bipartite_bulk(launch: BulkLaunch, args: BipartiteKernelArgs) -> BulkKernelR
     setup[present] = launch.costs.c_setup
     charges["setup"] = LabelCharges(setup, present)
 
-    emitter = BulkEmitter(index, issue_pos, n_active, k, width)
+    q_points = args.queries.take(qs, axis=0)
+    emitter = BulkEmitter(index, issue_pos, n_active, k, width, queries=q_points)
     visits_of_group = np.zeros(groups, dtype=np.int64)
     if len(lg):
-        q_points = args.queries[qs]
         flat_base = np.zeros(len(lg), dtype=np.int64)
-        for oi, (inside, ranks) in enumerate(index.neighbors.probe(q_points)):
+        for inside, ranks in index.neighbors.probe(q_points):
             visits_of_group[lg[inside]] += 1  # in-bounds probes cost a visit
             sel = np.flatnonzero(ranks >= 0)
             if not len(sel):
                 continue
+            ranks = ranks.take(sel)
+            # the filter reads each query by its row of q_points: sel itself
             emitter.process_stage(
-                oi,
-                lg[sel],
-                qs[sel],
-                q_points[sel],
-                ranks[sel],
-                flat_base[sel],
-                mirror=False,
+                lg.take(sel), qs.take(sel), sel, ranks, flat_base.take(sel), mirror=False
             )
-            flat_base[sel] += index.cell_counts[ranks[sel]]
+            flat_base[sel] += index.cell_counts.take(ranks)
 
     cells = np.zeros(width, dtype=np.float64)
     cells_p = np.zeros(width, dtype=bool)

@@ -28,7 +28,7 @@ from repro.core.granularity import split_candidates
 from repro.core.patterns import get_pattern_plan, pattern_cells_for_query
 from repro.core.workqueue import fetch_query_slot
 from repro.grid import GridIndex
-from repro.grid.query import within_epsilon
+from repro.grid.query import candidate_blocks, epsilon_filter, point_slots, within_epsilon
 from repro.simt import AtomicCounter, ThreadContext
 from repro.simt.vectorized import (
     BulkKernelResult,
@@ -36,7 +36,7 @@ from repro.simt.vectorized import (
     LabelCharges,
     register_bulk_kernel,
 )
-from repro.util import gather_slices
+from repro.util import stable_argsort
 
 __all__ = ["KernelArgs", "selfjoin_bulk", "selfjoin_kernel"]
 
@@ -222,12 +222,18 @@ class BulkEmitter:
     """Accumulates candidate stages of a bulk launch.
 
     A *stage* is one cell per query group (the own cell, or one pattern
-    offset's neighbor). Each :meth:`process_stage` call refines all of the
-    stage's candidates at once, tallies per-thread distance and emission
+    offset's neighbor). Each :meth:`process_stage` call walks the stage's
+    cells as slot runs (positions in ``index.point_order``, from
+    :func:`~repro.grid.query.candidate_blocks`), refines them with the
+    launch's one ε filter, tallies per-thread distance and emission
     charges, and records the hits keyed so that :meth:`pairs` can
     reconstruct the interpreter's exact buffer order: threads by warp
     issue position, a thread's stages in traversal order, forward hits
     before their mirrors, candidates in cell order.
+
+    The filter reads each query through its ``q_keys`` entry: the query's
+    slot when the queries are the index's own points, or its row of
+    ``queries`` (a bipartite kernel's query rows).
     """
 
     def __init__(
@@ -238,6 +244,7 @@ class BulkEmitter:
         k: int,
         width: int,
         *,
+        queries: np.ndarray | None = None,
         include_self: bool = True,
     ):
         self.index = index
@@ -246,10 +253,18 @@ class BulkEmitter:
         self.k = k
         self.width = width
         self.include_self = include_self
+        own = queries is None
+        self.keep = epsilon_filter(
+            index.points if own else queries,
+            index.points,
+            index.epsilon,
+            order=index.point_order,
+            left_ids=not own,
+        )
         self.dist_counts = np.zeros(width, dtype=np.int64)
         self.emit_counts = np.zeros(width, dtype=np.int64)
-        # point ids and issue positions fit int32 at simulator scale;
-        # halving record width halves the reorder's memory traffic
+        # point ids fit int32 at simulator scale; halving record width
+        # halves the reorder's memory traffic
         self._idx_dtype = (
             np.int32 if max(index.num_points, width) < 2**31 else np.int64
         )
@@ -257,10 +272,9 @@ class BulkEmitter:
 
     def process_stage(
         self,
-        stage_key: int,
         group_ids: np.ndarray,
         q_ids: np.ndarray,
-        q_points: np.ndarray,
+        q_keys: np.ndarray,
         cell_ranks: np.ndarray,
         flat_base: np.ndarray,
         *,
@@ -268,64 +282,62 @@ class BulkEmitter:
     ) -> None:
         """Refine one cell per selected query group.
 
-        ``group_ids``/``q_ids``/``q_points``/``cell_ranks``/``flat_base``
+        ``group_ids``/``q_ids``/``q_keys``/``cell_ranks``/``flat_base``
         are aligned arrays over the groups that visit a non-empty cell at
-        this stage; ``flat_base`` is each query's flat candidate-stream
-        position on entry (the strided k-way split keys off it).
+        this stage: ``q_ids`` are the ids the groups emit, ``q_keys`` what
+        the filter reads (see the class docstring), and ``flat_base`` each
+        query's flat candidate-stream position on entry (the strided k-way
+        split keys off it).
 
-        Callers must invoke stages in every thread's traversal order
-        (``stage_key`` ascending: own cell first, then pattern offsets) —
-        :meth:`pairs` reconstructs buffer order from push order.
+        Callers must invoke stages in every thread's traversal order (own
+        cell first, then pattern offsets ascending) — :meth:`pairs`
+        reconstructs buffer order from push order.
         """
-        index = self.index
-        counts = index.cell_counts[cell_ranks]
-        total = int(counts.sum())
-        if total == 0:
-            return
-        qrow = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        cand = gather_slices(index.point_order, index.cell_starts[cell_ranks], counts)
-        if self.k == 1:
-            owner = group_ids[qrow]
-        else:
-            first = np.zeros(len(counts), dtype=np.int64)
-            first[1:] = np.cumsum(counts[:-1])
-            local = np.arange(total, dtype=np.int64) - np.repeat(first, counts)
-            flat = flat_base[qrow] + local
-            owner = group_ids[qrow] * self.k + flat % self.k
+        index, k = self.index, self.k
+        starts = index.cell_starts.take(cell_ranks)
+        lengths = index.cell_counts.take(cell_ranks)
+        rows = np.arange(len(cell_ranks), dtype=np.int64)
+        lead = group_ids * k
+        # a candidate's flat stream position is its slot plus this shift
+        shift = flat_base - starts
         # threads beyond the launch width never ran in the interpreter:
         # their candidates are neither refined nor charged
-        if int(group_ids[-1]) * self.k + self.k - 1 < self.n_active:
-            keep = None  # every owner ran: skip the guard passes
-            self.dist_counts += np.bincount(owner, minlength=self.width)
-        else:
-            keep = owner < self.n_active
-            self.dist_counts += np.bincount(owner[keep], minlength=self.width)
-        diff = index.points[cand]
-        diff -= q_points[qrow]
-        hit = within_epsilon(diff.T, index.epsilon)
-        if keep is not None:
-            hit &= keep
-        qcol = q_ids[qrow]
-        if not self.include_self:
-            hit &= cand != qcol
-        if not hit.any():
-            return
-        h_owner = owner[hit]
-        h_issue = self.issue_pos[h_owner]
-        h_q = qcol[hit]
-        h_cand = cand[hit]
-        self._push(h_issue, h_q, h_cand)
-        per_hit = 1
-        if mirror:
-            self._push(h_issue, h_cand, h_q)
-            per_hit = 2
-        self.emit_counts += np.bincount(h_owner, minlength=self.width) * per_hit
+        guard = int(group_ids[-1]) * k + k - 1 >= self.n_active
+        for qrow, slots in candidate_blocks(rows, starts, lengths):
+            owner = lead.take(qrow)
+            if k > 1:
+                flat = shift.take(qrow)
+                flat += slots
+                owner += flat % k
+            q_key = q_keys.take(qrow)
+            hit = self.keep(q_key, slots)
+            if guard:
+                ran = owner < self.n_active
+                self.dist_counts += np.bincount(owner[ran], minlength=self.width)
+                hit &= ran
+            else:
+                self.dist_counts += np.bincount(owner, minlength=self.width)
+            if not self.include_self:
+                hit &= slots != q_key
+            found = np.flatnonzero(hit)
+            if not len(found):
+                continue
+            h_owner = owner.take(found)
+            h_issue = self.issue_pos.take(h_owner)
+            h_q = q_ids.take(qrow.take(found))
+            h_cand = index.point_order.take(slots.take(found))
+            self._push(h_issue, h_q, h_cand)
+            per_hit = 1
+            if mirror:
+                self._push(h_issue, h_cand, h_q)
+                per_hit = 2
+            self.emit_counts += np.bincount(h_owner, minlength=self.width) * per_hit
 
     def _push(self, issue, left, right) -> None:
         rows = np.empty((len(issue), 2), dtype=self._idx_dtype)
         rows[:, 0] = left
         rows[:, 1] = right
-        self._records.append((issue.astype(self._idx_dtype, copy=False), rows))
+        self._records.append((issue, rows))
 
     def pairs(self) -> np.ndarray:
         """All emitted pairs, in the interpreter's buffer order.
@@ -333,17 +345,17 @@ class BulkEmitter:
         Relies on the push-order invariant: stages are pushed in every
         thread's traversal order (own cell, then pattern offsets
         ascending; forward hits immediately before their mirrors) and each
-        push lists a thread's hits in cell order. A *stable* sort on issue
-        position alone therefore reconstructs the interleaved per-thread
-        emission order — no secondary keys needed, and the reorder is a
-        single row gather.
+        push lists a thread's hits in cell order. Buffer order is
+        therefore a *stable* sort on issue position alone, which
+        :func:`~repro.util.stable_argsort` runs as one plain sort of a
+        unique int64 key: issue position in the high bits, push position
+        in the low bits. The reorder is a single row gather.
         """
         if not self._records:
             return np.empty((0, 2), dtype=np.int64)
         issue = np.concatenate([rec[0] for rec in self._records])
         rows = np.concatenate([rec[1] for rec in self._records])
-        perm = np.argsort(issue, kind="stable")
-        return rows[perm]
+        return rows.take(stable_argsort(issue), axis=0)
 
     def charge(self, charges: dict[str, LabelCharges], dist_cost: float, emit_cost: float) -> None:
         """Fill the "dist" and "emit" charges from the tallied counts."""
@@ -398,28 +410,27 @@ def selfjoin_bulk(launch: BulkLaunch, args: KernelArgs) -> BulkKernelResult:
         index, issue_pos, n_active, k, width, include_self=args.include_self
     )
     if len(lg):
-        q_points = index.points[qs]
+        q_slots = point_slots(index, qs)
         flat_base = np.zeros(len(lg), dtype=np.int64)
-        # own cell first (stage -1 sorts before every pattern offset)
-        emitter.process_stage(-1, lg, qs, q_points, qcell, flat_base, mirror=False)
-        flat_base += index.cell_counts[qcell]
+        # own cell first, then every pattern offset in ascending order
+        emitter.process_stage(lg, qs, q_slots, qcell, flat_base, mirror=False)
+        flat_base += index.cell_counts.take(qcell)
         mirror = args.pattern != "full"
         for o in plan.pattern_offsets():
             _, nranks = plan.offset_visits(int(o), qcell)
             sel = np.flatnonzero(nranks >= 0)
             if not len(sel):
                 continue
-            ranks = nranks[sel]
+            ranks = nranks.take(sel)
             emitter.process_stage(
-                int(o),
-                lg[sel],
-                qs[sel],
-                q_points[sel],
+                lg.take(sel),
+                qs.take(sel),
+                q_slots.take(sel),
                 ranks,
-                flat_base[sel],
+                flat_base.take(sel),
                 mirror=mirror,
             )
-            flat_base[sel] += index.cell_counts[ranks]
+            flat_base[sel] += index.cell_counts.take(ranks)
 
     emitter.charge(charges, launch.costs.dist_cost(index.ndim), launch.costs.c_emit)
     return BulkKernelResult(charges=charges, pairs=emitter.pairs())

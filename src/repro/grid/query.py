@@ -11,10 +11,11 @@ docstring is the boundary contract), applied to index pairs by
 The walker works in slot space. A slot is a position in the index's
 ``point_order``, which groups point ids by cell, so every non-empty cell
 is one run of slots (:func:`cell_runs`) and a block's candidates are
-runs, not gathered ids. The native self-join refines slots against the
-points in cell order (``epsilon_filter(..., order=point_order)``); the
-id-level walks (:func:`iter_candidate_blocks`, the bipartite
-``iter_bipartite_blocks``) map slots through ``point_order``.
+runs, not gathered ids. The native self-join and the VM's bulk kernels
+refine slots against the points in cell order
+(``epsilon_filter(..., order=point_order)``); the id-level walks
+(:func:`iter_candidate_blocks`, the bipartite ``iter_bipartite_blocks``)
+map slots through ``point_order``.
 
 On top of them sit the host-side reference queries with the FULL access
 pattern. They serve three roles:
@@ -44,6 +45,7 @@ __all__ = [
     "grid_selfjoin_pairs",
     "iter_candidate_blocks",
     "pair_array",
+    "point_slots",
     "refine_blocks",
     "within_epsilon",
 ]
@@ -132,12 +134,19 @@ def within_epsilon(diffs, epsilon: float) -> np.ndarray:
 
 
 def epsilon_filter(
-    left: np.ndarray, right: np.ndarray, epsilon: float, *, order: np.ndarray | None = None
+    left: np.ndarray,
+    right: np.ndarray,
+    epsilon: float,
+    *,
+    order: np.ndarray | None = None,
+    left_ids: bool = False,
 ):
     """``keep(qi, cj)``: :func:`within_epsilon` of the pairs ``(left[qi], right[cj])``.
 
-    With ``order`` (an index's ``point_order``), ``qi`` and ``cj`` are
-    slots: slot ``s`` of either side is the point ``order[s]``.
+    With ``order`` (an index's ``point_order``), ``cj`` are slots: slot
+    ``s`` is the point ``order[s]``. So are ``qi``, unless ``left_ids``:
+    then ``qi`` index ``left`` directly (external queries against an
+    index over ``right``).
 
     Two storage strategies, the same bits. Memory-mapped arrays are
     gathered by rows with ``take(axis=0)``, so only the touched pages ever
@@ -146,24 +155,28 @@ def epsilon_filter(
     candidate run is a contiguous slice); their 1-D gathers refine 3–4×
     faster than row gathers.
     """
+    left_order = None if left_ids else order
     bases = [left, right]  # memory-mapped: an np.memmap in either base chain
     while bases:
         arr = bases.pop()
         if isinstance(arr, np.memmap):
-            ids = (lambda s: s) if order is None else order.take
+
+            def rows(points, ids, s):
+                return points.take(s if ids is None else ids.take(s), axis=0)
+
             return lambda qi, cj: within_epsilon(
-                (left.take(ids(qi), axis=0) - right.take(ids(cj), axis=0)).T, epsilon
+                (rows(left, left_order, qi) - rows(right, order, cj)).T, epsilon
             )
         if getattr(arr, "base", None) is not None:
             bases.append(arr.base)
 
-    def columns(points):
-        if order is None:
+    def columns(points, ids):
+        if ids is None:
             return np.ascontiguousarray(points.T)
-        return [points[:, d].take(order) for d in range(points.shape[1])]
+        return [points[:, d].take(ids) for d in range(points.shape[1])]
 
-    lcols = columns(left)
-    rcols = lcols if right is left else columns(right)
+    rcols = columns(right, order)
+    lcols = rcols if right is left and left_order is order else columns(left, left_order)
 
     def diffs(qi, cj):
         for lc, rc in zip(lcols, rcols):
@@ -172,6 +185,13 @@ def epsilon_filter(
             yield d
 
     return lambda qi, cj: within_epsilon(diffs(qi, cj), epsilon)
+
+
+def point_slots(index: GridIndex, ids: np.ndarray) -> np.ndarray:
+    """Each point id's slot: its position in ``index.point_order``."""
+    slot_of = np.empty(index.num_points, dtype=np.int64)
+    slot_of[index.point_order] = np.arange(index.num_points, dtype=np.int64)
+    return slot_of.take(ids)
 
 
 def refine_blocks(blocks, keep, *, include_self: bool = True):

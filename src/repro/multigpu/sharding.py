@@ -122,10 +122,11 @@ def _lpt_partition(ids: np.ndarray, weights: np.ndarray, num_shards: int):
     heap = [(0.0, s) for s in range(num_shards)]
     heapq.heapify(heap)
     members: list[list[int]] = [[] for _ in range(num_shards)]
-    for q in order:
-        load, s = heapq.heappop(heap)
-        members[s].append(int(q))
-        heapq.heappush(heap, (load + float(weights[q]), s))
+    # Python ints and floats: NumPy scalars cost a boxing per item
+    for q, w in zip(order.tolist(), weights[order].tolist()):
+        load, s = heap[0]
+        heapq.heapreplace(heap, (load + w, s))
+        members[s].append(q)
     return members
 
 

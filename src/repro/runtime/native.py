@@ -61,6 +61,7 @@ from repro.grid.query import (
     candidate_blocks,
     cell_runs,
     epsilon_filter,
+    point_slots,
     refine_blocks,
 )
 from repro.resilience.faults import DeviceLostError
@@ -145,9 +146,7 @@ def _self_join_blocks(index, order, *, include_self, chunk_pairs):
             q = queries[start : start + chunk_pairs]
             yield q, q, False
     point_order = index.point_order
-    slot_of = np.empty(index.num_points, dtype=np.int64)
-    slot_of[point_order] = np.arange(index.num_points, dtype=np.int64)
-    q_slot = slot_of[queries]
+    q_slot = point_slots(index, queries)
     q_rank = index.point_cell_rank[queries]
     keep = epsilon_filter(index.points, index.points, index.epsilon, order=point_order)
 

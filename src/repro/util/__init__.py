@@ -11,6 +11,7 @@ from repro.util.arrays import (
     check_epsilon,
     gather_slices,
     pairs_to_set,
+    stable_argsort,
     stable_argsort_desc,
 )
 from repro.util.rng import resolve_rng
@@ -25,5 +26,6 @@ __all__ = [
     "gather_slices",
     "pairs_to_set",
     "resolve_rng",
+    "stable_argsort",
     "stable_argsort_desc",
 ]

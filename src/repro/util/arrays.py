@@ -10,8 +10,11 @@ __all__ = [
     "check_epsilon",
     "gather_slices",
     "pairs_to_set",
+    "stable_argsort",
     "stable_argsort_desc",
 ]
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def as_points_array(points, *, copy: bool = False) -> np.ndarray:
@@ -69,15 +72,54 @@ def ceil_div(a, b):
     return -(-a // b)
 
 
-def stable_argsort_desc(values: np.ndarray) -> np.ndarray:
-    """Stable descending argsort.
+def _key_argsort(values: np.ndarray, *, descending: bool) -> np.ndarray | None:
+    """The stable argsort of integer ``values`` by one plain sort, or
+    ``None`` for floats and when the key could overflow int64.
 
-    NumPy has no stable descending kind, so we stably sort the negated key.
-    For integer inputs the negation is exact; for floats, ties keep their
-    original relative order (the property the work-queue relies on for
-    reproducibility).
+    The key ``(v − min) · 2ᵇ + i`` (descending: ``(max − v) · 2ᵇ + i``),
+    with ``2ᵇ`` the least power of two ≥ ``n``, is unique, so an unstable
+    sort of it orders the values stably, and its low ``b`` bits are the
+    permutation. NumPy runs a stable argsort of int64 as a merge sort;
+    the plain sort of the key is several times faster.
+    """
+    n = len(values)
+    if values.dtype.kind not in "iu" or n == 0:
+        return None
+    lo, hi = int(values.min()), int(values.max())
+    b = (n - 1).bit_length()
+    if hi > _INT64_MAX or (hi - lo + 1) << b > _INT64_MAX:
+        return None
+    key = values.astype(np.int64)
+    if descending:
+        np.subtract(hi, key, out=key)
+    else:
+        key -= lo
+    key <<= b
+    key |= np.arange(n, dtype=np.int64)
+    key.sort()
+    key &= (1 << b) - 1
+    return key
+
+
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``: one key sort for integers."""
+    values = np.asarray(values)
+    order = _key_argsort(values, descending=False)
+    return np.argsort(values, kind="stable") if order is None else order
+
+
+def stable_argsort_desc(values: np.ndarray) -> np.ndarray:
+    """Stable descending argsort: ``np.argsort(-values, kind="stable")``.
+
+    Integers sort one key (see :func:`stable_argsort`). Otherwise NumPy,
+    which has no stable descending kind, stably sorts the negated values:
+    ties keep their original relative order (the property the
+    work-queue relies on for reproducibility).
     """
     values = np.asarray(values)
+    order = _key_argsort(values, descending=True)
+    if order is not None:
+        return order
     if values.dtype.kind in "iu":
         key = -values.astype(np.int64, copy=False)
     else:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-# A single moderate profile: the suite runs on one core, so keep example
+# The default profile: the suite runs on one core, so keep example
 # counts modest while still exploring the space.
 settings.register_profile(
     "repro",
@@ -14,6 +14,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# CI's deeper differential step loads this one with --hypothesis-profile=deep;
+# the differential tests scale their example counts from the loaded profile
+settings.register_profile("deep", parent=settings.get_profile("repro"), max_examples=800)
 settings.load_profile("repro")
 
 

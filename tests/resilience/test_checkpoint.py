@@ -9,6 +9,7 @@ single-device/pooled execution.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import struct
@@ -403,6 +404,11 @@ def test_generous_deadline_changes_nothing(index):
     assert np.array_equal(golden.pairs, bounded.pairs)
 
 
+def _shm_entries() -> set[str]:
+    """Names under ``/dev/shm``, where POSIX shared memory lives on Linux."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
 class _ShardClock:
     """A deadline clock that reads one second per journaled shard."""
 
@@ -422,7 +428,8 @@ def test_deadline_fires_mid_run_and_resume_is_bit_identical(
     fires at the first dispatch after the third shard finished. Inline,
     that is dispatch 3; a pool of 3 workers keeps 3 shards in flight, so
     dispatches 3 and 4 went out as the first two finished, and both
-    drain into the journal before the error propagates."""
+    drain into the journal before the error propagates. The pool leaves
+    no worker process and no shared-memory segment behind."""
 
     def rc(**kw):
         return RuntimeConfig(
@@ -432,10 +439,13 @@ def test_deadline_fires_mid_run_and_resume_is_bit_identical(
     golden = Runner().run(compile_self_join(index, rc()))
     plan = compile_self_join(index, rc(checkpoint=CheckpointConfig(directory=str(tmp_path))))
     runner = Runner()
+    segments = _shm_entries()
     monkeypatch.setattr(runner_module, "time", _ShardClock(runner))
     with pytest.raises(DeadlineExceededError, match="before shard"):
         runner.run(plan, deadline_seconds=2.5)
     monkeypatch.undo()
+    assert multiprocessing.active_children() == []
+    assert _shm_entries() - segments == set()
     shard_plan = plan.shard_stage.plan
     assert 0 < journaled < shard_plan.num_shards
     journal = CheckpointStore(str(tmp_path)).journal(

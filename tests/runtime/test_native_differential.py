@@ -120,7 +120,7 @@ def _check_self_join(points, eps, path):
 @example(case=_order_sensitive_pair(threshold="numpy"), path=("mmap", 2, False, "gpucalcglobal"))
 @example(case=_order_sensitive_pair(threshold="ordered"), path=("mmap", 3, True, "gpucalcglobal"))
 @example(case=_order_sensitive_pair(threshold="ordered"), path=("resident", 1, False, "combined"))
-@settings(max_examples=60)
+@settings(max_examples=settings.default.max_examples * 3 // 2)
 def test_native_self_join_matches_oracle(case, path):
     _check_self_join(*case, path)
 
@@ -147,7 +147,7 @@ def test_every_self_join_path_on_fixed_dataset(path):
     path=st.sampled_from(tuple(itertools.product(("resident", "mmap"), (1, 2)))),
 )
 @example(case=_EPS_SQUARED_LOW, num_queries=0, seed=0, path=("mmap", 2))
-@settings(max_examples=30)
+@settings(max_examples=settings.default.max_examples * 3 // 4)
 def test_native_bipartite_sweep_matches_oracle(case, num_queries, seed, path):
     points, eps = case
     storage, devices = path

@@ -12,8 +12,10 @@ from repro.util import (
     ceil_div,
     check_epsilon,
     pairs_to_set,
+    stable_argsort,
     stable_argsort_desc,
 )
+from repro.util.arrays import _key_argsort
 
 
 class TestAsPointsArray:
@@ -98,6 +100,47 @@ class TestStableArgsortDesc:
     def test_float_values(self):
         v = np.array([0.5, 2.5, 1.5])
         assert list(stable_argsort_desc(v)) == [1, 2, 0]
+
+
+class TestOneKeyArgsort:
+    """Integer keys sort as one unique key ``(v − min) · 2ᵇ + i``; the
+    permutation must equal NumPy's stable argsort."""
+
+    @given(st.lists(st.integers(-40, 40), max_size=300))
+    def test_ties_and_negatives(self, xs):
+        v = np.array(xs, dtype=np.int64)
+        np.testing.assert_array_equal(stable_argsort_desc(v), np.argsort(-v, kind="stable"))
+        np.testing.assert_array_equal(stable_argsort(v), np.argsort(v, kind="stable"))
+
+    @pytest.mark.parametrize("xs", [[], [5], [-5], [0, 0], [3, -1]])
+    def test_tiny_inputs(self, xs):
+        v = np.array(xs, dtype=np.int64)
+        np.testing.assert_array_equal(stable_argsort_desc(v), np.argsort(-v, kind="stable"))
+        np.testing.assert_array_equal(stable_argsort(v), np.argsort(v, kind="stable"))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    def test_narrow_and_unsigned_dtypes(self, dtype):
+        v = np.random.default_rng(3).integers(0, 100, 500).astype(dtype)
+        wide = v.astype(np.int64)
+        np.testing.assert_array_equal(stable_argsort_desc(v), np.argsort(-wide, kind="stable"))
+        np.testing.assert_array_equal(stable_argsort(v), np.argsort(wide, kind="stable"))
+
+    def test_overflowing_key_falls_back(self):
+        # (max − min + 1) · 2ᵇ exceeds int64 for a span of 2⁶³ − 1 and n = 5
+        v = np.array([2**62, -(2**62), 5, 2**62, -(2**62) + 1], dtype=np.int64)
+        assert _key_argsort(v, descending=True) is None
+        assert _key_argsort(v, descending=False) is None
+        np.testing.assert_array_equal(stable_argsort_desc(v), np.argsort(-v, kind="stable"))
+        np.testing.assert_array_equal(stable_argsort(v), np.argsort(v, kind="stable"))
+        # a uint64 above int64's range cannot be keyed either
+        big = np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64)
+        assert _key_argsort(big, descending=False) is None
+        np.testing.assert_array_equal(stable_argsort(big), [1, 0, 2])
+
+    def test_floats_take_the_stable_argsort(self):
+        v = np.array([0.5, -1.0, 0.5, 2.0])
+        assert _key_argsort(v, descending=True) is None
+        np.testing.assert_array_equal(stable_argsort_desc(v), np.argsort(-v, kind="stable"))
 
 
 class TestPairsToSet:
