@@ -85,11 +85,9 @@ def bipartite_kernel(ctx: ThreadContext, args: BipartiteKernelArgs) -> None:
     query = args.queries[q]
 
     offset = 0
-    for inside, ranks in index.neighbors.probe(query.reshape(1, -1)):
-        if not inside[0]:
-            continue
+    inside, ranks = index.neighbors.probe_query(query)
+    for rank in ranks[inside].tolist():  # in-grid probes, canonical order
         ctx.charge_cell_visit()
-        rank = int(ranks[0])
         if rank < 0:
             continue
         cand = index.points_in_cell(rank)

@@ -412,11 +412,13 @@ def selfjoin_bulk(launch: BulkLaunch, args: KernelArgs) -> BulkKernelResult:
     if len(lg):
         q_slots = point_slots(index, qs)
         flat_base = np.zeros(len(lg), dtype=np.int64)
-        # own cell first, then every pattern offset in ascending order
+        # own cell first, then the pattern offsets in ascending order: only
+        # the live ones, as an offset whose neighbour is empty for every
+        # cell yields no stage (its visits are charged by visited_counts)
         emitter.process_stage(lg, qs, q_slots, qcell, flat_base, mirror=False)
         flat_base += index.cell_counts.take(qcell)
         mirror = args.pattern != "full"
-        for o in plan.pattern_offsets():
+        for o in plan.live_offsets():
             _, nranks = plan.offset_visits(int(o), qcell)
             sel = np.flatnonzero(nranks >= 0)
             if not len(sel):

@@ -73,7 +73,8 @@ class PatternPlan:
       consumes, computed once per origin cell;
     - :meth:`offset_visits` — the transposed view the bulk engine
       consumes: one offset seen from a launch's query cells, computed per
-      launch at a cost linear in those cells;
+      launch at a cost linear in those cells, for the
+      :meth:`live_offsets` only;
     - :meth:`visited_counts` / :meth:`candidate_counts` — the per-cell
       probe and candidate totals every analytic cycle charge reduces to,
       computed once per plan.
@@ -94,7 +95,10 @@ class PatternPlan:
         self._zero_idx = len(self._offs) // 2
         self._cell_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._visited_counts: np.ndarray | None = None
-        self._candidate_counts: np.ndarray | None = None
+        self._live_offsets: np.ndarray | None = None
+        #: per-cell SORTBYWL workloads, set once by
+        #: :func:`repro.core.sortbywl.cell_workloads`
+        self.workloads: np.ndarray | None = None
         if pattern == "full":
             self._take_all = np.ones(len(self._offs), dtype=bool)
             self._take_all[self._zero_idx] = False
@@ -177,24 +181,30 @@ class PatternPlan:
         if self._visited_counts is None:
             cells = np.arange(self.index.num_nonempty_cells)
             total = np.zeros(len(cells), dtype=np.int64)
+            live = []
             for o in self._offset_candidates:
-                visit, _ = self.offset_visits(int(o), cells)
+                visit, ranks = self.offset_visits(int(o), cells)
                 total += visit
+                if (ranks >= 0).any():
+                    live.append(o)
+            self._live_offsets = np.array(live, dtype=self._offset_candidates.dtype)
             self._visited_counts = total
         return self._visited_counts
 
+    def live_offsets(self) -> np.ndarray:
+        """The :meth:`pattern_offsets` whose neighbour is a non-empty cell
+        for at least one cell, ascending: the only offsets that yield
+        candidates (recorded by the same walk as :meth:`visited_counts`)."""
+        self.visited_counts()
+        return self._live_offsets
+
     def candidate_counts(self) -> np.ndarray:
         """Per-cell candidate total: own points plus the points of every
-        visited non-empty pattern neighbor."""
-        if self._candidate_counts is None:
-            counts = self.index.cell_counts.copy()
-            cells = np.arange(len(counts))
-            for o in self._offset_candidates:
-                visit, ranks = self.offset_visits(int(o), cells)
-                hit = visit & (ranks >= 0)
-                counts[hit] += self.index.cell_counts[ranks[hit]]
-            self._candidate_counts = counts
-        return self._candidate_counts
+        visited non-empty pattern neighbor — the array
+        :func:`repro.core.sortbywl.cell_workloads` computes once per plan."""
+        from repro.core.sortbywl import cell_workloads  # sortbywl imports this module
+
+        return cell_workloads(self.index, self.pattern)
 
 
 def get_pattern_plan(pattern: str, index: GridIndex) -> PatternPlan:

@@ -86,8 +86,31 @@ def pattern_workload_components(
 
 
 def cell_workloads(index: GridIndex, pattern: str = "full") -> np.ndarray:
-    """Distance computations per query point, for each non-empty cell."""
-    return pattern_workload_components(index, pattern).candidates
+    """Distance computations per query point, for each non-empty cell.
+
+    The ``k = 1`` totals of :func:`pattern_workload_components`: each
+    cell's own count plus, per pattern offset, ``counts.take(ranks)`` of
+    its neighbour, zero where the neighbour is empty or outside the grid
+    (rank -1 reads the appended zero) and, under UNICOMP, where the cell
+    does not take the offset. Computed once per index and pattern and
+    kept, read-only, on the index's :class:`~repro.core.patterns.PatternPlan`
+    (which returns the same array from ``candidate_counts``).
+    """
+    plan = get_pattern_plan(pattern, index)
+    totals = plan.workloads
+    if totals is None:
+        counts = index.cell_counts
+        padded = np.append(counts, 0)  # rank -1 (no neighbour) reads 0
+        totals = counts.copy()
+        offsets = neighbor_offsets(index.ndim)
+        for oi in plan.pattern_offsets().tolist():
+            add = padded.take(neighbor_ranks_for_offset(index, offsets[oi]))
+            if plan.pattern == "unicomp":  # membership varies per cell
+                add *= plan.take_mask(oi)
+            totals += add
+        totals.setflags(write=False)
+        plan.workloads = totals
+    return totals
 
 
 def point_workloads(index: GridIndex, pattern: str = "full") -> np.ndarray:

@@ -97,12 +97,25 @@ class GridSpec:
     # ------------------------------------------------------------------
     @classmethod
     def from_points(cls, points, epsilon: float) -> "GridSpec":
-        """Build the spec from a dataset's bounding box."""
+        """Build the spec from a dataset's bounding box.
+
+        The box is reduced one column at a time: a reduction of an
+        ``(N, n)`` array over its rows runs its inner loop ``N`` times over
+        the ``n`` elements of the narrow trailing axis, several times
+        slower than ``n`` passes over the columns.
+        """
         pts = as_points_array(points)
+        n = pts.shape[1]
         if pts.shape[0] == 0:
-            n = pts.shape[1]
             return cls(epsilon, np.zeros(n), np.zeros(n))
-        return cls(epsilon, pts.min(axis=0), pts.max(axis=0))
+        mins = np.array([pts[:, d].min() for d in range(n)])
+        maxs = np.array([pts[:, d].max() for d in range(n)])
+        if not (mins.all() and maxs.all()):
+            # a column's extreme is one value whatever the reduction order,
+            # except that -0.0 and 0.0 tie: which zero survives depends on
+            # the order, so a zero extreme keeps the row-wise reduction's
+            mins, maxs = pts.min(axis=0), pts.max(axis=0)
+        return cls(epsilon, mins, maxs)
 
     @property
     def ndim(self) -> int:
@@ -130,9 +143,17 @@ class GridSpec:
             raise ValueError(
                 f"points have {pts.shape[1]} dimensions, grid has {self.ndim}"
             )
-        coords = np.floor((pts - self.mins) / self.cell_length).astype(np.int64)
-        if clamp:
-            np.clip(coords, 0, self.widths - 1, out=coords)
+        # one column at a time, each element through the same subtract,
+        # divide, floor, cast and clamp as a broadcast over the whole array
+        coords = np.empty(pts.shape, dtype=np.int64)
+        for d in range(self.ndim):
+            col = pts[:, d] - self.mins[d]
+            col /= self.cell_length
+            np.floor(col, out=col)
+            cells = col.astype(np.int64)
+            if clamp:
+                np.clip(cells, 0, self.widths[d] - 1, out=cells)
+            coords[:, d] = cells
         return coords
 
     def linearize(self, coords: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ every dimension. Every probe of those cells goes through the index's one
   query cells;
 - per offset over external queries (:meth:`NeighborTable.probe`) — the
   bipartite join's probe from unclamped query cells;
+- per external query over all offsets (:meth:`NeighborTable.probe_query`)
+  — the same probe for one thread of the interpreted bipartite kernel;
 - per cell (:meth:`NeighborTable.cell_inside`, :meth:`NeighborTable.lookup`)
   — the single-cell view of the interpreted kernels.
 
@@ -236,6 +238,19 @@ class NeighborTable:
             if len(hit):
                 ranks[hit] = self.lookup(base[hit] + self.deltas[oi])
             yield inside, ranks
+
+    def probe_query(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One external query's :meth:`probe` over all offsets at once:
+        ``(inside, ranks)``, one entry per row of :func:`neighbor_offsets`
+        — what :meth:`cell_inside` and :meth:`lookup` give for a cell."""
+        spec = self.spec
+        coords = spec.cell_coords(np.reshape(query, (1, -1)), clamp=False)
+        inside = (self._query_words & _edge_words(coords, spec.widths, 3)[0]) == 0
+        ranks = np.full(len(inside), -1, dtype=np.int32)
+        hit = np.flatnonzero(inside)
+        if len(hit):  # an in-grid probe puts every coordinate within one cell
+            ranks[hit] = self.lookup(spec.linearize(coords[0]) + self.deltas.take(hit))
+        return inside, ranks
 
 
 def _offset_index(offset: np.ndarray, ndim: int) -> int:

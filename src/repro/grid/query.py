@@ -51,7 +51,13 @@ __all__ = [
 ]
 
 #: candidate pairs per block unless the caller bounds it (read at call
-#: time) — caps one refinement pass at ~64 MB of intermediates
+#: time) — caps one refinement pass at ~64 MB of intermediates. The VM's
+#: bulk kernels, the estimator's reference queries and the performance
+#: model's hit counts walk blocks this large: they run once per launch or
+#: sample, where fewer blocks mean less per-block Python, and 64k blocks
+#: there cost ``sharded_durable`` 5 % of its op time and 4 % of its peak
+#: RSS. The native passes bound theirs by the cache-sized
+#: ``repro.runtime.native.NATIVE_CHUNK_PAIRS``.
 BLOCK_PAIRS = 4_000_000
 
 

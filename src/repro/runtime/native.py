@@ -57,7 +57,6 @@ from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_workloads, iter_bipartite_blocks
 from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
 from repro.grid.query import (
-    BLOCK_PAIRS,
     candidate_blocks,
     cell_runs,
     epsilon_filter,
@@ -78,9 +77,14 @@ __all__ = [
     "share_array",
 ]
 
-#: candidate pairs refined per block, recorded in the plan's launch stage
-#: — the grid walker's default bound
-NATIVE_CHUNK_PAIRS = BLOCK_PAIRS
+#: candidate pairs refined per block by every native pass — the
+#: self-join, the bipartite sweep (similarity joins and kNN rounds) and
+#: the process workers — recorded in the plan's ``NativeLaunchStage``.
+#: A block's int64 and float64 intermediates are 512 KiB each, so the few
+#: live at once stay near a core's 2 MiB L2 instead of streaming through
+#: DRAM as :data:`~repro.grid.query.BLOCK_PAIRS`-sized (32 MB) arrays;
+#: the block sweep is in ``docs/performance.md``
+NATIVE_CHUNK_PAIRS = 65_536
 
 
 # ----------------------------------------------------------------------

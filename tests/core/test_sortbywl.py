@@ -8,13 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines import brute_force_neighbor_counts
+from repro.core.patterns import PATTERN_NAMES, PatternPlan, get_pattern_plan
 from repro.core.sortbywl import (
     cell_workloads,
     pattern_workload_components,
     point_workloads,
     sort_by_workload,
 )
-from repro.grid import GridIndex, neighbor_ranks_of_cell
+from repro.grid import (
+    GridIndex,
+    neighbor_offsets,
+    neighbor_ranks_for_offset,
+    neighbor_ranks_of_cell,
+)
+from repro.util import gather_slices
 
 
 def build_index(seed: int, ndim: int = 2, n: int = 150, eps: float = 0.6):
@@ -106,3 +113,43 @@ class TestSortByWorkload:
         idx = GridIndex(np.empty((0, 2)), 1.0)
         assert len(sort_by_workload(idx)) == 0
         assert len(cell_workloads(idx)) == 0
+
+
+def _masked_workloads(index, pattern):
+    """Per-cell workloads by the boolean-mask loop ``cell_workloads``
+    replaced, kept as the reference."""
+    plan = PatternPlan(pattern, index)
+    cand = index.cell_counts.copy()
+    for oi, off in enumerate(neighbor_offsets(index.ndim)):
+        mask = plan.take_mask(oi)
+        if not mask.any():
+            continue
+        ranks = neighbor_ranks_for_offset(index, off)
+        hit = mask & (ranks >= 0)
+        cand[hit] += index.cell_counts[ranks[hit]]
+    return cand
+
+
+class TestCellWorkloadTotals:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        ndim=st.integers(1, 4),
+        pattern=st.sampled_from(PATTERN_NAMES),
+    )
+    def test_equal_masked_reference_and_sortbywl_order(self, seed, ndim, pattern):
+        idx = build_index(seed, ndim=ndim, n=90, eps=0.8)
+        ref = _masked_workloads(idx, pattern)
+        got = cell_workloads(idx, pattern)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        # the SORTBYWL permutation: cells by non-increasing workload, stable
+        cells = np.argsort(-ref, kind="stable")
+        expect = gather_slices(idx.point_order, idx.cell_starts[cells], idx.cell_counts[cells])
+        np.testing.assert_array_equal(sort_by_workload(idx, pattern), expect)
+
+    def test_computed_once_per_index_and_pattern(self):
+        idx = build_index(6)
+        for pattern in PATTERN_NAMES:
+            totals = cell_workloads(idx, pattern)
+            assert cell_workloads(idx, pattern) is totals
+            assert get_pattern_plan(pattern, idx).candidate_counts() is totals
+            assert not totals.flags.writeable

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.grid import GridSpec
+from repro.io import load_dataset, save_dataset
 
 
 def make_points(ndim: int, n: int, rng: np.random.Generator, scale=10.0):
@@ -143,3 +147,90 @@ class TestCoordinateMapping:
         close_i, close_j = np.nonzero(d <= eps)
         delta = np.abs(coords[close_i] - coords[close_j])
         assert delta.max() <= 1
+
+
+# -- column-at-a-time arithmetic ------------------------------------------
+# The broadcast expressions GridSpec used before it worked one column at a
+# time, kept as the reference: every spec and coordinate array must stay
+# byte-identical to them.
+def _broadcast_spec(points, eps):
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) == 0:
+        return GridSpec(eps, np.zeros(pts.shape[1]), np.zeros(pts.shape[1]))
+    return GridSpec(eps, pts.min(axis=0), pts.max(axis=0))
+
+
+def _broadcast_coords(spec, points, clamp):
+    coords = np.floor((np.asarray(points) - spec.mins) / spec.cell_length).astype(np.int64)
+    if clamp:
+        np.clip(coords, 0, spec.widths - 1, out=coords)
+    return coords
+
+
+@st.composite
+def grid_cases(draw):
+    """``(points, eps, queries, mmap)``: 1–8 dims; negative coordinates,
+    signed zeros at a column's extreme, points on cell boundaries (the
+    box's upper face among them), an optional 1e6 offset, a tiny ε whose
+    spec coarsens, and queries in and far outside the box."""
+    ndim = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 40))
+    eps = draw(st.sampled_from((1e-9, 0.3, 1.0, 7.463412840658728)))
+    span = draw(st.sampled_from((3.0 * eps, 1.0)))  # 1e-9 over a unit box coarsens
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-span, span, (n, ndim))
+    for d in range(ndim):
+        sign = draw(st.sampled_from((0, 1, -1)))  # mixed, non-negative, non-positive
+        if sign:
+            points[:, d] = sign * np.abs(points[:, d])
+    if draw(st.booleans()):  # signed zeros, possibly a column's min or max
+        zeros = rng.random((n, ndim)) < 0.4
+        points[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+    if draw(st.booleans()):  # coordinates on cell boundaries
+        snap = rng.random((n, ndim)) < 0.5
+        points[snap] = np.round(points[snap] / eps) * eps
+    if draw(st.booleans()):
+        points += 1e6
+    lo = points.min(axis=0) if n else np.zeros(ndim)
+    near = lo + rng.uniform(-4.0 * span, 6.0 * span, (draw(st.integers(0, 10)), ndim))
+    far = rng.choice([-1e9, 1e9], (draw(st.integers(0, 3)), ndim))
+    return points, eps, np.concatenate([points[:5], near, far]), draw(st.booleans())
+
+
+def _signed_zero_column():
+    """Two columns; the first's min is a zero that the row-wise reduction
+    takes as 0.0 and a strided one-column ``min()`` as -0.0 (NumPy 2.x)."""
+    signs = "+-+--++--++++-++"
+    col = [-0.0 if s == "-" else 0.0 for s in signs] + [1.0]
+    return np.column_stack([col, np.linspace(1.0, 2.0, len(col))])
+
+
+class TestColumnwiseArithmetic:
+    @given(case=grid_cases())
+    @example(case=(_signed_zero_column(), 1.0, np.zeros((1, 2)), False))
+    @example(case=(-_signed_zero_column(), 0.3, np.zeros((1, 2)), True))  # the max
+    @example(case=(np.eye(3) * 1.0, 1e-9, np.full((1, 3), 1e9), False))  # coarsened
+    def test_spec_and_coords_equal_broadcast_reference(self, case):
+        points, eps, queries, mmap = case
+        with tempfile.TemporaryDirectory() as tmp:
+            data = points
+            if mmap:
+                path = Path(tmp) / "points.npy"
+                save_dataset(path, points)
+                data = load_dataset(path, mmap=True)
+            spec = GridSpec.from_points(data, eps)
+            ref = _broadcast_spec(points, eps)
+            for attr in ("mins", "maxs", "widths", "strides"):
+                got, want = getattr(spec, attr), getattr(ref, attr)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+            assert spec.cell_length == ref.cell_length
+            for rows in (data, queries):
+                for clamp in (True, False):
+                    got = spec.cell_coords(rows, clamp=clamp)
+                    want = _broadcast_coords(ref, rows, clamp)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), clamp
+            del data  # release the map before the directory goes
+
+    def test_coarsened_example_is_coarsened(self):
+        assert GridSpec.from_points(np.eye(3), 1e-9).is_coarsened

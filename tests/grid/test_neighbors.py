@@ -235,13 +235,19 @@ class TestNeighborTable:
         cells[3, -1] = -(10**6)
         queries = spec.mins + (cells + 0.5) * spec.cell_length
         assert (spec.cell_coords(queries, clamp=False) == cells).all()
+        want = list(reference_probe(index, queries))
         for table in rank_paths(index):
             got = list(table.probe(queries))
-            want = list(reference_probe(index, queries))
             assert len(got) == len(want) == 3**index.ndim
             for (inside, ranks), (ref_inside, ref_ranks) in zip(got, want):
                 np.testing.assert_array_equal(inside, ref_inside)
                 np.testing.assert_array_equal(ranks, ref_ranks)
+            # one query at a time, every offset in one vector op
+            for q, query in enumerate(queries):
+                inside, ranks = table.probe_query(query)
+                assert ranks.dtype == np.int32
+                np.testing.assert_array_equal(inside, [w[0][q] for w in want])
+                np.testing.assert_array_equal(ranks, [w[1][q] for w in want])
 
     @given(index=grid_indexes(max_dim=4), seed=st.integers(0, 2**32 - 1))
     def test_pattern_plans_match_previous_probe(self, index, seed):
@@ -262,6 +268,21 @@ class TestNeighborTable:
                 ref_visited, ref_ranks = reference_cells_for_rank(plan, r)
                 np.testing.assert_array_equal(visited, ref_visited)
                 np.testing.assert_array_equal(ranks, ref_ranks)
+
+    @given(index=grid_indexes(max_dim=4))
+    def test_live_offsets_are_those_with_a_nonempty_neighbour(self, index):
+        for pattern in PATTERN_NAMES:
+            plan = PatternPlan(pattern, index)
+            live = [
+                oi
+                for oi in plan.pattern_offsets().tolist()
+                if (reference_offset_visits(plan, oi)[1] >= 0).any()
+            ]
+            assert plan.live_offsets().tolist() == live
+            visited = np.zeros(index.num_nonempty_cells, dtype=np.int64)
+            for oi in range(3**index.ndim):
+                visited += reference_offset_visits(plan, oi)[0]
+            np.testing.assert_array_equal(plan.visited_counts(), visited)
 
     def test_no_points(self):
         index = GridIndex(np.empty((0, 3)), 1.0)

@@ -6,12 +6,15 @@ SORTBYWL (``combined``) and natural (``gpucalcglobal``) query orders —
 must return ``baselines.bruteforce``'s pair set on small adversarial
 datasets: 1–8 dimensions, 0–60 points, duplicated points, a pair at
 exactly ε and coordinates offset by 1e6. The three constructions of
-``TestBoundarySemantics`` are pinned as examples. Single-device results
-must also keep their fragments as row views that tile ``pairs``.
+``TestBoundarySemantics`` are pinned as examples. Each example also draws
+the plan's block bound (``NativeLaunchStage.chunk_pairs``) from 1 pair to
+4M. Single-device results must also keep their fragments as row views that
+tile ``pairs``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tempfile
 from pathlib import Path
@@ -32,11 +35,16 @@ from repro import (
 )
 from repro.baselines import brute_force_pairs
 from repro.io import load_dataset, save_dataset
+from repro.runtime import NativeLaunchStage, execute_shard_native
+from repro.runtime.native import NATIVE_CHUNK_PAIRS
+from repro.runtime.ops import BipartiteOp, SelfJoinOp
 from tests.integration.test_adversarial import _order_sensitive_pair
 
 #: 7.463412840658728 is the ε whose ``eps**2`` rounds one ulp below ``eps * eps``
 EPSILONS = (0.5, 1.0, 7.463412840658728)
 SELF_PRESETS = ("combined", "gpucalcglobal")
+#: native block bounds: one pair, tiny, the engine's default, the VM's
+CHUNKS = (1, 3, 64, NATIVE_CHUNK_PAIRS, 4_000_000)
 
 
 @st.composite
@@ -98,14 +106,26 @@ _EPS_SQUARED_LOW = (np.array([[0.0, 0.0], [7.463412840658728, 0.0]]), 7.46341284
 PATHS = tuple(itertools.product(("resident", "mmap"), (1, 2, 3), (True, False), SELF_PRESETS))
 
 
-def _check_self_join(points, eps, path):
+def _with_chunk(plan, chunk):
+    """``plan`` with its native launch bounded to ``chunk`` candidate pairs."""
+    if chunk is None:
+        return plan
+    stages = tuple(
+        dataclasses.replace(s, chunk_pairs=chunk) if isinstance(s, NativeLaunchStage) else s
+        for s in plan.stages
+    )
+    return dataclasses.replace(plan, stages=stages)
+
+
+def _check_self_join(points, eps, path, chunk=None):
     storage, devices, include_self, preset = path
     expect = brute_force_pairs(points, eps, include_self=include_self)
     with tempfile.TemporaryDirectory() as tmp:
         data = _storages(points, tmp)[storage]
         rt = _runtime(preset, devices, include_self=include_self)
-        result = Runner().run(compile_self_join(GridIndex(data, eps), rt))
-        assert np.array_equal(result.canonical_pairs(), expect), path
+        plan = _with_chunk(compile_self_join(GridIndex(data, eps), rt), chunk)
+        result = Runner().run(plan)
+        assert np.array_equal(result.canonical_pairs(), expect), (path, chunk)
         _assert_fragments_tile(result)
 
 
@@ -113,16 +133,32 @@ def _check_self_join(points, eps, path):
 # (3⁸ offsets through SORTBYWL, the shard planner and the pass), so
 # Hypothesis draws the path with the data, and the fixed dataset below
 # runs every path.
-@given(case=datasets(), path=st.sampled_from(PATHS))
-@example(case=_EPS_SQUARED_LOW, path=("mmap", 3, True, "combined"))
-@example(case=_EPS_SQUARED_LOW, path=("resident", 2, False, "gpucalcglobal"))
-@example(case=_order_sensitive_pair(threshold="numpy"), path=("resident", 1, True, "combined"))
-@example(case=_order_sensitive_pair(threshold="numpy"), path=("mmap", 2, False, "gpucalcglobal"))
-@example(case=_order_sensitive_pair(threshold="ordered"), path=("mmap", 3, True, "gpucalcglobal"))
-@example(case=_order_sensitive_pair(threshold="ordered"), path=("resident", 1, False, "combined"))
+@given(case=datasets(), path=st.sampled_from(PATHS), chunk=st.sampled_from(CHUNKS))
+@example(case=_EPS_SQUARED_LOW, path=("mmap", 3, True, "combined"), chunk=1)
+@example(case=_EPS_SQUARED_LOW, path=("resident", 2, False, "gpucalcglobal"), chunk=3)
+@example(
+    case=_order_sensitive_pair(threshold="numpy"),
+    path=("resident", 1, True, "combined"),
+    chunk=NATIVE_CHUNK_PAIRS,
+)
+@example(
+    case=_order_sensitive_pair(threshold="numpy"),
+    path=("mmap", 2, False, "gpucalcglobal"),
+    chunk=1,
+)
+@example(
+    case=_order_sensitive_pair(threshold="ordered"),
+    path=("mmap", 3, True, "gpucalcglobal"),
+    chunk=4_000_000,
+)
+@example(
+    case=_order_sensitive_pair(threshold="ordered"),
+    path=("resident", 1, False, "combined"),
+    chunk=64,
+)
 @settings(max_examples=settings.default.max_examples * 3 // 2)
-def test_native_self_join_matches_oracle(case, path):
-    _check_self_join(*case, path)
+def test_native_self_join_matches_oracle(case, path, chunk):
+    _check_self_join(*case, path, chunk)
 
 
 def _fixed_dataset():
@@ -140,29 +176,71 @@ def test_every_self_join_path_on_fixed_dataset(path):
     _check_self_join(*_fixed_dataset(), path)
 
 
+def _near_queries(points, eps, num_queries, rng):
+    """Half copies of indexed points, half uniform around the box's low corner."""
+    ndim = points.shape[1]
+    lo = points.min(axis=0) if len(points) else np.zeros(ndim)
+    near = lo + rng.uniform(-eps, 4.0 * eps, (num_queries, ndim))
+    return np.concatenate([points[: num_queries // 2], near])
+
+
 @given(
     case=datasets(),
     num_queries=st.integers(0, 30),
     seed=st.integers(0, 2**32 - 1),
     path=st.sampled_from(tuple(itertools.product(("resident", "mmap"), (1, 2)))),
+    chunk=st.sampled_from(CHUNKS),
 )
-@example(case=_EPS_SQUARED_LOW, num_queries=0, seed=0, path=("mmap", 2))
+@example(case=_EPS_SQUARED_LOW, num_queries=0, seed=0, path=("mmap", 2), chunk=1)
 @settings(max_examples=settings.default.max_examples * 3 // 4)
-def test_native_bipartite_sweep_matches_oracle(case, num_queries, seed, path):
+def test_native_bipartite_sweep_matches_oracle(case, num_queries, seed, path, chunk):
     points, eps = case
     storage, devices = path
-    rng = np.random.default_rng(seed)
-    ndim = points.shape[1]
-    lo = points.min(axis=0) if len(points) else np.zeros(ndim)
-    near = lo + rng.uniform(-eps, 4.0 * eps, (num_queries, ndim))
-    queries = np.concatenate([points[: num_queries // 2], near])
+    queries = _near_queries(points, eps, num_queries, np.random.default_rng(seed))
     expect = _cross_oracle(queries, points, eps)
     with tempfile.TemporaryDirectory() as tmp:
         data = _storages(points, tmp)[storage]
         rt = _runtime("gpucalcglobal", devices)
-        result = Runner().run(compile_similarity_join(GridIndex(data, eps), queries, rt))
-        assert np.array_equal(result.canonical_pairs(), expect), path
+        plan = compile_similarity_join(GridIndex(data, eps), queries, rt)
+        result = Runner().run(_with_chunk(plan, chunk))
+        assert np.array_equal(result.canonical_pairs(), expect), (path, chunk)
         _assert_fragments_tile(result)
+
+
+def _bounded_runs(op, index, cfg):
+    """One ``execute_shard_native`` result per block bound of :data:`CHUNKS`
+    on a small index: their pairs agree and fragments tile them at every
+    bound. A bound of 1 makes each query's run with hits its own fragment
+    and 4M one fragment per walk, so every bound's count lies between."""
+    results = [execute_shard_native(op, index, cfg, chunk_pairs=c) for c in CHUNKS]
+    for chunk, result in zip(CHUNKS, results):
+        assert np.array_equal(result.canonical_pairs(), results[0].canonical_pairs()), chunk
+        _assert_fragments_tile(result)
+    blocks = [len(result.fragments) for result in results]
+    assert blocks[0] == max(blocks) > blocks[-1] == min(blocks), blocks
+    return results[0]
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+@pytest.mark.parametrize("storage", ["resident", "mmap"])
+def test_block_bound_leaves_self_join_pairs_unchanged(storage, include_self):
+    points, eps = _fixed_dataset()
+    with tempfile.TemporaryDirectory() as tmp:
+        index = GridIndex(_storages(points, tmp)[storage], eps)
+        op = SelfJoinOp(include_self=include_self)
+        result = _bounded_runs(op, index, PRESETS["combined"])
+    expect = brute_force_pairs(points, eps, include_self=include_self)
+    assert np.array_equal(result.canonical_pairs(), expect)
+
+
+@pytest.mark.parametrize("storage", ["resident", "mmap"])
+def test_block_bound_leaves_bipartite_sweep_pairs_unchanged(storage):
+    points, eps = _fixed_dataset()
+    queries = _near_queries(points, eps, 30, np.random.default_rng(5))
+    with tempfile.TemporaryDirectory() as tmp:
+        index = GridIndex(_storages(points, tmp)[storage], eps)
+        result = _bounded_runs(BipartiteOp(queries), index, PRESETS["gpucalcglobal"])
+    assert np.array_equal(result.canonical_pairs(), _cross_oracle(queries, points, eps))
 
 
 def test_process_backend_matches_oracle():

@@ -44,9 +44,10 @@ from tests.simt.test_vectorized_engine import assert_stats_equal, small_device
 PATHS = tuple(
     itertools.product(("full", "unicomp", "lidunicomp"), (1, 2, 4), (False, True), (True, False))
 )
-#: interpreted thread × probed-cell budget of one bipartite example: the
-#: interpreter probes all 3ⁿ cells per thread, ~7 µs each
-PROBE_BUDGET = 40_000
+#: interpreted thread × probed-cell budget of one bipartite example: each
+#: thread probes all 3ⁿ cells in one vector op and walks the in-grid ones,
+#: so 8-D examples draw up to 30 queries at every k ≤ 4 (30 · 4 · 3⁸ cells)
+PROBE_BUDGET = 800_000
 
 
 def _canonical(pairs):
