@@ -44,6 +44,10 @@ __all__ = [
 
 PATTERN_NAMES = ("full", "unicomp", "lidunicomp")
 
+#: (offsets × cells) entries per pass of :meth:`PatternPlan.visited_counts`,
+#: which bounds a pass's index and id arrays at a few MB
+VISIT_PASS_ENTRIES = 1 << 18
+
 
 def unicomp_pivot_dims(ndim: int) -> np.ndarray:
     """For each non-zero neighbor offset, the dimension whose parity decides
@@ -77,7 +81,7 @@ class PatternPlan:
       :meth:`live_offsets` only;
     - :meth:`visited_counts` / :meth:`candidate_counts` — the per-cell
       probe and candidate totals every analytic cycle charge reduces to,
-      computed once per plan.
+      computed once per plan (the probes for groups of offsets at once).
 
     Plans are obtained through :func:`get_pattern_plan`, which memoizes
     them on ``index.plan_cache`` so all engines (and the perf model) share
@@ -177,17 +181,37 @@ class PatternPlan:
         return got
 
     def visited_counts(self) -> np.ndarray:
-        """Per-cell number of probed pattern offsets (origin excluded)."""
+        """Per-cell number of probed pattern offsets (origin excluded).
+
+        The pattern offsets are evaluated in groups of at most
+        :data:`VISIT_PASS_ENTRIES` ``// cells``: one pass per group forms
+        the (offsets × cells) pattern membership and in-grid bits, and
+        looks up every probed neighbour, which also records
+        :meth:`live_offsets`.
+        """
         if self._visited_counts is None:
-            cells = np.arange(self.index.num_nonempty_cells)
-            total = np.zeros(len(cells), dtype=np.int64)
-            live = []
-            for o in self._offset_candidates:
-                visit, ranks = self.offset_visits(int(o), cells)
-                total += visit
-                if (ranks >= 0).any():
-                    live.append(o)
-            self._live_offsets = np.array(live, dtype=self._offset_candidates.dtype)
+            index = self.index
+            table = index.neighbors
+            cands = self._offset_candidates
+            num_cells = index.num_nonempty_cells
+            total = np.zeros(num_cells, dtype=np.int64)
+            live = np.zeros(len(cands), dtype=bool)
+            odd = None
+            if self._pivots is not None:  # UNICOMP: parity rows, one per dimension
+                coords = index.cell_coords_arr
+                odd = np.stack([(coords[:, d] & 1) == 1 for d in range(index.ndim)])
+            group = max(1, VISIT_PASS_ENTRIES // max(num_cells, 1))
+            for lo in range(0, len(cands), group):
+                offs = cands[lo : lo + group]
+                visit = (table.words.take(offs)[:, None] & table.edges[None, :]) == 0
+                if odd is not None:
+                    visit &= odd.take(self._pivots.take(offs), axis=0)
+                total += visit.sum(axis=0)
+                g, c = np.nonzero(visit)
+                ids = index.cell_ids.take(c) + table.deltas.take(offs).take(g)
+                found = np.bincount(g[table.lookup(ids) >= 0], minlength=len(offs))
+                live[lo : lo + len(offs)] = found > 0
+            self._live_offsets = cands[live]
             self._visited_counts = total
         return self._visited_counts
 

@@ -13,12 +13,13 @@ from pool sharing.
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import numpy as np
 import pytest
 
 from repro.data import exponential, uniform
-from repro.grid import GridIndex
+from repro.grid import GridIndex, dataset_fingerprint
 from repro.runtime import (
     Runner,
     RuntimeConfig,
@@ -177,3 +178,41 @@ def test_weighted_tenants_report_spread(datasets):
     # weighted spread: alpha's pairs/weight is a third of beta's
     spread = report.fairness_spread()
     assert spread == pytest.approx(3.0)
+
+
+def test_concurrent_self_joins_share_the_walk_memo():
+    """Two identical native self-joins run at once on one cached index,
+    four times: the memo of candidate runs fills from two worker threads,
+    and every answer is byte-identical to the serial Runner's on a fresh
+    index — pairs and fragments."""
+    native = RuntimeConfig(engine="native")
+    # sparse cells, so the walk's runs fit the index's memo budget
+    points, eps = uniform(600, 2, seed=34, low=0.0, high=10.0), 0.1
+    serial = Runner().run(compile_self_join(GridIndex(points, eps), native))
+    config = ServeConfig(admission=AdmissionPolicy(max_concurrency=2))
+    request = JoinRequest(dataset="sparse", epsilon=eps, runtime=native)
+
+    async def main():
+        async with JoinService(config) as svc:
+            svc.register_dataset("sparse", points)
+            rounds = []
+            for _ in range(4):
+                tickets = [await svc.submit(request) for _ in range(2)]
+                rounds.append(await asyncio.gather(*(svc.result(t) for t in tickets)))
+            return rounds, svc.cache.get(dataset_fingerprint(points), eps)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rounds, index = asyncio.run(main())
+    finally:
+        sys.setswitchinterval(previous)
+    for responses in rounds:
+        for response in responses:
+            assert response.ok
+            assert response.result.pairs.tobytes() == serial.pairs.tobytes()
+            assert [f.tobytes() for f in response.result.fragments] == [
+                f.tobytes() for f in serial.fragments
+            ]
+    table = index.neighbors
+    assert 0 < table.runs_bytes and table.memo_bytes <= table.memo_budget
