@@ -29,6 +29,7 @@ pattern. They serve three roles:
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 
 import numpy as np
@@ -38,6 +39,8 @@ from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
 
 __all__ = [
     "BLOCK_PAIRS",
+    "block_cuts",
+    "candidate_block",
     "candidate_blocks",
     "cell_runs",
     "epsilon_filter",
@@ -61,6 +64,55 @@ __all__ = [
 BLOCK_PAIRS = 4_000_000
 
 
+def block_cuts(
+    queries: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    *,
+    chunk_pairs: int | None = None,
+) -> tuple[tuple[np.ndarray, ...], list[int]]:
+    """Where :func:`candidate_blocks` cuts a walk's runs: ``(runs, cuts)``.
+
+    ``runs`` are the non-empty runs with their running candidate total,
+    ``(queries, starts, lengths, csum)``; block ``b`` pairs runs
+    ``cuts[b] … cuts[b + 1] − 1`` (:func:`candidate_block` builds it). A
+    block holds at most ``chunk_pairs`` pairs (default
+    :data:`BLOCK_PAIRS`), or one query's whole run.
+    """
+    bound = BLOCK_PAIRS if chunk_pairs is None else chunk_pairs
+    if bound < 1:
+        raise ValueError("chunk_pairs must be >= 1")
+    nonempty = lengths > 0
+    if not nonempty.all():
+        runs = np.flatnonzero(nonempty)
+        queries, starts, lengths = queries.take(runs), starts.take(runs), lengths.take(runs)
+    csum = np.cumsum(lengths)
+    cuts = [0]
+    while cuts[-1] < len(queries):
+        start = cuts[-1]
+        base = csum[start - 1] if start > 0 else 0
+        # largest stop with csum[stop-1] - base <= bound, but at least one
+        # query per block so oversized runs still progress
+        stop = int(np.searchsorted(csum, base + bound, side="right"))
+        cuts.append(min(max(stop, start + 1), len(queries)))
+    return (queries, starts, lengths, csum), cuts
+
+
+def candidate_block(
+    runs: tuple[np.ndarray, ...], lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(queries, slots)``: runs ``lo … hi − 1`` of :func:`block_cuts`'s
+    ``runs`` as one block. The query side is one ``np.repeat``; the slot
+    side is an ``arange`` plus one repeat of the run starts."""
+    queries, starts, lengths, csum = runs
+    base = csum[lo - 1] if lo > 0 else 0
+    lens = lengths[lo:hi]
+    # slot = block position + (run start - the run's offset in the block)
+    slots = np.repeat(starts[lo:hi] - (csum[lo:hi] - lens - base), lens)
+    slots += np.arange(len(slots), dtype=np.int64)
+    return np.repeat(queries[lo:hi], lens), slots
+
+
 def candidate_blocks(
     queries: np.ndarray,
     starts: np.ndarray,
@@ -73,32 +125,14 @@ def candidate_blocks(
     A slot is a position in an index's ``point_order``. ``queries[i]``
     meets slots ``starts[i] … starts[i] + lengths[i] − 1`` (nothing when
     ``lengths[i] <= 0``); every pair appears in exactly one block, in query
-    order. The query side is one ``np.repeat``; the slot side is an
-    ``arange`` plus one repeat of the run starts. Blocks hold at most
-    ``chunk_pairs`` pairs (default :data:`BLOCK_PAIRS`), or one query's
-    whole run. :func:`cell_runs` turns cells into runs.
+    order. Blocks hold at most ``chunk_pairs`` pairs (default
+    :data:`BLOCK_PAIRS`), or one query's whole run: :func:`block_cuts`
+    cuts them and :func:`candidate_block` builds each one.
+    :func:`cell_runs` turns cells into runs.
     """
-    bound = BLOCK_PAIRS if chunk_pairs is None else chunk_pairs
-    if bound < 1:
-        raise ValueError("chunk_pairs must be >= 1")
-    nonempty = lengths > 0
-    if not nonempty.all():
-        runs = np.flatnonzero(nonempty)
-        queries, starts, lengths = queries.take(runs), starts.take(runs), lengths.take(runs)
-    csum = np.cumsum(lengths)
-    start = 0
-    while start < len(queries):
-        base = csum[start - 1] if start > 0 else 0
-        # largest stop with csum[stop-1] - base <= bound, but at least one
-        # query per block so oversized runs still progress
-        stop = int(np.searchsorted(csum, base + bound, side="right"))
-        stop = min(max(stop, start + 1), len(queries))
-        lens = lengths[start:stop]
-        # slot = block position + (run start - the run's offset in the block)
-        slots = np.repeat(starts[start:stop] - (csum[start:stop] - lens - base), lens)
-        slots += np.arange(len(slots), dtype=np.int64)
-        yield np.repeat(queries[start:stop], lens), slots
-        start = stop
+    runs, cuts = block_cuts(queries, starts, lengths, chunk_pairs=chunk_pairs)
+    for lo, hi in itertools.pairwise(cuts):
+        yield candidate_block(runs, lo, hi)
 
 
 def cell_runs(

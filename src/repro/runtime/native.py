@@ -21,10 +21,22 @@ order (per-dimension columns for resident points, row gathers through
 ``point_order`` for memory-mapped ones). Hits map back to ids through
 ``point_order``, and the ``(M, 2)`` result is written once: the
 identity rows, then each block's rows followed by their mirror, with
-each block's rows a fragment view. The bipartite sweep keeps id
-candidates (:func:`~repro.grid.bipartite.iter_bipartite_blocks`).
+each block's rows a fragment view. The bipartite sweep walks one stage
+per neighbour offset of the queries' cells and refines id candidates:
+each block's slots map through ``point_order`` before the ε test.
 Results carry ``fidelity="none"``: ``batch_stats`` is empty, WEE is
 undefined, and the pipeline times are host wall-clock seconds.
+
+Every pass refines its blocks on a process-wide pool of host threads,
+one per usable core, started on first use; NumPy's gathers, ufuncs and
+``flatnonzero`` release the GIL. The calling thread walks the grid: it
+generates each stage (the within-cell half, one offset) and cuts its
+block bounds (:func:`~repro.grid.query.block_cuts`), and a pool task
+builds one block (:func:`~repro.grid.query.candidate_block`), refines it
+and maps its hits to ids. Results are taken back in submission order,
+so pairs and fragments are byte-identical to an inline pass. A stage of
+one block, a process with one usable core and a process worker refine
+inline.
 
 Dispatch is by the registry op's ``kind`` (:mod:`repro.runtime.ops`):
 ``"self"`` walks the half-neighborhood scheme above, every other kind is
@@ -46,7 +58,13 @@ with :func:`execute_shard_native`, the function the inline backend calls.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import itertools
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +72,9 @@ import numpy as np
 from repro.core.result import JoinResult
 from repro.core.sortbywl import sort_by_workload
 from repro.grid import GridIndex
-from repro.grid.bipartite import bipartite_workloads, iter_bipartite_blocks
+from repro.grid.bipartite import bipartite_workloads
 from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
-from repro.grid.query import (
-    candidate_blocks,
-    cell_runs,
-    epsilon_filter,
-    point_slots,
-    refine_blocks,
-)
+from repro.grid.query import block_cuts, candidate_block, cell_runs, epsilon_filter, point_slots
 from repro.resilience.faults import DeviceLostError
 from repro.runtime.ops import BipartiteOp, SelfJoinOp
 from repro.simt.streams import PipelineResult
@@ -85,6 +97,109 @@ __all__ = [
 #: DRAM as :data:`~repro.grid.query.BLOCK_PAIRS`-sized (32 MB) arrays;
 #: the block sweep is in ``docs/performance.md``
 NATIVE_CHUNK_PAIRS = 65_536
+
+
+# ----------------------------------------------------------------------
+# the refinement pool
+# ----------------------------------------------------------------------
+#: the process-wide refinement pool once sized: ``(executor, width)``,
+#: with no executor where the passes run inline (one usable core, or a
+#: process worker)
+_POOL: tuple[ThreadPoolExecutor | None, int] | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _usable_cores() -> int:
+    """How many cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _refine_pool() -> tuple[ThreadPoolExecutor | None, int]:
+    """``(executor, width)``: the host threads that refine the native
+    passes' blocks, one per usable core, started on first use; no
+    executor with one usable core."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            width = _usable_cores()
+            executor = (
+                ThreadPoolExecutor(width, thread_name_prefix="repro-native")
+                if width > 1
+                else None
+            )
+            _POOL = executor, width
+        return _POOL
+
+
+def _drop_pool() -> None:
+    """Forget an inherited pool in a forked child: its threads stayed in
+    the parent, and a parent thread may have held the lock."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+class _Tasks:
+    """One native pass's calls, on the refinement pool or the calling thread.
+
+    ``used`` tells whether any call went to the pool. Results come back in
+    call order. Tasks carry no context variables, so the calls that walk
+    the grid (neighbour ranks, SORTBYWL, the run memo) stay on the
+    calling thread.
+    """
+
+    def __init__(self) -> None:
+        self.executor, self.width = _refine_pool()
+        self.used = False
+
+    def results(self, calls):
+        """Yield ``fn(*args)`` for each ``(spread, fn, *args)`` of ``calls``,
+        in order: on the pool when ``spread`` and there is one, at most two
+        calls per worker in flight, else on the calling thread once every
+        earlier result is in. On an error, or when closed early, queued
+        calls are cancelled and running ones finish before this returns."""
+        pending = collections.deque()
+        try:
+            for spread, fn, *args in calls:
+                if spread and self.executor is not None:
+                    self.used = True
+                    if len(pending) == 2 * self.width:
+                        yield pending.popleft().result()
+                    pending.append(self.executor.submit(fn, *args))
+                    continue
+                while pending:
+                    yield pending.popleft().result()
+                yield fn(*args)
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for call in pending:
+                call.cancel()
+            wait(pending)
+
+    def refined(self, stages, refine, chunk_pairs):
+        """``refine(queries, slots)`` of each candidate block of ``stages``
+        (``(queries, starts, lengths)`` runs), in walk order. A stage of
+        one block is refined on the calling thread, a larger one's blocks
+        on the pool."""
+
+        def calls():
+            for stage in stages:
+                runs, cuts = block_cuts(*stage, chunk_pairs=chunk_pairs)
+                del stage  # its runs without candidates die here
+                for lo, hi in itertools.pairwise(cuts):
+                    yield len(cuts) > 2, _refine_block, refine, runs, lo, hi
+
+        return self.results(calls())
+
+
+def _refine_block(refine, runs, lo, hi):
+    return refine(*candidate_block(runs, lo, hi))
 
 
 # ----------------------------------------------------------------------
@@ -165,16 +280,6 @@ def _stage_runs(index, queries):
     return stages()
 
 
-def _stage_blocks(stages, chunk_pairs):
-    """``candidate_blocks`` over each stage in turn. A stage's arrays are
-    released once ``candidate_blocks`` holds them, so its runs without
-    candidates die when it drops them, as in a stage built in place."""
-    for stage in stages:
-        blocks = candidate_blocks(*stage, chunk_pairs=chunk_pairs)
-        del stage
-        yield from blocks
-
-
 def _kept_runs(stages, table, key):
     """Pass ``stages`` through, keeping their non-empty runs for
     ``table.store_runs``; once they outgrow the memo budget's room, the
@@ -197,10 +302,10 @@ def _kept_runs(stages, table, key):
         table.store_runs(key, tuple(kept))
 
 
-def _self_join_blocks(index, order, *, include_self, chunk_pairs, key=None):
+def _self_join_blocks(index, order, tasks, *, include_self, chunk_pairs, key=None):
     """``(qi, cj, mirror)`` blocks of the half-neighborhood self-join: the
     identity pairs (unmirrored), then every refined block's hits as ids,
-    to be emitted with their mirror.
+    to be emitted with their mirror; ``None`` for a block without hits.
 
     With a ``key`` (the visiting order of a whole-index walk), the walk
     registers on the index's neighbour table, and its runs come from the
@@ -215,7 +320,6 @@ def _self_join_blocks(index, order, *, include_self, chunk_pairs, key=None):
         for start in range(0, len(queries), max(chunk_pairs, 1)):
             q = queries[start : start + chunk_pairs]
             yield q, q, False
-    point_order = index.point_order
     table = index.neighbors if key is not None else None
     stored, keep_runs = table.walk(key) if table is not None else (None, False)
     if stored is not None:
@@ -224,46 +328,72 @@ def _self_join_blocks(index, order, *, include_self, chunk_pairs, key=None):
         stages = _stage_runs(index, queries)
         if keep_runs:
             stages = _kept_runs(stages, table, key)
+    point_order = index.point_order
     keep = epsilon_filter(index.points, index.points, index.epsilon, order=point_order)
-    for qs, cs in refine_blocks(_stage_blocks(stages, chunk_pairs), keep):
-        yield point_order[qs], point_order[cs], True
+
+    def refine(qs, cs):
+        hit = np.flatnonzero(keep(qs, cs))
+        if hit.size:
+            return point_order.take(qs.take(hit)), point_order.take(cs.take(hit)), True
+        return None
+
+    yield from tasks.refined(stages, refine, chunk_pairs)
 
 
-def _bipartite_blocks(op, index, order, *, chunk_pairs):
+def _bipartite_blocks(op, index, order, tasks, *, chunk_pairs):
+    """``(qi, cj, False)`` blocks of the bipartite sweep: one stage per
+    neighbour offset of each query's cell; ``None`` for a block without
+    hits."""
+    if len(order) == 0 or index.num_points == 0:
+        return
     queries = op.queries
+    point_order = index.point_order
     keep = epsilon_filter(queries, index.points, index.epsilon)
-    blocks = iter_bipartite_blocks(
-        index, queries[order], query_ids=order, chunk_pairs=chunk_pairs
-    )
-    for qi, cj in refine_blocks(blocks, keep):
-        yield qi, cj, False
+    probes = index.neighbors.probe(queries.take(order, axis=0))
+    stages = (cell_runs(index, order, ranks) for _, ranks in probes)
+
+    def refine(qi, slots):
+        cj = point_order.take(slots)
+        hit = np.flatnonzero(keep(qi, cj))
+        if hit.size:
+            return qi.take(hit), cj.take(hit), False
+        return None
+
+    yield from tasks.refined(stages, refine, chunk_pairs)
 
 
-def _assemble(blocks: list) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _write_rows(rows, qi, cj, mirror):
+    n = len(qi)
+    rows[:n, 0] = qi
+    rows[:n, 1] = cj
+    if mirror:
+        rows[n:, 0] = cj
+        rows[n:, 1] = qi
+
+
+def _assemble(blocks: list, tasks: _Tasks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """``(pairs, fragments)`` from ``(qi, cj, mirror)`` blocks, written once.
 
     Each block's rows ``(qi, cj)`` follow the previous block's, then their
     mirror ``(cj, qi)`` when ``mirror``; its fragment is a row view of
     ``pairs`` over both. Blocks are released from the list as they are
-    copied, so the pairs are never held twice.
+    handed out, so the pairs are never held twice. When the pass refined
+    on the pool, the rows are copied on it too: strided copies release
+    the GIL.
     """
     sizes = [len(qi) * (2 if mirror else 1) for qi, _, mirror in blocks]
     pairs = np.empty((sum(sizes), 2), dtype=np.int64)
-    fragments = []
-    at = 0
-    for i, size in enumerate(sizes):
-        qi, cj, mirror = blocks[i]
-        blocks[i] = None
-        rows = pairs[at : at + size]
-        n = len(qi)
-        rows[:n, 0] = qi
-        rows[:n, 1] = cj
-        if mirror:
-            rows[n:, 0] = cj
-            rows[n:, 1] = qi
-        fragments.append(rows)
-        at += size
-    return pairs, tuple(fragments)
+    ends = itertools.accumulate(sizes)
+    fragments = tuple(pairs[end - size : end] for size, end in zip(sizes, ends))
+
+    def copies():
+        for i, rows in enumerate(fragments):
+            block, blocks[i] = blocks[i], None
+            yield tasks.used, _write_rows, rows, *block
+
+    for _ in tasks.results(copies()):
+        pass
+    return pairs, fragments
 
 
 def execute_shard_native(
@@ -282,7 +412,8 @@ def execute_shard_native(
     order-normalized (compare via
     :meth:`~repro.core.result.JoinResult.canonical_pairs`); fragments are
     row views of ``pairs``, one per refined block, so streaming
-    consumption works unchanged.
+    consumption works unchanged. Blocks are refined on the refinement
+    pool, and ``pairs`` is the same bytes on any number of cores.
     Pipeline times are host wall-clock, ``fidelity="none"``.
     """
     order = native_query_order(op, index, cfg, subset=subset)
@@ -291,25 +422,30 @@ def execute_shard_native(
     blocks: list = []
     starts: list[float] = []
     ends: list[float] = []
+    tasks = _Tasks()
     if op.kind == "self":
         walk = _self_join_blocks(
             index,
             order,
+            tasks,
             include_self=include_self,
             chunk_pairs=chunk_pairs,
             key=_walk_key(op, cfg, subset),
         )
     else:
-        walk = _bipartite_blocks(op, index, order, chunk_pairs=chunk_pairs)
+        walk = _bipartite_blocks(op, index, order, tasks, chunk_pairs=chunk_pairs)
     prev = 0.0
-    for block in walk:
-        now = time.perf_counter() - t0
-        blocks.append(block)
-        starts.append(prev)
-        ends.append(now)
-        prev = now
+    with contextlib.closing(walk):
+        for block in walk:
+            if block is None:
+                continue
+            now = time.perf_counter() - t0
+            blocks.append(block)
+            starts.append(prev)
+            ends.append(now)
+            prev = now
     wall = time.perf_counter() - t0
-    pairs, views = _assemble(blocks)
+    pairs, views = _assemble(blocks, tasks)
     pipeline = PipelineResult(
         total_seconds=wall,
         kernel_start=np.array(starts, dtype=np.float64),
@@ -428,6 +564,8 @@ _WORKER: dict = {}
 
 
 def _worker_init(points_handle, queries_handle, epsilon, spec, cfg, include_self):
+    global _POOL
+    _POOL = None, 1  # one process per device already: refine inline
     pts, pts_keep = _attach_array(points_handle)
     if queries_handle is None:
         op, q_keep = SelfJoinOp(include_self=include_self), None
