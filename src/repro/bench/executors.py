@@ -799,8 +799,8 @@ def run_native(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> Expe
 
 def run_native_scale(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> ExperimentResult:
     """End-to-end out-of-core drill: an ``.npy``-backed mmap dataset joined
-    with ``engine="native"`` over process-pool shards. Only meaningful at
-    bench scale, so it self-reports as skipped below ``full``."""
+    with ``engine="native"`` on one device. Only meaningful at bench scale,
+    so it self-reports as skipped below ``full``."""
     if not size_at_least(ctx.size, "full"):
         return ExperimentResult(
             suite_id=suite.suite_id,
@@ -809,7 +809,7 @@ def run_native_scale(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -
             wall_seconds=0.0,
             throughput=None,
             metrics={"skipped": True},
-            checks=[_skipped("mmap_process_scale", "full")],
+            checks=[_skipped("mmap_native_scale", "full")],
             budget=exp.budget,
             headline="skipped (full only)",
         )
@@ -818,12 +818,11 @@ def run_native_scale(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -
     from repro.data.synthetic import uniform
     from repro.grid import GridIndex
     from repro.io import load_dataset, save_dataset
-    from repro.runtime import Runner, RuntimeConfig, ShardingConfig, compile_self_join
+    from repro.runtime import Runner, RuntimeConfig, compile_self_join
 
     n = int(exp.params["num_points"])
     eps = float(exp.params["epsilon"])
     extent = float(exp.params["extent"])
-    num_devices = int(exp.params["num_devices"])
 
     wall_t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="native-scale-") as tmp:
@@ -833,10 +832,7 @@ def run_native_scale(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -
         index = GridIndex(points, eps)
         ctx.note(f"{exp.exp_id}: grid built over {n} mmap-backed points")
         runtime = RuntimeConfig(
-            optimization=PRESETS["sortbywl"],
-            engine="native",
-            sharding=ShardingConfig(num_devices=num_devices, workers="process"),
-            seed=ctx.seed,
+            optimization=PRESETS["sortbywl"], engine="native", seed=ctx.seed
         )
         result = Runner().run(compile_self_join(index, runtime))
         # the grid must keep addressing the map, not a resident copy
@@ -848,10 +844,9 @@ def run_native_scale(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -
 
     checks = [
         CheckResult(
-            "mmap_process_scale",
+            "mmap_native_scale",
             result.num_pairs > 0 and result.fidelity == "none",
-            f"{n} points -> {result.num_pairs} pairs "
-            f"across {num_devices} process shards",
+            f"{n} points -> {result.num_pairs} pairs",
         ),
         CheckResult(
             "points_stay_mapped",
@@ -868,7 +863,6 @@ def run_native_scale(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -
         throughput=result.num_pairs / wall if wall > 0 else None,
         metrics={
             "num_points": n,
-            "num_devices": num_devices,
             "num_pairs": int(result.num_pairs),
         },
         checks=checks,

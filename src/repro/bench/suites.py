@@ -371,7 +371,7 @@ register_suite(
             "be identical on every experiment, and (small and up) the "
             "native engine must hold a geomean >= 3x speedup. At full size "
             "a 5M-point mmap-backed dataset additionally runs end-to-end "
-            "through the process-pool shard backend without a resident copy."
+            "through a single-device native join without a resident copy."
         ),
         experiments=(
             *(
@@ -400,8 +400,8 @@ register_suite(
                 )
             ),
             BenchExperiment(
-                exp_id="mmap_process_scale",
-                title="5M-point mmap dataset through the process shard pool",
+                exp_id="mmap_native_scale",
+                title="5M-point mmap dataset through a single-device native join",
                 kind="native_scale",
                 budget=Budget(
                     wall_seconds={"tiny": 30.0, "small": 30.0, "full": 1800.0},
@@ -411,7 +411,6 @@ register_suite(
                     "num_points": 5_000_000,
                     "epsilon": 0.01,
                     "extent": 100.0,
-                    "num_devices": 4,
                 },
             ),
         ),

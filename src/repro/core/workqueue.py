@@ -1,4 +1,4 @@
-"""The WORKQUEUE (Section III-D): queue-fetch protocol and host-side state.
+"""The WORKQUEUE (Section III-D): the device-side queue-fetch protocol.
 
 The queue is "the equivalent of the head of a queue": a global counter over
 the workload-sorted array D', persistent across all kernel invocations
@@ -13,11 +13,9 @@ most to least work — the two halves of the optimization.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.simt import AtomicCounter, ThreadContext
 
-__all__ = ["WorkQueue", "fetch_query_slot"]
+__all__ = ["fetch_query_slot"]
 
 
 def fetch_query_slot(ctx: ThreadContext, k: int, counter: AtomicCounter) -> int:
@@ -32,19 +30,3 @@ def fetch_query_slot(ctx: ThreadContext, k: int, counter: AtomicCounter) -> int:
         return group.leader_fetch_add(ctx, counter)
     return ctx.atomic_add(counter)
 
-
-class WorkQueue:
-    """Host-side handle: the persistent counter plus the sorted order D'."""
-
-    def __init__(self, order: np.ndarray):
-        self.order = np.asarray(order, dtype=np.int64)
-        self.counter = AtomicCounter(name="workqueue")
-
-    @property
-    def drained(self) -> bool:
-        """True once every slot has been handed out."""
-        return self.counter.value >= len(self.order)
-
-    @property
-    def remaining(self) -> int:
-        return max(0, len(self.order) - self.counter.value)

@@ -165,8 +165,7 @@ class GridIndex:
 
         Equivalent to ``GridIndex(points, epsilon, spec=spec,
         method=method)``; exists so call sites that care about the build
-        path (benchmarks, the native engine's worker processes) read
-        explicitly.
+        path read explicitly.
         """
         return cls(points, epsilon, spec=spec, method=method)
 

@@ -100,11 +100,6 @@ class DevicePool:
         propagates and the join re-plans) or ``"retry"`` (batch-level
         recovery with a geometrically grown buffer; see
         :class:`~repro.core.executor.DeviceExecutor`).
-    workers:
-        Shard dispatch backend: ``"inline"`` (default) or ``"process"``
-        (native engine only — each device becomes a real worker process;
-        see :mod:`repro.runtime.native`). Recorded for the runner; the
-        pool itself stays a passive device list either way.
     """
 
     def __init__(
@@ -118,7 +113,6 @@ class DevicePool:
         replay_mode: str = "aggregate",
         engine: str = "interpreted",
         overflow_policy: str = "raise",
-        workers: str = "inline",
     ):
         if specs is None:
             if num_devices < 1:
@@ -127,10 +121,6 @@ class DevicePool:
             specs = [base] * num_devices
         elif not specs:
             raise ValueError("specs must name at least one device")
-        if workers not in ("inline", "process"):
-            raise ValueError(f"unknown worker backend {workers!r}")
-        if workers == "process" and engine != NATIVE_ENGINE:
-            raise ValueError("workers='process' requires engine='native'")
         runtime = RuntimeConfig(
             engine=engine,
             replay_mode=replay_mode,
@@ -138,7 +128,6 @@ class DevicePool:
             costs=costs,
             overflow=OverflowConfig(policy=overflow_policy),
         )
-        self.workers = workers
         self.devices = _devices(runtime, specs)
 
     @classmethod
@@ -162,7 +151,6 @@ class DevicePool:
         elif not specs:
             raise ValueError("specs must name at least one device")
         pool = cls.__new__(cls)
-        pool.workers = runtime.sharding.workers
         pool.devices = _devices(runtime, specs)
         return pool
 

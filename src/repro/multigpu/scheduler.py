@@ -1,20 +1,20 @@
 """The host scheduler: static shard assignment vs a shared dynamic queue,
-with an optional self-healing run loop.
+in one run loop that can heal device faults.
 
 This is the WORKQUEUE optimization (Section III-D) lifted one level: where
 the paper's queue is an atomic counter over the workload-sorted point
-array D' that warps fetch from, the host queue is an atomic counter over
-the workload-sorted *shard* list that *devices* fetch from. The two modes
-form the same ablation the paper runs for warps:
+array D' that warps fetch from, the host queue is the workload-sorted
+*shard* list that *devices* fetch from, in order. The two modes form the
+same ablation the paper runs for warps:
 
 - ``"static"`` — shard ``i`` is pre-assigned to device ``i % N`` (the
   multi-GPU analogue of the static thread→point mapping of Figure 1);
   each device processes its list in shard order.
 - ``"dynamic"`` — all shards sit in one shared most-work-first queue
   (:meth:`ShardPlan.dispatch_order`); whenever a device finishes it
-  fetches the next shard via a host-side
-  :class:`~repro.simt.AtomicCounter`. Fast (or lucky) devices steal work
-  that a static split would have stranded on a slow one.
+  fetches the next shard from the head of the queue. Fast (or lucky)
+  devices steal work that a static split would have stranded on a slow
+  one.
 
 Execution is simulated but *real*: fetching a shard runs its kernels on
 that device's machine, and the fetch order is decided by the simulated
@@ -22,8 +22,8 @@ completion times — so the trace is exactly what a host event loop over N
 real devices would record. Everything is deterministic: ties on device
 free-time break toward the lowest device id.
 
-Passing a :class:`~repro.resilience.policy.RecoveryPolicy` switches the
-scheduler into its **resilient** run loop, which additionally survives
+Without a :class:`~repro.resilience.policy.RecoveryPolicy` the loop fails
+fast: every exception from a shard propagates. With one, it survives
 injected (or genuine) device faults:
 
 - :class:`~repro.resilience.faults.DeviceLostError` marks the device dead
@@ -60,7 +60,6 @@ from repro.resilience.faults import (
     TransientKernelError,
 )
 from repro.resilience.policy import RecoveryPolicy
-from repro.simt import AtomicCounter
 
 __all__ = [
     "EVENT_KINDS",
@@ -225,10 +224,10 @@ class HostScheduler:
     """Drives a :class:`~repro.multigpu.pool.DevicePool` through a
     :class:`~repro.multigpu.sharding.ShardPlan`.
 
-    ``recovery=None`` (the default) is the fail-fast PR-1 scheduler: any
-    exception from ``run_shard`` propagates. Passing a
-    :class:`~repro.resilience.policy.RecoveryPolicy` enables the resilient
-    loop documented in the module docstring.
+    ``recovery=None`` (the default) fails fast: any exception from
+    ``run_shard`` propagates, and the trace carries no recovery log.
+    Passing a :class:`~repro.resilience.policy.RecoveryPolicy` enables the
+    recovery documented in the module docstring.
     """
 
     def __init__(
@@ -254,91 +253,26 @@ class HostScheduler:
         ``total_seconds`` and ``num_pairs`` (a ``JoinResult``). Results are
         returned indexed by ``shard_id`` regardless of execution order.
         """
-        if self.recovery is not None:
-            return self._run_resilient(plan, run_shard)
-        if self.mode == "static":
-            return self._run_static(plan, run_shard)
-        return self._run_dynamic(plan, run_shard)
-
-    # ------------------------------------------------------------------
-    # fail-fast paths (PR-1 behaviour, unchanged)
-    def _run_static(self, plan: ShardPlan, run_shard):
-        n = self.pool.num_devices
-        clocks = np.zeros(n, dtype=np.float64)
-        results: list = [None] * plan.num_shards
-        events: list[ShardEvent] = []
-        for shard in plan.shards:
-            d = shard.shard_id % n
-            device = self.pool[d]
-            result = run_shard(device, shard)
-            results[shard.shard_id] = result
-            start = float(clocks[d])
-            clocks[d] = start + float(result.total_seconds)
-            events.append(
-                ShardEvent(
-                    shard_id=shard.shard_id,
-                    device_id=d,
-                    start_seconds=start,
-                    end_seconds=float(clocks[d]),
-                    num_pairs=int(result.num_pairs),
-                    num_points=shard.num_points,
-                )
-            )
-        return results, ScheduleTrace(events, self.mode, n)
-
-    def _run_dynamic(self, plan: ShardPlan, run_shard):
-        n = self.pool.num_devices
-        clocks = np.zeros(n, dtype=np.float64)
-        queue = plan.dispatch_order()  # most-work-first, the lifted D'
-        head = AtomicCounter(name="device-queue")
-        results: list = [None] * plan.num_shards
-        events: list[ShardEvent] = []
-        while head.value < len(queue):
-            # the earliest-free device fetches next; ties to the lowest id
-            d = int(np.argmin(clocks))
-            shard = plan.shards[queue[head.fetch_add()]]
-            device = self.pool[d]
-            result = run_shard(device, shard)
-            results[shard.shard_id] = result
-            start = float(clocks[d])
-            clocks[d] = start + float(result.total_seconds)
-            events.append(
-                ShardEvent(
-                    shard_id=shard.shard_id,
-                    device_id=d,
-                    start_seconds=start,
-                    end_seconds=float(clocks[d]),
-                    num_pairs=int(result.num_pairs),
-                    num_points=shard.num_points,
-                )
-            )
-        return results, ScheduleTrace(events, self.mode, n)
-
-    # ------------------------------------------------------------------
-    # resilient path
-    def _run_resilient(self, plan: ShardPlan, run_shard):
         policy = self.recovery
         n = self.pool.num_devices
         self.pool.reset_health()
-        clocks = np.zeros(n, dtype=np.float64)
-        results: list = [None] * plan.num_shards
-        events: list[ShardEvent] = []
-        log = RecoveryLog()
-
-        state = _LoopState(clocks, results, events, log)
+        state = _LoopState(
+            np.zeros(n, dtype=np.float64), [None] * plan.num_shards, [], RecoveryLog()
+        )
         if self.mode == "static":
             shard_seq = [s.shard_id for s in plan.shards]
         else:
-            shard_seq = plan.dispatch_order()
+            shard_seq = plan.dispatch_order()  # most-work-first, the lifted D'
 
         for sid in shard_seq:
             d = self._initial_device(sid, state)
-            self._execute_with_recovery(plan, run_shard, sid, d, policy, state)
+            self._execute(plan, run_shard, sid, d, policy, state)
 
-        if policy.speculation and self.mode == "dynamic":
+        if policy is not None and policy.speculation and self.mode == "dynamic":
             self._speculate(plan, run_shard, policy, state)
 
-        return results, ScheduleTrace(events, self.mode, n, recovery=log)
+        log = state.log if policy is not None else None
+        return state.results, ScheduleTrace(state.events, self.mode, n, recovery=log)
 
     # -- device selection ----------------------------------------------
     def _alive(self) -> list[int]:
@@ -368,15 +302,15 @@ class HostScheduler:
         return min(pool, key=lambda d: (state.clocks[d], d))
 
     # -- one shard, to completion ----------------------------------------
-    def _execute_with_recovery(
-        self, plan, run_shard, sid, d, policy: RecoveryPolicy, state: "_LoopState"
+    def _execute(
+        self, plan, run_shard, sid, d, policy: RecoveryPolicy | None, state: "_LoopState"
     ) -> None:
         shard = plan.shards[sid]
         attempts_on_device = 0
         total_attempts = 0
         while True:
             total_attempts += 1
-            if total_attempts > policy.max_shard_attempts:
+            if policy is not None and total_attempts > policy.max_shard_attempts:
                 raise RuntimeError(
                     f"shard {sid} failed {policy.max_shard_attempts} attempts; "
                     "fault plan exceeds the recovery policy's budget"
@@ -387,6 +321,8 @@ class HostScheduler:
             try:
                 result = run_shard(device, shard)
             except DeviceLostError as e:
+                if policy is None:
+                    raise
                 end = start + float(e.wasted_seconds)
                 state.clocks[d] = end
                 device.health.fail(at_seconds=end)
@@ -403,6 +339,8 @@ class HostScheduler:
                 attempts_on_device = 0
                 continue
             except TransientKernelError as e:
+                if policy is None:
+                    raise
                 wasted = float(e.wasted_seconds) + policy.transient_backoff_seconds
                 end = start + wasted
                 state.clocks[d] = end
@@ -547,7 +485,7 @@ class HostScheduler:
 
 @dataclass
 class _LoopState:
-    """Mutable bundle threaded through the resilient loop's helpers."""
+    """Mutable bundle threaded through the run loop's helpers."""
 
     clocks: np.ndarray
     results: list

@@ -103,13 +103,8 @@ def config_identity(runtime) -> str:
     Strips ``fault_plan``, ``recovery``, ``checkpoint`` and ``profiling``
     before hashing: injected faults and healing change *how* a run
     executes, never *what* it returns (the resilience contract), so two
-    configs differing only there share one journal. The sharding
-    ``workers`` backend is normalized for the same reason — inline and
-    process dispatch merge to the same pairs, so a run interrupted under
-    one backend resumes under the other.
+    configs differing only there share one journal.
     """
-    import dataclasses
-
     from repro.runtime.config import ProfilingOptions
 
     reduced = runtime.with_(
@@ -118,10 +113,6 @@ def config_identity(runtime) -> str:
         checkpoint=None,
         profiling=ProfilingOptions(),
     )
-    if reduced.sharding is not None and reduced.sharding.workers != "inline":
-        reduced = reduced.with_(
-            sharding=dataclasses.replace(reduced.sharding, workers="inline")
-        )
     return hashlib.sha256(repr(reduced).encode()).hexdigest()
 
 

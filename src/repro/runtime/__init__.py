@@ -29,7 +29,6 @@ from repro.runtime.config import (
     NATIVE_ENGINE,
     REPLAY_MODES,
     RUNTIME_ENGINES,
-    WORKER_BACKENDS,
     CheckpointConfig,
     OverflowConfig,
     ProfilingOptions,
@@ -79,7 +78,6 @@ __all__ = [
     "OPS",
     "REPLAY_MODES",
     "RUNTIME_ENGINES",
-    "WORKER_BACKENDS",
     "BipartiteOp",
     "CheckpointConfig",
     "CheckpointStage",

@@ -48,7 +48,6 @@ __all__ = [
     "RUNTIME_ENGINES",
     "RuntimeConfig",
     "ShardingConfig",
-    "WORKER_BACKENDS",
 ]
 
 REPLAY_MODES = ("aggregate", "lockstep")
@@ -60,12 +59,6 @@ NATIVE_ENGINE = "native"
 #: engines a RuntimeConfig accepts: the two simulated SIMT engines
 #: (``repro.simt.ENGINES``) plus the native array engine
 RUNTIME_ENGINES = (*ENGINES, NATIVE_ENGINE)
-
-#: pooled shard dispatch backends: ``"inline"`` runs shards in-process on
-#: the simulated scheduler clock; ``"process"`` (native engine only) fans
-#: shards out over a process pool sharing the dataset via
-#: ``multiprocessing.shared_memory`` / re-opened memory maps
-WORKER_BACKENDS = ("inline", "process")
 
 
 @dataclass(frozen=True)
@@ -114,18 +107,13 @@ class ShardingConfig:
     balanced LPT) and ``schedule`` drives dispatch (static pre-assignment
     vs the dynamic most-work-first device queue). ``shards_per_device``
     is the queue depth — the dynamic scheduler's stealing granularity.
-    ``workers`` picks the dispatch backend: ``"inline"`` (default) runs
-    shards in-process; ``"process"`` — native engine only — runs each
-    device as a real worker process so shards occupy separate CPU cores.
-    The backend never changes the merged result, so it is excluded from
-    run identity.
+    Shards run one at a time in this process.
     """
 
     num_devices: int = 2
     planner: str = "balanced"
     schedule: str = "dynamic"
     shards_per_device: int = 2
-    workers: str = "inline"
 
     def __post_init__(self):
         # multigpu modules sit above this one in the import graph; pull the
@@ -146,11 +134,6 @@ class ShardingConfig:
             )
         if self.shards_per_device < 1:
             raise ValueError("shards_per_device must be >= 1")
-        if self.workers not in WORKER_BACKENDS:
-            raise ValueError(
-                f"unknown worker backend {self.workers!r}; "
-                f"expected one of {WORKER_BACKENDS}"
-            )
 
     @property
     def num_shards(self) -> int:
@@ -302,15 +285,6 @@ class RuntimeConfig:
                     "device failures/stragglers/transients/overflows inject "
                     "at the simulated executor seam"
                 )
-        if (
-            self.sharding is not None
-            and self.sharding.workers == "process"
-            and self.engine != NATIVE_ENGINE
-        ):
-            raise ValueError(
-                "workers='process' requires engine='native': simulated "
-                "engines run on a deterministic in-process scheduler clock"
-            )
         # injecting device faults into a pool without a recovery story would
         # just crash the run, so such a fault plan implies the default policy
         # there; crash-only plans don't — a host crash must propagate so the

@@ -35,8 +35,7 @@ block bounds (:func:`~repro.grid.query.block_cuts`), and a pool task
 builds one block (:func:`~repro.grid.query.candidate_block`), refines it
 and maps its hits to ids. Results are taken back in submission order,
 so pairs and fragments are byte-identical to an inline pass. A stage of
-one block, a process with one usable core and a process worker refine
-inline.
+one block and a process with one usable core refine inline.
 
 Dispatch is by the registry op's ``kind`` (:mod:`repro.runtime.ops`):
 ``"self"`` walks the half-neighborhood scheme above, every other kind is
@@ -44,16 +43,6 @@ executed through the op's ``queries`` attribute as a bipartite sweep.
 The kNN driver never reaches this module directly — each of its
 expansion rounds compiles to a bipartite sub-plan, so kNN-on-native is
 just this backend run once per round.
-
-The module also hosts the process worker backend
-(``ShardingConfig(workers="process")``): shards of a pooled native join
-fan out over a ``ProcessPoolExecutor`` whose workers share the dataset
-through ``multiprocessing.shared_memory`` — or by re-opening the same
-``.npy`` file when the dataset is a :class:`numpy.memmap`
-(``load_dataset(..., mmap=True)``), in which case no process ever holds
-a full resident copy. Each worker rebuilds the op and its grid index
-once (the bulk ``method="sorted"`` build) and then answers shard subsets
-with :func:`execute_shard_native`, the function the inline backend calls.
 """
 
 from __future__ import annotations
@@ -65,7 +54,6 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,23 +63,18 @@ from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_workloads
 from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
 from repro.grid.query import block_cuts, candidate_block, cell_runs, epsilon_filter, point_slots
-from repro.resilience.faults import DeviceLostError
-from repro.runtime.ops import BipartiteOp, SelfJoinOp
 from repro.simt.streams import PipelineResult
 from repro.util import stable_argsort_desc
 
 __all__ = [
     "NATIVE_CHUNK_PAIRS",
-    "SharedArray",
     "execute_shard_native",
     "native_query_order",
-    "run_shards_process",
-    "share_array",
 ]
 
 #: candidate pairs refined per block by every native pass — the
-#: self-join, the bipartite sweep (similarity joins and kNN rounds) and
-#: the process workers — recorded in the plan's ``NativeLaunchStage``.
+#: self-join and the bipartite sweep (similarity joins and kNN rounds) —
+#: recorded in the plan's ``NativeLaunchStage``.
 #: A block's int64 and float64 intermediates are 512 KiB each, so the few
 #: live at once stay near a core's 2 MiB L2 instead of streaming through
 #: DRAM as :data:`~repro.grid.query.BLOCK_PAIRS`-sized (32 MB) arrays;
@@ -103,8 +86,7 @@ NATIVE_CHUNK_PAIRS = 65_536
 # the refinement pool
 # ----------------------------------------------------------------------
 #: the process-wide refinement pool once sized: ``(executor, width)``,
-#: with no executor where the passes run inline (one usable core, or a
-#: process worker)
+#: with no executor where the passes run inline (one usable core)
 _POOL: tuple[ThreadPoolExecutor | None, int] | None = None
 _POOL_LOCK = threading.Lock()
 
@@ -203,7 +185,7 @@ def _refine_block(refine, runs, lo, hi):
 
 
 # ----------------------------------------------------------------------
-# in-process execution
+# the passes
 # ----------------------------------------------------------------------
 def native_query_order(
     op, index: GridIndex, cfg, *, subset: np.ndarray | None = None
@@ -462,242 +444,3 @@ def execute_shard_native(
         fragments=views if keep_fragments else None,
         fidelity="none",
     )
-
-
-# ----------------------------------------------------------------------
-# process worker backend
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SharedArray:
-    """A picklable handle to an array workers can open without copying it.
-
-    ``kind="shm"`` names a ``multiprocessing.shared_memory`` segment the
-    host filled; ``kind="mmap"`` names the ``.npy``-backing file of a
-    :class:`numpy.memmap` — workers re-open the file read-only, so a
-    memory-mapped dataset is never made resident anywhere.
-    """
-
-    kind: str  # "shm" or "mmap"
-    name: str  # segment name / file path
-    shape: tuple
-    dtype: str
-    offset: int = 0
-
-
-def _backing_memmap(arr: np.ndarray) -> np.memmap | None:
-    """The file-backed memmap whose full buffer ``arr`` views, if any.
-
-    Validation helpers (``as_points_array``) return base-ndarray *views*
-    of a loaded memmap, so the walk follows ``.base``; the view must
-    cover the map exactly — same start address, shape and dtype — for
-    by-path sharing to be equivalent.
-    """
-    candidate = arr
-    while candidate is not None:
-        if isinstance(candidate, np.memmap) and getattr(candidate, "filename", None):
-            same_data = (
-                candidate.shape == arr.shape
-                and candidate.dtype == arr.dtype
-                and candidate.__array_interface__["data"][0]
-                == arr.__array_interface__["data"][0]
-            )
-            return candidate if same_data else None
-        candidate = getattr(candidate, "base", None)
-    return None
-
-
-def share_array(arr: np.ndarray):
-    """Publish ``arr`` for worker processes: ``(handle, segment-or-None)``.
-
-    File-backed memmaps (including validated views of one) are shared by
-    path — no copy anywhere; anything else is copied once into a fresh
-    shared-memory segment the caller must ``close()``/``unlink()`` after
-    the pool shuts down.
-    """
-    mm = _backing_memmap(arr)
-    if mm is not None:
-        return (
-            SharedArray(
-                kind="mmap",
-                name=str(mm.filename),
-                shape=tuple(mm.shape),
-                dtype=str(mm.dtype),
-                offset=int(mm.offset),
-            ),
-            None,
-        )
-    from multiprocessing import shared_memory
-
-    arr = np.ascontiguousarray(arr)
-    shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-    view[:] = arr
-    return (
-        SharedArray(kind="shm", name=shm.name, shape=tuple(arr.shape), dtype=str(arr.dtype)),
-        shm,
-    )
-
-
-def _attach_array(handle: SharedArray):
-    """Open a :class:`SharedArray` in this process; returns (array, keepalive)."""
-    if handle.kind == "mmap":
-        arr = np.memmap(
-            handle.name,
-            dtype=np.dtype(handle.dtype),
-            mode="r",
-            shape=handle.shape,
-            offset=handle.offset,
-        )
-        return arr, arr
-    from multiprocessing import shared_memory
-
-    # under the fork start method workers share the host's resource
-    # tracker, so attach-time registrations dedup against the creator's
-    # and the host's unlink() retires the segment exactly once
-    shm = shared_memory.SharedMemory(name=handle.name)
-    arr = np.ndarray(handle.shape, dtype=np.dtype(handle.dtype), buffer=shm.buf)
-    return arr, shm
-
-
-# per-worker state, set once by the pool initializer
-_WORKER: dict = {}
-
-
-def _worker_init(points_handle, queries_handle, epsilon, spec, cfg, include_self):
-    global _POOL
-    _POOL = None, 1  # one process per device already: refine inline
-    pts, pts_keep = _attach_array(points_handle)
-    if queries_handle is None:
-        op, q_keep = SelfJoinOp(include_self=include_self), None
-    else:
-        queries, q_keep = _attach_array(queries_handle)
-        op = BipartiteOp(queries)
-    _WORKER.clear()
-    _WORKER.update(
-        op=op,
-        index=GridIndex.build(pts, epsilon, spec=spec, method="sorted"),
-        cfg=cfg,
-        keepalive=(pts_keep, q_keep),
-    )
-
-
-def _worker_run(subset, chunk_pairs):
-    return execute_shard_native(
-        _WORKER["op"],
-        _WORKER["index"],
-        _WORKER["cfg"],
-        subset=subset,
-        keep_fragments=False,
-        chunk_pairs=chunk_pairs,
-    )
-
-
-def run_shards_process(
-    op,
-    index: GridIndex,
-    cfg,
-    stage,
-    *,
-    guard,
-    chunk_pairs: int = NATIVE_CHUNK_PAIRS,
-):
-    """Fan a pooled native join's shards over real worker processes.
-
-    ``stage`` is the plan's :class:`~repro.runtime.plan.ShardStage`: one
-    worker per device, shards dispatched in the schedule's order (the
-    most-work-first queue when dynamic). At most one shard per worker is
-    in flight, so ``guard.before`` — deadline, crash point, resume cache
-    — runs at real dispatch boundaries, and ``guard.after`` journals each
-    shard as it completes. When the guard raises, dispatching stops, the
-    in-flight shards finish and journal, and the shared-memory segments
-    are unlinked before the error propagates. A worker process that dies
-    (killed, out of memory) breaks the pool and loses every in-flight
-    shard: the run raises :class:`~repro.resilience.faults.DeviceLostError`
-    for the worker of the first lost shard, after the same unlink, and
-    ``Runner.resume`` re-executes only the shards not yet journaled.
-
-    Returns ``(results, trace)``: results indexed by shard id, and a
-    :class:`~repro.multigpu.scheduler.ScheduleTrace` in host wall-clock
-    seconds since pool start.
-    """
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.multigpu.scheduler import ScheduleTrace, ShardEvent
-
-    shards = stage.plan.shards
-    order = (
-        stage.plan.dispatch_order()
-        if stage.schedule == "dynamic"
-        else [s.shard_id for s in shards]
-    )
-    num_workers = stage.num_devices
-    results: list[JoinResult | None] = [None] * len(shards)
-    events: list[ShardEvent] = []
-    running: dict = {}  # future -> (shard, worker)
-    idle = list(range(num_workers))
-
-    def retire(fut):
-        shard, worker = running.pop(fut)
-        idle.append(worker)
-        try:
-            result = fut.result()
-        except BrokenProcessPool as exc:
-            raise DeviceLostError(worker) from exc
-        end = time.perf_counter() - t0
-        results[shard.shard_id] = result
-        guard.after(shard.shard_id, result)
-        events.append(
-            ShardEvent(
-                shard.shard_id, worker, max(end - result.total_seconds, 0.0), end,
-                result.num_pairs, shard.num_points,
-            )
-        )
-
-    points_handle, points_seg = share_array(index.points)
-    queries_handle, queries_seg = (None, None)
-    if op.kind != "self":
-        queries_handle, queries_seg = share_array(op.queries)
-    t0 = time.perf_counter()
-    try:
-        with ProcessPoolExecutor(
-            max_workers=num_workers,
-            initializer=_worker_init,
-            initargs=(
-                points_handle,
-                queries_handle,
-                float(index.epsilon),
-                index.spec,
-                cfg,
-                getattr(op, "include_self", True),
-            ),
-        ) as pool:
-            try:
-                for shard_id in order:
-                    if not idle:
-                        retire(next(as_completed(running)))
-                    shard, worker = shards[shard_id], min(idle)
-                    cached = guard.before(shard_id)
-                    if cached is not None:
-                        results[shard_id] = cached
-                        events.append(
-                            ShardEvent(
-                                shard_id, worker, 0.0, cached.total_seconds,
-                                cached.num_pairs, shard.num_points,
-                            )
-                        )
-                        continue
-                    idle.remove(worker)
-                    fut = pool.submit(
-                        _worker_run, np.asarray(shard.points, dtype=np.int64), chunk_pairs
-                    )
-                    running[fut] = (shard, worker)
-            finally:
-                for fut in as_completed(list(running)):
-                    retire(fut)
-    finally:
-        for seg in (points_seg, queries_seg):
-            if seg is not None:
-                seg.close()
-                seg.unlink()
-    return results, ScheduleTrace(events, mode=stage.schedule, num_devices=num_workers)

@@ -136,14 +136,13 @@ class NativeLaunchStage:
     cell-pair blocks over the grid's neighbor topology in ``order``
     (``"sortbywl"`` = the paper's heaviest-cells-first work ordering,
     ``"natural"`` = dataset order) and refines them with vectorized
-    distance passes. ``workers`` records the pooled dispatch backend.
+    distance passes.
     """
 
     kernel: str
     engine: str  # always "native"
     order: str  # "sortbywl" or "natural"
     chunk_pairs: int
-    workers: str  # "inline" or "process"
 
 
 @dataclass(frozen=True)
@@ -269,10 +268,9 @@ class JoinPlan:
                     f"capacity={s.result_capacity}"
                 )
             elif isinstance(s, NativeLaunchStage):
-                workers = f" workers={s.workers}" if s.workers != "inline" else ""
                 lines.append(
                     f"  launch   {s.kernel} engine=native order={s.order} "
-                    f"chunk={s.chunk_pairs}{workers}"
+                    f"chunk={s.chunk_pairs}"
                 )
             elif isinstance(s, ResilienceStage):
                 parts = []
@@ -314,7 +312,6 @@ def _launch_stage(
             engine=NATIVE_ENGINE,
             order="sortbywl" if opt.uses_sorted_points else "natural",
             chunk_pairs=NATIVE_CHUNK_PAIRS,
-            workers=runtime.sharding.workers if runtime.pooled else "inline",
         )
     return LaunchStage(
         kernel=kernel_name,

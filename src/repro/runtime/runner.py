@@ -7,12 +7,11 @@ overflow re-plan loop) or its array-native twin
 :func:`~repro.runtime.native.execute_shard_native`. A plan without a
 :class:`~repro.runtime.plan.ShardStage` is one shard over
 ``plan.subset``, whose result is returned as-is: no scheduler, no
-merge, no copy. A pooled plan's shards run inline under the
-:class:`~repro.multigpu.scheduler.HostScheduler` (VM or native) or on
-the process pool (:func:`~repro.runtime.native.run_shards_process`),
+merge, no copy. A pooled plan's shards run inline, one at a time, under
+the :class:`~repro.multigpu.scheduler.HostScheduler` (VM or native),
 then merge into one ``MultiJoinResult``. Either way one
 :class:`_ShardGuard` owns the journal, the resume cache, the crash
-ordinal and the deadline, and is called before and after each shard.
+ordinal and the deadline, and is called around each shard.
 A kNN plan (:class:`~repro.runtime.plan.ExpansionStage`) drives rounds
 of bipartite sub-plans through this same runner; the round algorithm
 lives on the op (:meth:`~repro.runtime.ops.KnnJoinOp.expansion`).
@@ -44,7 +43,7 @@ from repro.grid import GridIndex
 from repro.resilience.executor import FaultyExecutor
 from repro.resilience.faults import SimulatedCrashError
 from repro.runtime.config import NATIVE_ENGINE, RuntimeConfig
-from repro.runtime.native import execute_shard_native, run_shards_process
+from repro.runtime.native import execute_shard_native
 from repro.runtime.plan import JoinPlan
 from repro.simt import AtomicCounter, BufferOverflowError, CostParams, DeviceSpec
 
@@ -160,11 +159,10 @@ def execute_shard(
 class _ShardGuard:
     """The journal, resume cache, crash ordinal and deadline of one execution.
 
-    Every executor strategy calls :meth:`before` ahead of each shard
-    dispatch and :meth:`after` when the shard completes, so journaling,
-    crash points, deadlines and resume behave alike on every path.
-    Opening the journal publishes its live stats on the runner at once,
-    so they are readable even when a crash interrupts the run.
+    Every shard runs through :meth:`run`, so journaling, crash points,
+    deadlines and resume behave alike on every path. Opening the journal
+    publishes its live stats on the runner at once, so they are readable
+    even when a crash interrupts the run.
     """
 
     def __init__(self, runner, plan: JoinPlan, *, resume: bool, deadline_seconds):
@@ -195,27 +193,24 @@ class _ShardGuard:
             if resume:
                 self.completed = self.journal.load_completed()
 
-    def before(self, shard_id: int):
-        """Check the deadline and the crash point ahead of one dispatch;
-        returns the shard's journaled result when resuming, else ``None``."""
+    def run(self, shard_id: int, execute):
+        """One shard: the deadline and the crash point are checked ahead of
+        its dispatch, then it is replayed from the journal, or executed and
+        journaled."""
         if self.expires is not None and time.monotonic() >= self.expires:
             raise DeadlineExceededError(f"deadline exceeded before shard {shard_id} dispatch")
         if self.crash_at is not None and self.dispatched >= self.crash_at:
             raise SimulatedCrashError(self.crash_at)
         self.dispatched += 1
-        return self.completed.get(shard_id)
-
-    def after(self, shard_id: int, result) -> None:
-        if self.journal is not None:
-            self.journal.save_shard(shard_id, result)
-
-    def run(self, shard_id: int, execute):
-        """One inline shard: replayed from the journal, or executed and journaled."""
-        result = self.before(shard_id)
+        result = self.completed.get(shard_id)
         if result is None:
             result = execute()
             self.after(shard_id, result)
         return result
+
+    def after(self, shard_id: int, result) -> None:
+        if self.journal is not None:
+            self.journal.save_shard(shard_id, result)
 
     def remaining(self) -> float | None:
         """Deadline seconds left (clamped at 0), or ``None`` for no deadline."""
@@ -352,17 +347,7 @@ class Runner:
             )
             guard.finish()
             return result
-        if rc.engine == NATIVE_ENGINE and rc.sharding.workers == "process":
-            results, trace = run_shards_process(
-                plan.op,
-                plan.index,
-                rc.optimization,
-                stage,
-                guard=guard,
-                chunk_pairs=plan.launch_stage.chunk_pairs,
-            )
-        else:
-            results, trace = self._schedule(plan, guard)
+        results, trace = self._schedule(plan, guard)
         guard.finish()
         return _merge(plan, results, trace)
 

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.core.workqueue import WorkQueue, fetch_query_slot
+from repro.core.workqueue import fetch_query_slot
 from repro.simt import AtomicCounter, DeviceSpec, GpuMachine
 
 
@@ -48,20 +45,3 @@ class TestFetchQuerySlot:
         # thread t fetches slot t: most-work-first is preserved end to end
         assert all(slots[t] == t for t in range(24))
 
-
-class TestWorkQueue:
-    def test_drained_and_remaining(self):
-        q = WorkQueue(np.arange(5))
-        assert not q.drained
-        assert q.remaining == 5
-        for _ in range(5):
-            q.counter.fetch_add()
-        assert q.drained
-        assert q.remaining == 0
-
-    def test_over_fetch_clamps_remaining(self):
-        q = WorkQueue(np.arange(2))
-        for _ in range(4):
-            q.counter.fetch_add()
-        assert q.remaining == 0
-        assert q.drained

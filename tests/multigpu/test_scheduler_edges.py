@@ -14,7 +14,7 @@ from repro.multigpu import (
     Shard,
     ShardPlan,
 )
-from repro.resilience import DeviceLostError, RecoveryPolicy
+from repro.resilience import DeviceLostError, RecoveryPolicy, TransientKernelError
 
 
 @dataclass
@@ -137,3 +137,22 @@ def test_recovery_none_trace_has_no_recovery_log():
     assert trace.recovery is None
     # legacy events carry the new defaulted fields
     assert all(e.kind == "run" and e.attempt == 0 for e in trace.events)
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+@pytest.mark.parametrize("error", [DeviceLostError, TransientKernelError])
+def test_recovery_none_reraises_device_faults(mode, error):
+    """Without a policy a device fault ends the run where it happened:
+    no requeue onto the other device, no retry on the same one."""
+    pool = DevicePool(2)
+    dispatched = []
+
+    def run_shard(device, shard):
+        dispatched.append((shard.shard_id, device.device_id))
+        if device.device_id == 1:
+            raise error(1, wasted_seconds=0.5)
+        return _StubResult(total_seconds=1.0)
+
+    with pytest.raises(error):
+        HostScheduler(pool, mode).run(_plan([2, 1, 1]), run_shard)
+    assert dispatched == [(0, 0), (1, 1)]

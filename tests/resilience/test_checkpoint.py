@@ -420,21 +420,15 @@ class _ShardClock:
         return float(stats.writes) if stats is not None else 0.0
 
 
-@pytest.mark.parametrize("workers, journaled", [("inline", 3), ("process", 5)])
-def test_deadline_fires_mid_run_and_resume_is_bit_identical(
-    index, tmp_path, monkeypatch, workers, journaled
-):
+def test_deadline_fires_mid_run_and_resume_is_bit_identical(index, tmp_path, monkeypatch):
     """A 2.5 s deadline on a clock that ticks once per finished shard
-    fires at the first dispatch after the third shard finished. Inline,
-    that is dispatch 3; a pool of 3 workers keeps 3 shards in flight, so
-    dispatches 3 and 4 went out as the first two finished, and both
-    drain into the journal before the error propagates. The pool leaves
-    no worker process and no shared-memory segment behind."""
+    fires at the first dispatch after the third shard finished, which is
+    dispatch 3. The run leaves no child process and no shared-memory
+    segment behind."""
+    journaled = 3
 
     def rc(**kw):
-        return RuntimeConfig(
-            engine="native", sharding=ShardingConfig(num_devices=3, workers=workers), **kw
-        )
+        return RuntimeConfig(engine="native", sharding=ShardingConfig(num_devices=3), **kw)
 
     golden = Runner().run(compile_self_join(index, rc()))
     plan = compile_self_join(index, rc(checkpoint=CheckpointConfig(directory=str(tmp_path))))

@@ -15,8 +15,8 @@ walk's pairs and fragments must be byte-identical to the first (a fresh
 index). Each example also draws the width of the pool of threads that
 refines the blocks (1 runs inline): pairs and fragments must be
 byte-identical to an inline run. Single-device results must also keep
-their fragments as row views that tile ``pairs``; shard subsets and
-process workers never store runs.
+their fragments as row views that tile ``pairs``; shard subsets never
+store runs.
 """
 
 from __future__ import annotations
@@ -385,52 +385,6 @@ def test_second_walk_keeps_runs_only_within_the_budget():
 
 def _pool_threads():
     return [t for t in threading.enumerate() if t.name.startswith("repro-native")]
-
-
-def test_process_backend_matches_oracle():
-    points, eps = _fixed_dataset()
-    expect = brute_force_pairs(points, eps, include_self=False)
-    rt = RuntimeConfig(
-        optimization=PRESETS["combined"],
-        engine="native",
-        sharding=ShardingConfig(num_devices=2, workers="process"),
-        include_self=False,
-        seed=0,
-    )
-    with tempfile.TemporaryDirectory() as tmp, _pool_width(2):
-        # the workers fork after this process's refinement threads started
-        index = GridIndex(points, eps)
-        execute_shard_native(SelfJoinOp(), index, PRESETS["combined"], chunk_pairs=1)
-        assert _pool_threads()
-        for storage, data in _storages(points, tmp).items():
-            index = GridIndex(data, eps)
-            for _ in range(3):
-                result = Runner().run(compile_self_join(index, rt))
-                assert np.array_equal(result.canonical_pairs(), expect), storage
-            assert index.neighbors.runs_bytes == 0
-
-
-def test_process_worker_stores_no_runs():
-    # the worker's initializer and shard entry point, driven in-process; a
-    # worker refines inline, where this process would start a pool
-    points, eps = _fixed_dataset()
-    handle, segment = native.share_array(points)
-    try:
-        with _pool_width(2):
-            native._worker_init(
-                handle, None, eps, GridIndex(points, eps).spec, PRESETS["combined"], True
-            )
-            everything = np.arange(len(points), dtype=np.int64)
-            results = [native._worker_run(everything, 1) for _ in range(3)]
-            assert native._POOL == (None, 1)
-        assert native._WORKER["index"].neighbors.runs_bytes == 0
-    finally:
-        native._WORKER.clear()
-        segment.close()
-        segment.unlink()
-    assert all(r.pairs.tobytes() == results[0].pairs.tobytes() for r in results)
-    expect = brute_force_pairs(points, eps, include_self=True)
-    assert np.array_equal(results[0].canonical_pairs(), expect)
 
 
 # ----------------------------------------------------------------------

@@ -2,16 +2,12 @@
 
 The contract under test: for every optimization config the native engine
 returns the *same pair set* as the simulated engines (order-normalized via
-``canonical_pairs``), composes unchanged with sharding, checkpoint/resume
-and the process worker backend, and is honest about its fidelity
-(``fidelity="none"``, no batch stats, no WEE).
+``canonical_pairs``), composes unchanged with sharding and
+checkpoint/resume, and is honest about its fidelity (``fidelity="none"``,
+no batch stats, no WEE).
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -30,13 +26,12 @@ from repro.grid import GridIndex
 from repro.resilience import (
     CrashPoint,
     DeviceFailure,
-    DeviceLostError,
     FaultPlan,
     RecoveryPolicy,
     SimulatedCrashError,
     Straggler,
 )
-from repro.runtime import CheckpointConfig, NativeLaunchStage, native, native_query_order
+from repro.runtime import CheckpointConfig, NativeLaunchStage, native_query_order
 from repro.runtime.plan import LaunchStage
 
 NATIVE_PRESETS = ("gpucalcglobal", "lidunicomp", "sortbywl", "workqueue_k8", "combined")
@@ -172,7 +167,7 @@ class TestQueryOrder:
         ).tolist() == [5, 2, 9]
 
 
-# -- sharding: inline pool and process workers --------------------------
+# -- sharding ------------------------------------------------------------
 class TestSharded:
     def test_pooled_inline_matches_single_device(self, shared_index):
         single = _run(shared_index, "native", PRESETS["combined"])
@@ -200,88 +195,32 @@ class TestSharded:
         )
         assert np.array_equal(nat.canonical_pairs(), ref.canonical_pairs())
 
-    def test_process_workers_match_inline_and_replay(self, shared_index):
-        sharding = ShardingConfig(num_devices=2, workers="process")
-        inline = _run(
-            shared_index,
-            "native",
-            PRESETS["combined"],
-            sharding=ShardingConfig(num_devices=2),
-        )
-        first = _run(shared_index, "native", PRESETS["combined"], sharding=sharding)
-        again = _run(shared_index, "native", PRESETS["combined"], sharding=sharding)
-        assert np.array_equal(first.canonical_pairs(), inline.canonical_pairs())
-        assert np.array_equal(first.pairs, again.pairs)  # deterministic buffers
-        assert first.fidelity == "none"
-
 
 # -- checkpoint / crash / resume ----------------------------------------
 class TestCheckpointResume:
     @pytest.mark.parametrize("kill_at", range(6))
-    @pytest.mark.parametrize("resume_workers", ["inline", "process"])
-    @pytest.mark.parametrize("workers", ["inline", "process"])
-    def test_crash_then_resume_reproduces_golden(
-        self, tmp_path, workers, resume_workers, kill_at
-    ):
-        """Kill at every one of the 6 shard dispatches on one worker
-        backend, resume on either: the journal is backend-agnostic."""
+    def test_crash_then_resume_reproduces_golden(self, tmp_path, kill_at):
+        """Kill at every one of the 6 shard dispatches, then resume."""
         index = GridIndex(_points(n=240, seed=5), 0.4)
 
-        def rc(backend, **kw):
+        def rc(**kw):
             return RuntimeConfig(
                 optimization=PRESETS["combined"],
                 engine="native",
-                sharding=ShardingConfig(num_devices=3, workers=backend),
+                sharding=ShardingConfig(num_devices=3),
                 checkpoint=CheckpointConfig(directory=tmp_path),
                 seed=0,
                 **kw,
             )
 
-        golden = Runner().run(compile_self_join(index, rc(workers)))
+        golden = Runner().run(compile_self_join(index, rc()))
         crash = FaultPlan(seed=0, crashes=(CrashPoint(at_shard=kill_at),))
         with pytest.raises(SimulatedCrashError):
-            Runner().run(compile_self_join(index, rc(workers, fault_plan=crash)))
+            Runner().run(compile_self_join(index, rc(fault_plan=crash)))
         runner = Runner()
-        resumed = runner.resume(compile_self_join(index, rc(resume_workers)))
+        resumed = runner.resume(compile_self_join(index, rc()))
         assert np.array_equal(resumed.canonical_pairs(), golden.canonical_pairs())
         assert runner.last_checkpoint_stats.loads == kill_at
-
-
-# -- a lost process worker -----------------------------------------------
-_real_worker_run = native._worker_run
-
-
-def _killed_on_point_zero(subset, chunk_pairs):
-    """A process worker that SIGKILLs itself on the shard holding point 0
-    (forked workers inherit the monkeypatched module attribute)."""
-    if 0 in subset:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _real_worker_run(subset, chunk_pairs)
-
-
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm") or multiprocessing.get_start_method() != "fork",
-    reason="needs POSIX shared memory and forked workers",
-)
-def test_lost_process_worker_raises_device_lost(tmp_path, monkeypatch):
-    index = GridIndex(_points(n=240, seed=5), 0.4)
-    sharding = ShardingConfig(num_devices=2, workers="process")
-    uninterrupted = _run(index, "native", PRESETS["combined"], sharding=sharding)
-    journaled = RuntimeConfig(
-        optimization=PRESETS["combined"],
-        engine="native",
-        sharding=sharding,
-        checkpoint=CheckpointConfig(directory=tmp_path),
-        seed=0,
-    )
-    segments = set(os.listdir("/dev/shm"))
-    monkeypatch.setattr(native, "_worker_run", _killed_on_point_zero)
-    with pytest.raises(DeviceLostError):
-        Runner().run(compile_self_join(index, journaled))
-    assert set(os.listdir("/dev/shm")) - segments == set()
-    monkeypatch.undo()
-    resumed = Runner().resume(compile_self_join(index, journaled))
-    assert np.array_equal(resumed.pairs, uninterrupted.pairs)
 
 
 # -- config validation ---------------------------------------------------
@@ -302,14 +241,3 @@ class TestValidation:
         plan = FaultPlan(seed=0, crashes=(CrashPoint(at_shard=1),))
         rc = RuntimeConfig(engine="native", fault_plan=plan)
         assert rc.recovery is None  # no implied recovery for native
-
-    def test_process_workers_require_native(self):
-        with pytest.raises(ValueError, match="process"):
-            RuntimeConfig(
-                engine="vectorized",
-                sharding=ShardingConfig(num_devices=2, workers="process"),
-            )
-
-    def test_unknown_worker_backend_rejected(self):
-        with pytest.raises(ValueError, match="worker backend"):
-            ShardingConfig(num_devices=2, workers="threads")
