@@ -11,7 +11,7 @@ every dimension. Every probe of those cells goes through the index's one
   offsets instead of materializing a (cells × 3**n) table;
 - per offset over some cells (:meth:`NeighborTable.inside`,
   :meth:`NeighborTable.lookup`) — the pattern plans' view of one launch's
-  query cells;
+  query cells, and the estimator's view of its sample's cells;
 - per offset over external queries (:meth:`NeighborTable.probe`) — the
   bipartite join's probe from unclamped query cells;
 - per external query over all offsets (:meth:`NeighborTable.probe_query`)
@@ -138,11 +138,12 @@ class NeighborTable:
     Each offset's all-cells ranks are memoized as a read-only int32 array
     while the memo stays within ``memo_budget``, the bytes of the index's
     own arrays, so every layer that walks all cells of an index (SORTBYWL,
-    the native pass, the estimator) shares one computation. The same
-    budget holds the native self-join's candidate runs of an index walked
-    again in one visiting order (:meth:`walk`). The memo is filled under a
-    lock: the serving layer probes a cached index from several threads at
-    once.
+    the native pass, the perf model's counts) shares one computation; the
+    estimator's sample probes only its own cells and memoizes nothing.
+    The same budget holds the native self-join's candidate runs of an
+    index walked again in one visiting order (:meth:`walk`). The memo is
+    filled under a lock: the serving layer probes a cached index from
+    several threads at once.
 
     Obtain the table through ``index.neighbors``, which builds it on first
     use and keeps it on the index.

@@ -263,6 +263,11 @@ def iter_candidate_blocks(
     Every (query, candidate-in-adjacent-cell) index pair — including the
     query's own cell and the identity pair — appears in exactly one yielded
     block. ``point_ids`` restricts the query side (default: all points).
+
+    The whole-index walk reads each offset's memoized all-cells ranks.
+    A walk of ``point_ids`` (the estimator's sample) probes only the
+    distinct cells of those ids and memoizes nothing, so it costs its
+    sample, not the grid.
     """
     if point_ids is None:
         queries = np.arange(index.num_points, dtype=np.int64)
@@ -271,8 +276,18 @@ def iter_candidate_blocks(
     if queries.size == 0 or index.num_points == 0:
         return
     q_rank = index.point_cell_rank[queries]
-    for off in neighbor_offsets(index.ndim):
-        nbr = neighbor_ranks_for_offset(index, off)[q_rank]
+    if point_ids is not None:
+        table = index.neighbors
+        cells, q_cell = np.unique(q_rank, return_inverse=True)
+        cell_ids = index.cell_ids.take(cells)
+    for oi, off in enumerate(neighbor_offsets(index.ndim)):
+        if point_ids is None:
+            nbr = neighbor_ranks_for_offset(index, off)[q_rank]
+        else:
+            inside = np.flatnonzero(table.inside(oi, cells))
+            ranks = np.full(len(cells), -1, dtype=np.int32)
+            ranks[inside] = table.lookup(cell_ids.take(inside) + table.deltas[oi])
+            nbr = ranks.take(q_cell)
         runs = cell_runs(index, queries, nbr)
         for qi, slots in candidate_blocks(*runs, chunk_pairs=chunk_pairs):
             yield qi, index.point_order[slots]
@@ -299,7 +314,8 @@ def grid_neighbor_counts(
     unique_queries, inverse = np.unique(queries, return_inverse=True)
     counts_unique = np.zeros(len(unique_queries), dtype=np.int64)
     keep = epsilon_filter(index.points, index.points, index.epsilon)
-    blocks = iter_candidate_blocks(index, unique_queries, chunk_pairs=chunk_pairs)
+    walked = None if point_ids is None else unique_queries
+    blocks = iter_candidate_blocks(index, walked, chunk_pairs=chunk_pairs)
     for qi, _ in refine_blocks(blocks, keep, include_self=include_self):
         np.add.at(counts_unique, np.searchsorted(unique_queries, qi), 1)
     return counts_unique[inverse]

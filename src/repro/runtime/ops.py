@@ -545,6 +545,33 @@ class KnnJoinOp(JoinOp):
         return KnnExpansion(self)
 
 
+#: the largest key :func:`_knn_order` sorts as one int64
+_KNN_KEY_MAX = np.iinfo(np.int64).max
+
+
+def _knn_order(
+    q: np.ndarray, d: np.ndarray, nb: np.ndarray, num_queries: int, n: int
+) -> np.ndarray:
+    """Row order by (query, distance, neighbor id): ``np.lexsort((nb, d, q))``.
+
+    The id tie-break makes equal-distance neighbors engine-invariant. A
+    round repeats no (query, neighbor) row, so with ``rank`` the dense
+    rank of ``d`` among its ``R`` distinct values, the key ``(q · R +
+    rank) · n + nb`` (``q < num_queries``, ``nb < n``) is unique and one
+    plain argsort of it gives the lexsort's order. A key that could
+    overflow int64 falls back to the lexsort.
+    """
+    distinct, rank = np.unique(d, return_inverse=True)
+    if num_queries * len(distinct) * n > _KNN_KEY_MAX:
+        return np.lexsort((nb, d, q))
+    key = q.astype(np.int64)
+    key *= len(distinct)
+    key += rank
+    key *= n
+    key += nb
+    return np.argsort(key)
+
+
 class KnnExpansion:
     """The ε-expansion of one kNN execution, round by round.
 
@@ -573,7 +600,7 @@ class KnnExpansion:
 
     @property
     def queries(self) -> np.ndarray:
-        return self.op.points[self.pending]
+        return self.op.points.take(self.pending, axis=0)
 
     def absorb(self, result) -> None:
         """Finalize every query the round's pairs complete, then expand.
@@ -582,24 +609,25 @@ class KnnExpansion:
         neighbor id).
         """
         op, pending, k = self.op, self.pending, self.op.k
-        pairs = result.pairs
-        pairs = pairs[pending[pairs[:, 0]] != pairs[:, 1]]  # drop self matches
-        counts = np.bincount(pairs[:, 0], minlength=len(pending))
-        done_rows = counts[pairs[:, 0]] >= k
-        if done_rows.any():
-            # finalize every finished query with one segmented sort:
-            # by (query, distance, neighbor id) — the id tie-break
-            # makes equal-distance neighbors engine-invariant
-            q = pairs[done_rows, 0]
-            nb = pairs[done_rows, 1]
-            d = np.linalg.norm(op.points[nb] - op.points[pending[q]], axis=1)
-            order = np.lexsort((nb, d, q))
-            qs, nbs, ds = q[order], nb[order], d[order]
-            pos = np.arange(len(qs)) - np.searchsorted(qs, qs, side="left")
-            top = pos < k
-            q_global = pending[qs[top]]
-            self.indices[q_global, pos[top]] = nbs[top]
-            self.distances[q_global, pos[top]] = ds[top]
+        q, nb = result.pairs[:, 0], result.pairs[:, 1]
+        rows = np.flatnonzero(pending.take(q) != nb)  # drop self matches
+        q, nb = q.take(rows), nb.take(rows)
+        counts = np.bincount(q, minlength=len(pending))
+        done = np.flatnonzero(counts >= k)
+        if len(done):
+            rows = np.flatnonzero(counts.take(q) >= k)
+            q, nb = q.take(rows), nb.take(rows)
+            points = op.points
+            d = np.linalg.norm(
+                points.take(nb, axis=0) - points.take(pending.take(q), axis=0), axis=1
+            )
+            order = _knn_order(q, d, nb, len(pending), len(points))
+            # a finished query has at least k rows: its answer is the first k
+            runs = counts.take(done)
+            top = order.take((np.cumsum(runs) - runs)[:, None] + np.arange(k))
+            finished = pending.take(done)
+            self.indices[finished] = nb.take(top)
+            self.distances[finished] = d.take(top)
         self.pending = pending[counts < k]
         self.epsilon *= op.growth
         self.rounds += 1
