@@ -679,37 +679,30 @@ def run_engine(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> Expe
     )
 
 
-def _agg_vectorized_not_slower(results: list[ExperimentResult]) -> CheckResult:
-    speedups = []
-    for r in results:
-        head = r.headline
-        if head.startswith("geomean speedup"):
-            speedups.append(float(head.split()[2].rstrip("x")))
-    geomean = float(np.exp(np.log(np.maximum(speedups, 1e-12)).mean())) if speedups else 0.0
-    return CheckResult(
-        "vectorized_not_slower",
-        geomean > 1.0,
-        f"suite geomean {geomean:.2f}x over {len(speedups)} experiments",
-    )
+def _agg_geomean_speedup(name: str) -> Callable[[list[ExperimentResult]], CheckResult]:
+    """A suite check that the geomean of its experiments' headline
+    speedups is above 1."""
 
+    def check(results: list[ExperimentResult]) -> CheckResult:
+        speedups = []
+        for r in results:
+            head = r.headline
+            if head.startswith("geomean speedup"):
+                speedups.append(float(head.split()[2].rstrip("x")))
+        geomean = (
+            float(np.exp(np.log(np.maximum(speedups, 1e-12)).mean())) if speedups else 0.0
+        )
+        return CheckResult(
+            name,
+            geomean > 1.0,
+            f"suite geomean {geomean:.2f}x over {len(speedups)} experiments",
+        )
 
-def _agg_native_not_slower(results: list[ExperimentResult]) -> CheckResult:
-    speedups = []
-    for r in results:
-        head = r.headline
-        if head.startswith("geomean speedup"):
-            speedups.append(float(head.split()[2].rstrip("x")))
-    geomean = float(np.exp(np.log(np.maximum(speedups, 1e-12)).mean())) if speedups else 0.0
-    return CheckResult(
-        "native_not_slower",
-        geomean > 1.0,
-        f"suite geomean {geomean:.2f}x over {len(speedups)} experiments",
-    )
+    return check
 
 
 AGGREGATE_CHECKS = {
-    "vectorized_not_slower": _agg_vectorized_not_slower,
-    "native_not_slower": _agg_native_not_slower,
+    name: _agg_geomean_speedup(name) for name in ("vectorized_not_slower", "native_not_slower")
 }
 
 

@@ -46,6 +46,11 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    def __post_init__(self):
+        # a check computed with NumPy hands in a numpy.bool_, which
+        # json.dumps rejects when the entry is recorded
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def to_record(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 

@@ -65,22 +65,34 @@ class GridSpec:
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
-        spans = maxs - mins
-        length = eps
-        for _ in range(128):
-            # At least one cell per dimension; +1 guards the point sitting
-            # exactly on the upper boundary.
-            widths = np.floor(spans / length).astype(np.int64) + 1
-            total = 1
-            for w in widths.tolist():
-                total *= int(w)
-                if total > _MAX_LINEAR_CELLS:
-                    break
-            if total <= _MAX_LINEAR_CELLS:
-                break
-            length *= 2.0  # coarsen until the virtual grid linearizes
-        else:  # pragma: no cover - 2**128 coarsening always suffices
-            raise ValueError("could not coarsen the grid to a linearizable size")
+        with np.errstate(over="ignore"):  # infinite spans and counts are caught below
+            spans = maxs - mins
+            unbounded = np.flatnonzero(~np.isfinite(spans))
+            if unbounded.size:
+                d = int(unbounded[0])
+                raise ValueError(
+                    f"dimension {d} spans {float(mins[d])!r} to {float(maxs[d])!r}, "
+                    "a width that is not a finite float64"
+                )
+            length = eps
+            while True:
+                # Count cells in float first: a count of 2**63 or more has
+                # no int64 cast. A finite span always ends the loop, since
+                # its count halves with every doubling (at most ~2100 of
+                # them, from the smallest ε to the widest span).
+                cells = np.floor(spans / length)
+                if cells.max(initial=0.0) < _MAX_LINEAR_CELLS:
+                    # At least one cell per dimension; +1 guards the point
+                    # sitting exactly on the upper boundary.
+                    widths = cells.astype(np.int64) + 1
+                    total = 1
+                    for w in widths.tolist():
+                        total *= int(w)
+                        if total > _MAX_LINEAR_CELLS:
+                            break
+                    if total <= _MAX_LINEAR_CELLS:
+                        break
+                length *= 2.0  # coarsen until the virtual grid linearizes
         strides = np.empty_like(widths)
         strides[-1] = 1
         for j in range(len(widths) - 2, -1, -1):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.profiling.service_report import service_report
 from repro.util import Table, format_seconds
 
 __all__ = ["ChaosIncident", "ChaosReport", "chaos_report"]
@@ -193,14 +194,10 @@ def chaos_report(service) -> ChaosReport:
             )
         )
 
-    executed = (
-        counts.get("completed", 0) + counts.get("failed", 0) + counts.get("timeout", 0)
-    )
-    availability = counts.get("completed", 0) / executed if executed else 1.0
     return ChaosReport(
         incidents=tuple(incidents),
         injected_by_species=injected,
-        availability=availability,
+        availability=service_report(snap).availability,
         retries=counts.get("retried", 0),
         rate_limited=counts.get("rate_limited", 0),
         circuit_opens=counts.get("circuit_open", 0),

@@ -31,7 +31,7 @@ buffer) according to the plan; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "AllDevicesLostError",
@@ -365,6 +365,10 @@ class RunnerCrash:
             raise ValueError("at_shard must be >= 0")
 
 
+#: the service fault species, in the order one dispatch ordinal injects them
+_SERVICE_SPECIES = ("storms", "disconnects", "slow_clients", "collapses", "crashes")
+
+
 @dataclass(frozen=True)
 class ServiceFaultPlan:
     """A seeded, declarative set of *service* faults — the serving mirror
@@ -386,49 +390,21 @@ class ServiceFaultPlan:
     crashes: tuple[RunnerCrash, ...] = ()
 
     def __post_init__(self):
-        for name in ("storms", "disconnects", "slow_clients", "collapses", "crashes"):
+        for name in _SERVICE_SPECIES:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    # -- per-ordinal views ----------------------------------------------
-    def storm_for(self, ordinal: int) -> CancellationStorm | None:
-        for s in self.storms:
-            if s.at_request == ordinal:
-                return s
-        return None
-
-    def disconnect_for(self, ordinal: int) -> ClientDisconnect | None:
-        for d in self.disconnects:
-            if d.at_request == ordinal:
-                return d
-        return None
-
-    def slow_client_for(self, ordinal: int) -> SlowClient | None:
-        for s in self.slow_clients:
-            if s.at_request == ordinal:
-                return s
-        return None
-
-    def collapse_for(self, ordinal: int) -> PoolCollapse | None:
-        for c in self.collapses:
-            if c.at_request == ordinal:
-                return c
-        return None
-
-    def crash_for(self, ordinal: int) -> RunnerCrash | None:
-        for c in self.crashes:
-            if c.at_request == ordinal:
-                return c
-        return None
+    def faults_at(self, ordinal: int) -> list:
+        """The faults injected at one dispatch ordinal: the first fault of
+        each species that names it, in species order (storms first)."""
+        firsts = (
+            next((f for f in getattr(self, name) if f.at_request == ordinal), None)
+            for name in _SERVICE_SPECIES
+        )
+        return [f for f in firsts if f is not None]
 
     @property
     def is_empty(self) -> bool:
-        return not (
-            self.storms
-            or self.disconnects
-            or self.slow_clients
-            or self.collapses
-            or self.crashes
-        )
+        return not any(getattr(self, name) for name in _SERVICE_SPECIES)
 
     def describe(self) -> str:
         parts = []

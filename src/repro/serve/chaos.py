@@ -2,7 +2,9 @@
 
 The :class:`ChaosController` consumes a
 :class:`~repro.resilience.faults.ServiceFaultPlan` (``ServeConfig(chaos=...)``)
-and injects its faults at the service's dispatch seam, exactly as
+and injects its faults at the service's dispatch seam — one
+:meth:`~ChaosController.inject` call per dispatch, whose ``(ticket,
+detail)`` pairs the service logs as ``fault`` events — exactly as
 :class:`~repro.resilience.executor.FaultyExecutor` injects device faults
 at the :class:`~repro.core.executor.BatchExecutor` seam one layer down:
 
@@ -33,11 +35,12 @@ from dataclasses import replace
 import numpy as np
 
 from repro.resilience.faults import (
+    CancellationStorm,
+    ClientDisconnect,
     CrashPoint,
     DeviceFailure,
     FaultPlan,
     PoolCollapse,
-    RunnerCrash,
     ServiceFaultPlan,
     SlowClient,
 )
@@ -56,61 +59,75 @@ class ChaosController:
             else None
         )
         self._slow: dict[str, float] = {}
+        # request id -> (PoolCollapse | None, RunnerCrash | None) for its
+        # first attempt, handed out once by infect_runtime
+        self._device_faults: dict[str, tuple] = {}
 
-    @property
-    def active(self) -> bool:
-        return self._rng is not None
+    def inject(self, ordinal: int, ticket, backlog: list) -> list[tuple]:
+        """Apply the plan's faults at one dispatch ordinal.
 
-    # ------------------------------------------------------------ species
-    def storm_victims(self, ordinal: int, backlog: list) -> list:
-        """The queued tickets a storm at this dispatch ordinal cancels."""
-        if not self.active:
+        ``ticket`` is the request being dispatched and ``backlog`` the
+        tickets still queued. Returns one ``(ticket, detail)`` pair per
+        injected fault, in injection order, for the service to log; each
+        detail leads with its species, which
+        :class:`~repro.profiling.ChaosReport` keys on.
+        """
+        if self._rng is None:
             return []
-        storm = self.plan.storm_for(ordinal)
-        if storm is None or not backlog:
-            return []
-        count = min(storm.count, len(backlog))
-        picks = sorted(self._rng.choice(len(backlog), size=count, replace=False))
-        return [backlog[int(i)] for i in picks]
-
-    def disconnects(self, ordinal: int) -> bool:
-        return self.active and self.plan.disconnect_for(ordinal) is not None
-
-    def slow_client_for(self, ordinal: int) -> SlowClient | None:
-        return self.plan.slow_client_for(ordinal) if self.active else None
-
-    def register_slow(self, request_id: str, delay_seconds: float) -> None:
-        self._slow[request_id] = float(delay_seconds)
+        injected = []
+        collapse = crash = None
+        for fault in self.plan.faults_at(ordinal):
+            if isinstance(fault, CancellationStorm):
+                if not backlog:
+                    continue
+                count = min(fault.count, len(backlog))
+                for i in sorted(self._rng.choice(len(backlog), size=count, replace=False)):
+                    victim = backlog[int(i)]
+                    victim.cancel()
+                    injected.append(
+                        (victim, f"cancellation_storm victim (dispatch #{ordinal})")
+                    )
+            elif isinstance(fault, ClientDisconnect):
+                ticket.cancel()
+                injected.append((ticket, f"client_disconnect (dispatch #{ordinal})"))
+            elif isinstance(fault, SlowClient):
+                self._slow[ticket.request_id] = float(fault.delay_seconds)
+                injected.append((ticket, f"slow_client delay={fault.delay_seconds:g}s"))
+            elif isinstance(fault, PoolCollapse):
+                if ticket.request.runtime.pooled:  # meaningless off the pool
+                    collapse = fault
+                    injected.append(
+                        (
+                            ticket,
+                            f"pool_collapse keep={fault.keep_devices} "
+                            f"at_shard={fault.at_shard}",
+                        )
+                    )
+            else:
+                crash = fault
+                injected.append((ticket, f"runner_crash at_shard={fault.at_shard}"))
+        if collapse is not None or crash is not None:
+            self._device_faults[ticket.request_id] = (collapse, crash)
+        return injected
 
     def stream_delay(self, request_id: str) -> float:
         """Per-block stall of this request's stream (0.0 = full speed)."""
         return self._slow.get(request_id, 0.0)
 
-    def collapse_for(self, ordinal: int) -> PoolCollapse | None:
-        return self.plan.collapse_for(ordinal) if self.active else None
-
-    def crash_for(self, ordinal: int) -> RunnerCrash | None:
-        return self.plan.crash_for(ordinal) if self.active else None
-
     # ------------------------------------------------------------ runtime
-    def infect_runtime(
-        self,
-        runtime,
-        *,
-        collapse: PoolCollapse | None,
-        crash: RunnerCrash | None,
-        num_devices: int,
-    ):
-        """Merge this request's injected faults into its runtime config.
+    def infect_runtime(self, request_id: str, runtime):
+        """Merge a request's injected device faults into its runtime config.
 
-        Applied to the first attempt only — the caller holds the
-        injections back on retries, so remediation runs clean.
+        Each request's faults are handed out once: the service asks on the
+        first attempt only, so remediation runs clean.
         """
+        collapse, crash = self._device_faults.pop(request_id, (None, None))
         if collapse is None and crash is None:
             return runtime
+        num_devices = runtime.sharding.num_devices if runtime.pooled else 1
         fp = runtime.fault_plan
         if fp is None:
-            fp = FaultPlan(seed=self.plan.seed if self.plan is not None else 0)
+            fp = FaultPlan(seed=self.plan.seed)
         if collapse is not None and num_devices > collapse.keep_devices:
             fp = replace(
                 fp,

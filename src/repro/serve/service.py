@@ -40,10 +40,11 @@ concerns around that seam:
   (``ServeConfig(chaos=...)``) injects service-level faults at the
   dispatch seam for the chaos suite;
 - **observability** — every decision lands in the
-  :class:`~repro.serve.events.ServiceLog`, and
-  :meth:`JoinService.report` renders the
-  :class:`~repro.profiling.ServiceReport` (chaos runs additionally get
-  the :class:`~repro.profiling.ChaosReport`).
+  :class:`~repro.serve.events.ServiceLog`, the service's one ledger:
+  each request ends with exactly one terminal event, :meth:`snapshot`
+  counts requests from the log, and :meth:`JoinService.report` renders
+  the :class:`~repro.profiling.ServiceReport` (chaos runs additionally
+  get the :class:`~repro.profiling.ChaosReport`).
 
 Execution is per-request deterministic: results depend only on the
 request (data, config, seed), never on interleaving — the concurrency
@@ -61,8 +62,10 @@ forever, whichever path their request died on.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import AsyncIterator
 
@@ -102,6 +105,40 @@ from repro.serve.model import (
 from repro.util import as_points_array
 
 __all__ = ["JoinService", "ServeConfig"]
+
+#: terminal event kind -> the ticket state it settles; each request ends
+#: with exactly one of these events
+_SETTLES = {
+    "complete": "done",
+    "failed": "failed",
+    "cancelled": "cancelled",
+    "timeout": "timeout",
+    "reject": "rejected",
+    "rate_limited": "rejected",
+    "circuit_open": "rejected",
+}
+#: snapshot count -> the event kinds it counts in the log
+_COUNTED = {
+    "submitted": ("submit",),
+    "completed": ("complete",),
+    "failed": ("failed",),
+    "rejected": ("reject", "rate_limited", "circuit_open"),
+    "cancelled": ("cancelled",),
+    "timeout": ("timeout",),
+    "rate_limited": ("rate_limited",),
+    "circuit_open": ("circuit_open",),
+    "retried": ("retry",),
+}
+#: the counts a tenant's snapshot row carries ahead of its completion totals
+_TENANT_COUNTED = ("submitted", "completed", "failed", "rejected", "rate_limited")
+#: the completion totals of a tenant that has completed nothing
+_NO_COMPLETIONS = {
+    "cache_hits": 0,
+    "pairs": 0,
+    "estimated_pairs": 0,
+    "simulated_seconds": 0.0,
+    "wall_seconds": 0.0,
+}
 
 
 @dataclass(frozen=True)
@@ -164,6 +201,8 @@ class JoinService:
             quantum=self.config.quantum, weights=self.config.tenant_weights
         )
         self._datasets: dict[str, DatasetHandle] = {}
+        # unresolved tickets only: a settled ticket leaves, and with it the
+        # service's last reference to its result
         self._tickets: dict[str, JoinTicket] = {}
         self._build_locks: dict[tuple[str, str], asyncio.Lock] = {}
         self._slots = asyncio.Semaphore(self.config.admission.max_concurrency)
@@ -183,26 +222,10 @@ class JoinService:
         self._buckets: dict[str, TokenBucket] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._retry_budgets: dict[str, RetryBudget] = {}
-        # per-request chaos injections, keyed by request id (attempt 0 only)
-        self._injections: dict[str, tuple] = {}
-        # accounting read by repro.profiling.service_report
-        self._counts = {
-            k: 0
-            for k in (
-                "submitted",
-                "completed",
-                "failed",
-                "rejected",
-                "cancelled",
-                "timeout",
-                "rate_limited",
-                "circuit_open",
-                "retried",
-            )
-        }
+        # accounting read by repro.profiling.service_report; request counts
+        # are read from the log, these are what the log does not hold
         self._queue_latencies: list[float] = []
-        self._tenant_stats: dict[str, dict] = {}
-        self._dispatch_order: list[str] = []
+        self._completions: dict[str, dict] = {}  # tenant -> its completion totals
         self._pool_busy_seconds = 0.0
         self._pool_allocated_seconds = 0.0
         self._pooled_runs = 0
@@ -266,32 +289,22 @@ class JoinService:
         # flush whatever is still queued as cancelled tickets
         while len(self._queue):
             _, ticket, _ = self._queue._pop_now()
-            if ticket.done:
-                continue
-            self._counts["cancelled"] += 1
-            self.log.append(
+            self._settle(
+                ticket,
                 "cancelled",
-                request_id=ticket.request_id,
-                tenant=ticket.tenant,
-                at_seconds=self._now(),
-                detail="cancelled at shutdown (never dispatched)",
+                "cancelled at shutdown (never dispatched)",
+                error="service stopped",
             )
-            self._finalize(ticket, state="cancelled", error="service stopped")
         if self._workers:
             await asyncio.gather(*self._workers, return_exceptions=True)
         # safety net: no ticket may survive shutdown unresolved
-        for ticket in self._tickets.values():
-            if ticket.done:
-                continue
-            self._counts["cancelled"] += 1
-            self.log.append(
+        for ticket in list(self._tickets.values()):
+            self._settle(
+                ticket,
                 "cancelled",
-                request_id=ticket.request_id,
-                tenant=ticket.tenant,
-                at_seconds=self._now(),
-                detail="resolved terminally at shutdown",
+                "resolved terminally at shutdown",
+                error="service stopped",
             )
-            self._finalize(ticket, state="cancelled", error="service stopped")
         self.log.append("shutdown", at_seconds=self._now())
 
     async def __aenter__(self) -> "JoinService":
@@ -376,8 +389,6 @@ class JoinService:
         )
         ticket.future = asyncio.get_running_loop().create_future()
         self._tickets[ticket.request_id] = ticket
-        self._counts["submitted"] += 1
-        self._tenant(request.tenant)["submitted"] += 1
         self.log.append(
             "submit",
             request_id=ticket.request_id,
@@ -387,35 +398,9 @@ class JoinService:
             + (f" [{request.tag}]" if request.tag else ""),
         )
 
-        if self._draining:
-            return self._reject(
-                ticket, kind="reject", reason="draining (service is shutting down)"
-            )
-        if self.config.rate_limit is not None:
-            bucket = self._buckets.get(request.tenant)
-            if bucket is None:
-                bucket = self._buckets[request.tenant] = TokenBucket(
-                    self.config.rate_limit
-                )
-            if not bucket.try_take(self._now()):
-                self._counts["rate_limited"] += 1
-                self._tenant(request.tenant)["rate_limited"] += 1
-                return self._reject(
-                    ticket,
-                    kind="rate_limited",
-                    reason=f"rate_limited (tenant {request.tenant!r} bucket empty)",
-                )
-        breaker = self._breaker(request.tenant)
-        if breaker is not None and not breaker.allow(self._now()):
-            self._counts["circuit_open"] += 1
-            return self._reject(
-                ticket,
-                kind="circuit_open",
-                reason=(
-                    f"circuit_open (tenant {request.tenant!r}: "
-                    f"{breaker.consecutive_failures} consecutive failures)"
-                ),
-            )
+        refusal = self._refusal(request.tenant)
+        if refusal is not None:
+            return self._settle(ticket, *refusal)
 
         index, cache_hit = await self._index_for(handle, request.epsilon, ticket)
         sample_fraction = request.runtime.optimization.sample_fraction
@@ -450,24 +435,29 @@ class JoinService:
             estimated_pairs=cost,
         )
         if not decision.admitted:
-            return self._reject(ticket, kind="reject", reason=decision.reason)
+            return self._settle(ticket, "reject", decision.reason)
 
         self._queue.push(request.tenant, ticket, float(cost))
         return ticket
 
-    def _reject(self, ticket: JoinTicket, *, kind: str, reason: str) -> JoinTicket:
-        """Resolve a never-queued ticket terminally ``rejected``."""
-        self._counts["rejected"] += 1
-        self._tenant(ticket.tenant)["rejected"] += 1
-        self.log.append(
-            kind,
-            request_id=ticket.request_id,
-            tenant=ticket.tenant,
-            at_seconds=self._now(),
-            detail=reason,
-        )
-        self._finalize(ticket, state="rejected", error=reason)
-        return ticket
+    def _refusal(self, tenant: str) -> tuple[str, str] | None:
+        """The ``(event kind, reason)`` a protective check refuses a
+        tenant's request with before any estimate, or ``None``."""
+        if self._draining:
+            return "reject", "draining (service is shutting down)"
+        if self.config.rate_limit is not None:
+            bucket = self._buckets.get(tenant)
+            if bucket is None:
+                bucket = self._buckets[tenant] = TokenBucket(self.config.rate_limit)
+            if not bucket.try_take(self._now()):
+                return "rate_limited", f"rate_limited (tenant {tenant!r} bucket empty)"
+        breaker = self._breaker(tenant)
+        if breaker is not None and not breaker.allow(self._now()):
+            return "circuit_open", (
+                f"circuit_open (tenant {tenant!r}: "
+                f"{breaker.consecutive_failures} consecutive failures)"
+            )
+        return None
 
     def _breaker(self, tenant: str) -> CircuitBreaker | None:
         if self.config.circuit_breaker is None:
@@ -493,29 +483,37 @@ class JoinService:
         lock = self._build_locks.setdefault(key, asyncio.Lock())
         async with lock:
             index = self.cache.get(handle.fingerprint, epsilon)
-            if index is not None:
-                self.log.append(
-                    "cache_hit",
-                    request_id=ticket.request_id,
-                    tenant=ticket.tenant,
-                    at_seconds=self._now(),
-                    detail=f"{handle.name} eps={epsilon:g}",
-                )
-                return index, True
             self.log.append(
-                "cache_miss",
+                "cache_hit" if index is not None else "cache_miss",
                 request_id=ticket.request_id,
                 tenant=ticket.tenant,
                 at_seconds=self._now(),
                 detail=f"{handle.name} eps={epsilon:g}",
             )
-            index = await asyncio.to_thread(GridIndex, handle.points, float(epsilon))
-            evicted = self.cache.put(handle.fingerprint, epsilon, index)
-            for old_key in evicted:
-                self.log.append(
-                    "evict", at_seconds=self._now(), detail=f"key={old_key[0][:12]}…"
-                )
-            return index, False
+            if index is not None:
+                return index, True
+            return await asyncio.to_thread(self._build_index, handle, epsilon), False
+
+    def _resolve_index(self, handle: DatasetHandle, epsilon: float) -> tuple[GridIndex, bool]:
+        """The cached ε-grid and whether it was cached; a miss builds it."""
+        index = self.cache.get(handle.fingerprint, epsilon)
+        if index is not None:
+            return index, True
+        return self._build_index(handle, epsilon), False
+
+    def _build_index(self, handle: DatasetHandle, epsilon: float) -> GridIndex:
+        """Build one ε-grid and cache it, logging each entry it evicts.
+
+        Admission's miss, the rebuild of an index evicted before its
+        request ran, and every kNN round's grid all build here (admission
+        from a worker thread too), so no eviction goes unlogged.
+        """
+        index = GridIndex(handle.points, float(epsilon))
+        for old_key in self.cache.put(handle.fingerprint, epsilon, index):
+            self.log.append(
+                "evict", at_seconds=self._now(), detail=f"key={old_key[0][:12]}…"
+            )
+        return index
 
     # ------------------------------------------------------- serving
     async def _dispatch_loop(self) -> None:
@@ -523,15 +521,7 @@ class JoinService:
             tenant, ticket, _cost = await self._queue.pop()
             await self._dispatch_gate.wait()
             if ticket.cancel_requested:
-                self._counts["cancelled"] += 1
-                self.log.append(
-                    "cancelled",
-                    request_id=ticket.request_id,
-                    tenant=tenant,
-                    at_seconds=self._now(),
-                    detail="cancelled while queued",
-                )
-                self._finalize(ticket, state="cancelled", error="cancelled while queued")
+                self._settle(ticket, "cancelled", "cancelled while queued")
                 continue
             timeout = (
                 ticket.request.timeout_seconds
@@ -540,17 +530,10 @@ class JoinService:
             )
             waited = self._now() - ticket.submitted_at
             if timeout is not None and waited > timeout:
-                self._counts["timeout"] += 1
-                self.log.append(
-                    "timeout",
-                    request_id=ticket.request_id,
-                    tenant=tenant,
-                    at_seconds=self._now(),
-                    detail=f"queued {waited:.3f}s > {timeout:g}s deadline",
-                )
-                self._finalize(
+                self._settle(
                     ticket,
-                    state="timeout",
+                    "timeout",
+                    f"queued {waited:.3f}s > {timeout:g}s deadline",
                     error=f"queue deadline exceeded ({waited:.3f}s > {timeout:g}s)",
                     queue_seconds=waited,
                 )
@@ -560,12 +543,15 @@ class JoinService:
             except asyncio.CancelledError:
                 # stop(drain=False) cancelled us while we held a popped
                 # ticket — resolve it so result() callers never hang
-                self._counts["cancelled"] += 1
-                self._finalize(ticket, state="cancelled", error="service stopped")
+                self._settle(
+                    ticket,
+                    "cancelled",
+                    "cancelled at shutdown (waiting for a slot)",
+                    error="service stopped",
+                )
                 raise
             ordinal = self._dispatch_seq
             self._dispatch_seq += 1
-            self._dispatch_order.append(tenant)
             self.log.append(
                 "dispatch",
                 request_id=ticket.request_id,
@@ -573,68 +559,17 @@ class JoinService:
                 at_seconds=self._now(),
                 detail=f"est={ticket.estimated_pairs}",
             )
-            self._inject_chaos(ordinal, ticket)
+            for victim, detail in self._chaos.inject(ordinal, ticket, self._queue.items()):
+                self.log.append(
+                    "fault",
+                    request_id=victim.request_id,
+                    tenant=victim.tenant,
+                    at_seconds=self._now(),
+                    detail=detail,
+                )
             worker = asyncio.create_task(self._run_ticket(ticket, queue_seconds=waited))
             self._workers.add(worker)
             worker.add_done_callback(self._workers.discard)
-
-    def _inject_chaos(self, ordinal: int, ticket: JoinTicket) -> None:
-        """Apply the armed :class:`ServiceFaultPlan` at one dispatch ordinal."""
-        if not self._chaos.active:
-            return
-        for victim in self._chaos.storm_victims(ordinal, self._queue.items()):
-            victim.cancel()
-            self.log.append(
-                "fault",
-                request_id=victim.request_id,
-                tenant=victim.tenant,
-                at_seconds=self._now(),
-                detail=f"cancellation_storm victim (dispatch #{ordinal})",
-            )
-        if self._chaos.disconnects(ordinal):
-            ticket.cancel()
-            self.log.append(
-                "fault",
-                request_id=ticket.request_id,
-                tenant=ticket.tenant,
-                at_seconds=self._now(),
-                detail=f"client_disconnect (dispatch #{ordinal})",
-            )
-        slow = self._chaos.slow_client_for(ordinal)
-        if slow is not None:
-            self._chaos.register_slow(ticket.request_id, slow.delay_seconds)
-            self.log.append(
-                "fault",
-                request_id=ticket.request_id,
-                tenant=ticket.tenant,
-                at_seconds=self._now(),
-                detail=f"slow_client delay={slow.delay_seconds:g}s",
-            )
-        collapse = self._chaos.collapse_for(ordinal)
-        if collapse is not None and not ticket.request.runtime.pooled:
-            collapse = None  # pool collapse is meaningless off the pool
-        crash = self._chaos.crash_for(ordinal)
-        if collapse is not None or crash is not None:
-            self._injections[ticket.request_id] = (collapse, crash)
-            if collapse is not None:
-                self.log.append(
-                    "fault",
-                    request_id=ticket.request_id,
-                    tenant=ticket.tenant,
-                    at_seconds=self._now(),
-                    detail=(
-                        f"pool_collapse keep={collapse.keep_devices} "
-                        f"at_shard={collapse.at_shard}"
-                    ),
-                )
-            if crash is not None:
-                self.log.append(
-                    "fault",
-                    request_id=ticket.request_id,
-                    tenant=ticket.tenant,
-                    at_seconds=self._now(),
-                    detail=f"runner_crash at_shard={crash.at_shard}",
-                )
 
     async def _run_ticket(self, ticket: JoinTicket, *, queue_seconds: float) -> None:
         try:
@@ -648,33 +583,27 @@ class JoinService:
                     result = await asyncio.to_thread(
                         self._execute_sync, ticket, attempt
                     )
+                    break
                 except DeadlineExceededError as exc:
                     # a missed deadline is the client's budget running out,
                     # not a service fault — no breaker, no retry
-                    self._counts["timeout"] += 1
-                    self.log.append(
-                        "timeout",
-                        request_id=ticket.request_id,
-                        tenant=ticket.tenant,
-                        at_seconds=self._now(),
-                        detail=f"execution deadline: {exc}",
-                    )
-                    self._finalize(
+                    self._settle(
                         ticket,
-                        state="timeout",
+                        "timeout",
+                        f"execution deadline: {exc}",
                         error=str(exc),
                         queue_seconds=queue_seconds,
                         execute_seconds=self._now() - started,
                     )
                     return
                 except Exception as exc:  # the service outlives any one request
+                    error = f"{type(exc).__name__}: {exc}"
                     if (
                         not ticket.cancel_requested
                         and attempt + 1 < self.config.retry.max_attempts
                         and self._retry_budget(ticket.tenant).try_acquire()
                     ):
                         attempt += 1
-                        self._counts["retried"] += 1
                         self.log.append(
                             "retry",
                             request_id=ticket.request_id,
@@ -682,66 +611,26 @@ class JoinService:
                             at_seconds=self._now(),
                             detail=(
                                 f"attempt {attempt + 1}/"
-                                f"{self.config.retry.max_attempts} after "
-                                f"{type(exc).__name__}: {exc}"
+                                f"{self.config.retry.max_attempts} after {error}"
                             ),
                         )
                         continue
                     if breaker is not None:
                         breaker.record_failure(self._now())
-                    self._counts["failed"] += 1
-                    self._tenant(ticket.tenant)["failed"] += 1
-                    self.log.append(
-                        "failed",
-                        request_id=ticket.request_id,
-                        tenant=ticket.tenant,
-                        at_seconds=self._now(),
-                        detail=f"{type(exc).__name__}: {exc}",
-                    )
-                    self._finalize(
+                    self._settle(
                         ticket,
-                        state="failed",
-                        error=f"{type(exc).__name__}: {exc}",
+                        "failed",
+                        error,
                         queue_seconds=queue_seconds,
                         execute_seconds=self._now() - started,
                     )
                     return
-                break
             wall = self._now() - started
             recovery = getattr(result, "recovery_log", None)
-            if ticket.cancel_requested:
-                # the result is discarded, but its recovery trail is not:
-                # a pooled run that lost devices and healed still surfaces
-                # the degradation so the incident record stays consistent
-                if recovery is not None and recovery.num_devices_lost > 0:
-                    self.log.append(
-                        "degraded",
-                        request_id=ticket.request_id,
-                        tenant=ticket.tenant,
-                        at_seconds=self._now(),
-                        detail=(
-                            f"lost {recovery.num_devices_lost} device(s); healed "
-                            f"by recovery ({recovery.num_requeues} requeues); "
-                            "result discarded"
-                        ),
-                    )
-                self._counts["cancelled"] += 1
-                self.log.append(
-                    "cancelled",
-                    request_id=ticket.request_id,
-                    tenant=ticket.tenant,
-                    at_seconds=self._now(),
-                    detail="cancelled while running; result discarded",
-                )
-                self._finalize(
-                    ticket,
-                    state="cancelled",
-                    error="cancelled while running",
-                    queue_seconds=queue_seconds,
-                    execute_seconds=wall,
-                )
-                return
             if recovery is not None and recovery.num_devices_lost > 0:
+                # a cancelled request's result is discarded, but its
+                # recovery trail is not: a pooled run that lost devices and
+                # healed still surfaces the degradation
                 self.log.append(
                     "degraded",
                     request_id=ticket.request_id,
@@ -750,8 +639,19 @@ class JoinService:
                     detail=(
                         f"lost {recovery.num_devices_lost} device(s); healed by "
                         f"recovery ({recovery.num_requeues} requeues)"
+                        + ("; result discarded" if ticket.cancel_requested else "")
                     ),
                 )
+            if ticket.cancel_requested:
+                self._settle(
+                    ticket,
+                    "cancelled",
+                    "cancelled while running; result discarded",
+                    error="cancelled while running",
+                    queue_seconds=queue_seconds,
+                    execute_seconds=wall,
+                )
+                return
             stats = getattr(result, "pool_stats", None)
             if stats is not None:
                 self._pooled_runs += 1
@@ -762,26 +662,18 @@ class JoinService:
             if breaker is not None:
                 breaker.record_success()
             self._retry_budget(ticket.tenant).credit()
-            self._counts["completed"] += 1
-            trow = self._tenant(ticket.tenant)
-            trow["completed"] += 1
-            trow["pairs"] += result.num_pairs
-            trow["estimated_pairs"] += ticket.estimated_pairs
-            trow["simulated_seconds"] += result.total_seconds
-            trow["wall_seconds"] += wall
-            trow["cache_hits"] += 1 if ticket.cache_hit else 0
-            self.log.append(
+            totals = self._completions.setdefault(ticket.tenant, dict(_NO_COMPLETIONS))
+            totals["pairs"] += result.num_pairs
+            totals["estimated_pairs"] += ticket.estimated_pairs
+            totals["simulated_seconds"] += result.total_seconds
+            totals["wall_seconds"] += wall
+            totals["cache_hits"] += 1 if ticket.cache_hit else 0
+            self._settle(
+                ticket,
                 "complete",
-                request_id=ticket.request_id,
-                tenant=ticket.tenant,
-                at_seconds=self._now(),
-                detail=f"pairs={result.num_pairs}"
+                f"pairs={result.num_pairs}"
                 + (" cache_hit" if ticket.cache_hit else "")
                 + (f" attempts={attempt + 1}" if attempt else ""),
-            )
-            self._finalize(
-                ticket,
-                state="done",
                 result=result,
                 queue_seconds=queue_seconds,
                 execute_seconds=wall,
@@ -808,35 +700,27 @@ class JoinService:
                     f"(budget {req.deadline_seconds:g}s)"
                 )
         handle = self._datasets[req.dataset]
-        index = self.cache.get(handle.fingerprint, req.epsilon)
-        if index is None:  # evicted between admission and dispatch: rebuild
-            index = GridIndex(handle.points, float(req.epsilon))
-            self.cache.put(handle.fingerprint, req.epsilon, index)
+        index, cached = self._resolve_index(handle, req.epsilon)
+        if not cached:  # evicted between admission and dispatch: rebuilt
             ticket.cache_hit = False
         rc = req.runtime
         if rc.pooled:
             rc = self._adapt_to_pool(rc)
-        injection = self._injections.get(ticket.request_id)
-        if injection is not None and attempt == 0:
-            collapse, crash = injection
-            rc = self._chaos.infect_runtime(
-                rc,
-                collapse=collapse,
-                crash=crash,
-                num_devices=rc.sharding.num_devices if rc.pooled else 1,
-            )
+        if attempt == 0:
+            rc = self._chaos.infect_runtime(ticket.request_id, rc)
         if req.kind == "self":
             plan = compile_self_join(index, rc, index_reused=ticket.cache_hit)
         elif req.kind == "knn":
-            # the request's ε is the round-0 radius; later rounds resolve
-            # their grids through the session cache too, so repeated kNN
-            # requests on one dataset reuse every round's index
+            # the request's ε is the round-0 radius; each later round's
+            # radius keys the session cache under the same fingerprint, so
+            # successive rounds and kNN requests on one dataset reuse
+            # every round's index
             plan = compile_knn_join(
                 handle.points,
                 req.k,
                 rc,
                 epsilon0=float(req.epsilon),
-                index_factory=self._round_index_factory(handle),
+                index_factory=lambda eps: self._resolve_index(handle, eps)[0],
                 index_reused=ticket.cache_hit,
             )
         else:
@@ -845,54 +729,21 @@ class JoinService:
                 index, queries, rc, index_reused=ticket.cache_hit
             )
         resume = attempt > 0 and plan.checkpoint_stage is not None
+        # one shared pool: pooled plans serialize on it, and arm_pool
+        # re-arms device health per run, so a pool degraded by one
+        # request's faults serves the next request whole again
+        runner = Runner(pool=self._pool if rc.pooled else None)
         try:
-            if rc.pooled:
-                # one shared pool: pooled plans serialize on it, and
-                # arm_pool re-arms device health per run, so a pool
-                # degraded by one request's faults serves the next
-                # request whole again
-                with self._pool_mutex:
-                    runner = Runner(pool=self._pool)
-                    result = (
-                        runner.resume(plan, deadline_seconds=deadline_remaining)
-                        if resume
-                        else runner.run(plan, deadline_seconds=deadline_remaining)
-                    )
-            else:
-                runner = Runner()
-                result = (
-                    runner.resume(plan, deadline_seconds=deadline_remaining)
-                    if resume
-                    else runner.run(plan, deadline_seconds=deadline_remaining)
-                )
+            with self._pool_mutex if rc.pooled else contextlib.nullcontext():
+                execute = runner.resume if resume else runner.run
+                return execute(plan, deadline_seconds=deadline_remaining)
         finally:
             # the crashed attempt's durable writes count as overhead too
             stats = runner.last_checkpoint_stats
             if stats is not None:
                 with self._ckpt_lock:
-                    self._ckpt["writes"] += stats.writes
-                    self._ckpt["loads"] += stats.loads
-                    self._ckpt["bytes_written"] += stats.bytes_written
-                    self._ckpt["write_seconds"] += stats.write_seconds
-        return result
-
-    def _round_index_factory(self, handle):
-        """Per-round ε-grid resolver for kNN plans (worker thread).
-
-        Each expansion round's radius keys the session cache under the
-        dataset's content fingerprint — the same identity admission
-        warmed for round 0 — so successive rounds (and successive kNN
-        requests over the same dataset) rebuild nothing.
-        """
-
-        def factory(epsilon: float) -> GridIndex:
-            index = self.cache.get(handle.fingerprint, epsilon)
-            if index is None:
-                index = GridIndex(handle.points, float(epsilon))
-                self.cache.put(handle.fingerprint, epsilon, index)
-            return index
-
-        return factory
+                    for name in self._ckpt:
+                        self._ckpt[name] += getattr(stats, name)
 
     def _adapt_to_pool(self, rc: RuntimeConfig) -> RuntimeConfig:
         """Fit a pooled request onto the service's shared device pool."""
@@ -949,69 +800,81 @@ class JoinService:
         """Cooperatively cancel a request (see :meth:`JoinTicket.cancel`)."""
         return ticket.cancel()
 
-    def _finalize(
+    def _settle(
         self,
         ticket: JoinTicket,
+        kind: str,
+        detail: str,
         *,
-        state: str,
-        result=None,
         error: str | None = None,
+        result=None,
         queue_seconds: float = 0.0,
         execute_seconds: float = 0.0,
-    ) -> None:
-        ticket.state = state
-        response = JoinResponse(
+    ) -> JoinTicket:
+        """End one request: log its terminal event and resolve its ticket.
+
+        Every outcome — completion, failure, rejection, cancellation,
+        timeout — resolves here and nowhere else, so each request id gets
+        exactly one terminal event and :meth:`snapshot`, which counts from
+        the log, agrees with the responses. A response without a result
+        carries ``error``, or the event detail when no ``error`` is given.
+        """
+        self.log.append(
+            kind,
             request_id=ticket.request_id,
             tenant=ticket.tenant,
-            kind=ticket.request.kind,
-            dataset=ticket.request.dataset,
-            state=state,
-            result=result,
-            error=error,
-            cache_hit=ticket.cache_hit,
-            queue_seconds=queue_seconds,
-            execute_seconds=execute_seconds,
-            tag=ticket.request.tag,
+            at_seconds=self._now(),
+            detail=detail,
         )
-        if not ticket.future.done():
-            ticket.future.set_result(response)
+        ticket.state = _SETTLES[kind]
+        ticket.future.set_result(
+            JoinResponse(
+                request_id=ticket.request_id,
+                tenant=ticket.tenant,
+                kind=ticket.request.kind,
+                dataset=ticket.request.dataset,
+                state=ticket.state,
+                result=result,
+                error=None if result is not None else error or detail,
+                cache_hit=ticket.cache_hit,
+                queue_seconds=queue_seconds,
+                execute_seconds=execute_seconds,
+                tag=ticket.request.tag,
+            )
+        )
+        del self._tickets[ticket.request_id]
+        return ticket
 
     # ------------------------------------------------------- reporting
-    def _tenant(self, tenant: str) -> dict:
-        row = self._tenant_stats.get(tenant)
-        if row is None:
-            row = self._tenant_stats[tenant] = {
-                k: 0
-                for k in (
-                    "submitted",
-                    "completed",
-                    "failed",
-                    "rejected",
-                    "rate_limited",
-                    "cache_hits",
-                    "pairs",
-                    "estimated_pairs",
-                )
-            }
-            row["simulated_seconds"] = 0.0
-            row["wall_seconds"] = 0.0
-        return row
-
     def snapshot(self) -> dict:
         """Accounting snapshot the :class:`~repro.profiling.ServiceReport`
-        is built from (plain data; see ``repro.profiling.service_report``)."""
+        is built from (plain data; see ``repro.profiling.service_report``).
+
+        Request counts, per tenant too, and the dispatch order are read
+        from the log; per-tenant completion totals come from the service.
+        """
+        events = self.log.events
+        seen = Counter((e.tenant, e.kind) for e in events)
+        by_kind = Counter(e.kind for e in events)
+        tenants = sorted({tenant for tenant, kind in seen if kind == "submit"})
         with self._ckpt_lock:
             checkpoint = dict(self._ckpt)
         return {
-            "counts": dict(self._counts),
+            "counts": {
+                name: sum(by_kind[kind] for kind in kinds)
+                for name, kinds in _COUNTED.items()
+            },
             "queue_latencies": list(self._queue_latencies),
             "tenants": {
-                t: dict(row) for t, row in sorted(self._tenant_stats.items())
+                t: {
+                    name: sum(seen[t, kind] for kind in _COUNTED[name])
+                    for name in _TENANT_COUNTED
+                }
+                | self._completions.get(t, _NO_COMPLETIONS)
+                for t in tenants
             },
-            "tenant_weights": {
-                t: self._queue.weight(t) for t in sorted(self._tenant_stats)
-            },
-            "dispatch_order": list(self._dispatch_order),
+            "tenant_weights": {t: self._queue.weight(t) for t in tenants},
+            "dispatch_order": [e.tenant for e in events if e.kind == "dispatch"],
             "cache": self.cache.stats,
             "pool_devices": self._pool.num_devices if self._pool is not None else 0,
             "pooled_runs": self._pooled_runs,

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench.gates import CheckResult
@@ -85,6 +86,20 @@ class TestRecordLoad:
         for _ in range(MAX_ENTRIES + 5):
             history = record_entry(path, "core", entry)
         assert len(history["entries"]) == MAX_ENTRIES
+
+    def test_numpy_bool_checks_record_and_reload(self, tmp_path):
+        # a check computed with NumPy (headline_bands) hands in numpy.bool_
+        path = bench_path(tmp_path, "paper")
+        checks = [CheckResult("headline_bands", np.float64(2.1) > 2.0, "max 2.10x")]
+        suite_checks = [CheckResult("suite", np.bool_(True))]
+        entry = make_entry(
+            [make_result(checks=checks)], size="full", seed=0, trials=1, suite_checks=suite_checks
+        )
+        record_entry(path, "paper", entry)
+        (reloaded,) = load_history(path)["entries"]
+        assert reloaded["experiments"]["e"]["checks"][0]["passed"] is True
+        assert reloaded["experiments"]["e"]["checks_passed"] is True
+        assert reloaded["suite_checks"][0]["passed"] is True
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = bench_path(tmp_path, "core")

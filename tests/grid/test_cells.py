@@ -77,6 +77,84 @@ class TestConstruction:
         assert spec.total_cells == 1
 
 
+class TestHugeSpans:
+    """Spans whose cell count at ε passes 2**63: the spec coarsens before it
+    casts, and a span past float64 is a ValueError naming its dimension."""
+
+    CASES = {
+        # two clusters 1e19 apart at ε 1: 1e19 cells is past int64
+        "1e19": (np.array([[0.0, 0.0], [0.5, 0.0], [1e19, 0.0], [1e19, 0.75]]), 1.0),
+        "1e300": (
+            np.array([[-1e300, 0.0], [-1e300, 0.5], [0.0, 0.0], [0.5, 0.5], [1e300, 0.0]]),
+            1.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("engine", ["native", "vectorized"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_joins_match_brute_force(self, case, engine):
+        from repro.baselines import brute_force_pairs
+        from repro.grid import GridIndex
+        from repro.runtime import Runner, RuntimeConfig, compile_self_join
+
+        points, eps = self.CASES[case]
+        index = GridIndex(points, eps)
+        assert index.spec.is_coarsened and (index.spec.widths >= 1).all()
+        got = Runner().run(compile_self_join(index, RuntimeConfig(engine=engine)))
+        with np.errstate(over="ignore"):  # the oracle squares 2e300
+            want = brute_force_pairs(points, eps)
+        np.testing.assert_array_equal(got.canonical_pairs(), want)
+
+    def test_span_past_float64_names_its_dimension(self):
+        from repro.grid import GridIndex
+
+        points = np.array([[0.0, -1.7e308], [1.0, 1.7e308]])
+        with pytest.raises(ValueError, match="dimension 1 spans"):
+            GridSpec.from_points(points, 1.0)
+        with pytest.raises(ValueError, match="dimension 1 spans"):
+            GridIndex(points, 1.0)
+
+    @given(
+        ndim=st.integers(1, 6),
+        eps=st.sampled_from((1e-9, 1e-6, 0.3, 1.0, 7.463412840658728)),
+        exponents=st.lists(st.integers(-3, 20), min_size=6, max_size=6),
+        mantissas=st.lists(st.floats(1.0, 9.99), min_size=6, max_size=6),
+    )
+    @example(ndim=1, eps=1.0, exponents=[18] * 6, mantissas=[9.2] * 6)  # 2**63 cells
+    @example(ndim=1, eps=1.0, exponents=[18] * 6, mantissas=[2.3] * 6)  # 2**61 cells
+    @example(ndim=3, eps=1e-9, exponents=[0] * 6, mantissas=[1.0] * 6)
+    def test_specs_that_fit_are_unchanged(self, ndim, eps, exponents, mantissas):
+        spans = np.array([m * 10.0**e for m, e in zip(mantissas, exponents)])[:ndim]
+        mins = -0.5 * spans
+        maxs = mins + spans
+        ref_length, ref_widths = _doubling_reference(eps, mins, maxs)
+        if (ref_widths < 1).any():
+            return  # the reference's int64 cast overflowed: it never fit
+        spec = GridSpec(eps, mins, maxs)
+        assert spec.cell_length == ref_length
+        assert spec.widths.dtype == ref_widths.dtype
+        assert spec.widths.tobytes() == ref_widths.tobytes()
+
+
+def _doubling_reference(eps, mins, maxs):
+    """The coarsening loop as it was when it cast every count to int64
+    before checking it: the reference for each spec whose counts fit."""
+    spans = maxs - mins
+    length = eps
+    for _ in range(128):
+        with np.errstate(invalid="ignore"):
+            widths = np.floor(spans / length).astype(np.int64) + 1
+        total = 1
+        for w in widths.tolist():
+            total *= int(w)
+            if total > np.iinfo(np.int64).max // 4:
+                break
+        if total <= np.iinfo(np.int64).max // 4:
+            break
+        length *= 2.0
+    return length, widths
+
+
 class TestCoordinateMapping:
     def test_cell_coords_basic(self):
         spec = GridSpec(1.0, np.zeros(2), np.array([10.0, 10.0]))
