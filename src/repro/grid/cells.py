@@ -148,7 +148,8 @@ class GridSpec:
         ``clamp=False`` for *external query points* (the bipartite join):
         their true — possibly out-of-grid — coordinates are returned, so a
         query just outside the box still probes the boundary cells via its
-        in-bounds neighbor offsets, while a far-away query probes nothing.
+        in-bounds neighbor offsets, while a far-away query probes nothing
+        (a coordinate past ±2**62 cells comes back as ±2**62).
         """
         pts = as_points_array(points)
         if pts.shape[1] != self.ndim:
@@ -159,9 +160,12 @@ class GridSpec:
         # divide, floor, cast and clamp as a broadcast over the whole array
         coords = np.empty(pts.shape, dtype=np.int64)
         for d in range(self.ndim):
-            col = pts[:, d] - self.mins[d]
-            col /= self.cell_length
+            with np.errstate(over="ignore"):  # an infinite cell is clipped below
+                col = pts[:, d] - self.mins[d]
+                col /= self.cell_length
             np.floor(col, out=col)
+            if not clamp:  # ±2**62 cells: outside every grid, inside int64
+                np.clip(col, -(2.0**62), 2.0**62, out=col)
             cells = col.astype(np.int64)
             if clamp:
                 np.clip(cells, 0, self.widths[d] - 1, out=cells)

@@ -141,7 +141,7 @@ class NeighborTable:
     the native pass, the perf model's counts) shares one computation; the
     estimator's sample probes only its own cells and memoizes nothing.
     The same budget holds the native self-join's candidate runs of an
-    index walked again in one visiting order (:meth:`walk`). The memo is
+    index walked again as a whole (:meth:`walk`). The memo is
     filled under a lock: the serving layer probes a cached index from
     several threads at once.
 
@@ -171,9 +171,10 @@ class NeighborTable:
         #: the part of ``memo_bytes`` that holds candidate runs
         self.runs_bytes = 0
         self._memo: dict[int, np.ndarray] = {}
-        #: visiting orders walked so far -> whether a walk may keep its runs
-        self._walked: dict = {}
-        self._runs: dict = {}
+        #: ``None`` before the first whole-index walk, then whether a walk
+        #: may keep its runs
+        self._walked: bool | None = None
+        self._runs: tuple | None = None
         self._lock = threading.Lock()
 
     @property
@@ -224,42 +225,40 @@ class NeighborTable:
                 self.memo_bytes += out.nbytes
         return out
 
-    def walk(self, key) -> tuple[tuple | None, bool]:
-        """Register one whole-index walk in visiting order ``key``:
-        ``(runs, keep)``.
+    def walk(self) -> tuple[tuple | None, bool]:
+        """Register one whole-index self-join walk: ``(runs, keep)``.
 
         ``runs`` are the walk's candidate runs stored by :meth:`store_runs`,
         or ``None``. Without them, ``keep`` tells whether the walk should
-        keep its runs: the first walk of an order only records it, so an
-        index walked once (every batch op builds a fresh one) never pays
-        for keeping runs, and once runs of ``key`` have not fit, no later
-        walk keeps them again.
+        keep its runs: the first walk only records itself, so an index
+        walked once (every batch op builds a fresh one) never pays for
+        keeping runs, and once runs have not fit, no later walk keeps them
+        again.
         """
         with self._lock:
-            runs = self._runs.get(key)
-            if runs is not None:
-                return runs, False
-            keep = self._walked.get(key, False)
-            self._walked.setdefault(key, True)
+            if self._runs is not None:
+                return self._runs, False
+            keep = bool(self._walked)
+            if self._walked is None:
+                self._walked = True
             return None, keep
 
-    def store_runs(self, key, runs: tuple | None) -> bool:
+    def store_runs(self, runs: tuple | None) -> bool:
         """Store a walk's runs (a tuple of array tuples, made read-only)
         for :meth:`walk` if they fit the memo budget; whether they are
         stored. Runs that do not fit, or ``None`` for runs that outgrew
-        the room while being kept, stop later walks of ``key`` from
-        keeping theirs."""
+        the room while being kept, stop later walks from keeping theirs."""
         size = 0 if runs is None else sum(a.nbytes for stage in runs for a in stage)
         with self._lock:
-            if key in self._runs:
+            if self._runs is not None:
                 return True
             if runs is None or self.memo_bytes + size > self.memo_budget:
-                self._walked[key] = False
+                self._walked = False
                 return False
             for stage in runs:
                 for a in stage:
                     a.setflags(write=False)
-            self._runs[key] = runs
+            self._runs = runs
             self.memo_bytes += size
             self.runs_bytes += size
         return True

@@ -9,9 +9,10 @@ accounting, no replay, no batch planning. Candidate blocks come from
 only the lexicographically-positive half of the ``3**n`` offsets is
 searched (plus, within each cell, the later slots of the query's own
 cell): every hit is emitted with its mirror, which restores the kernels'
-full directed pair set at half the candidate volume. Queries visit in
-the paper's SORTBYWL heaviest-cells-first order when the optimization
-config asks for it.
+full directed pair set at half the candidate volume. A self-join visits
+its queries in slot order, cell by cell, under every optimization
+config: SORTBYWL gives a GPU warp's threads similar work, a host core
+has no warps, and slot order reads the cell-ordered columns forward.
 
 The self-join refines in slot space. A slot is a position in the
 index's ``point_order``, so each candidate cell is one run of slots, and
@@ -58,11 +59,14 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 from repro.core.result import JoinResult
-from repro.core.sortbywl import sort_by_workload
+
+# bound, never called: perfbench's core.sortbywl span wraps it, and
+# Tracer.install resolves every wrap target before it wraps any
+from repro.core.sortbywl import sort_by_workload  # noqa: F401
 from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_workloads
 from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
-from repro.grid.query import block_cuts, candidate_block, cell_runs, epsilon_filter, point_slots
+from repro.grid.query import block_cuts, candidate_block, cell_runs, epsilon_filter
 from repro.simt.streams import PipelineResult
 from repro.util import stable_argsort_desc
 
@@ -192,22 +196,14 @@ def native_query_order(
 ) -> np.ndarray:
     """The shard's query visiting order D' for the native engine.
 
-    Mirrors the ops' ``prepare`` ordering — SORTBYWL heaviest-cells-first
-    when ``cfg.uses_sorted_points``, dataset/subset order otherwise — but
-    skips the result-size estimation the batch planner needs and the
-    native engine does not.
+    A self-join visits its slots: ``index.point_order`` restricted to
+    ``subset``. A bipartite op mirrors the ops' ``prepare`` ordering —
+    SORTBYWL heaviest-cells-first when ``cfg.uses_sorted_points``, subset
+    order otherwise — but skips the result-size estimation the batch
+    planner needs and the native engine does not.
     """
     if op.kind == "self":
-        if cfg.uses_sorted_points:
-            order = sort_by_workload(index, cfg.pattern)
-            if subset is not None:
-                keep = np.zeros(index.num_points, dtype=bool)
-                keep[np.asarray(subset, dtype=np.int64)] = True
-                order = order[keep[order]]
-            return order
-        if subset is not None:
-            return np.asarray(subset, dtype=np.int64)
-        return np.arange(index.num_points, dtype=np.int64)
+        return index.point_order.take(_query_slots(index, subset))
     ids = (
         np.asarray(subset, dtype=np.int64)
         if subset is not None
@@ -217,6 +213,15 @@ def native_query_order(
         workloads, _ = bipartite_workloads(index, op.queries[ids])
         return ids[stable_argsort_desc(workloads)]
     return ids
+
+
+def _query_slots(index: GridIndex, subset) -> np.ndarray:
+    """The slots of a self-join's queries (all without a ``subset``), increasing."""
+    if subset is None:
+        return np.arange(index.num_points, dtype=np.int64)
+    mask = np.zeros(index.num_points, dtype=bool)
+    mask[np.asarray(subset, dtype=np.int64)] = True
+    return np.flatnonzero(mask.take(index.point_order))
 
 
 def _half_offsets(ndim: int) -> np.ndarray:
@@ -235,34 +240,27 @@ def _half_offsets(ndim: int) -> np.ndarray:
     return neighbor_offsets(ndim)[3**ndim // 2 + 1 :]
 
 
-def _walk_key(op, cfg, subset):
-    """The visiting order of a whole-index self-join, as the key of its
-    candidate runs on the index's neighbour table; ``None`` for a shard
-    subset or another op, whose runs are never stored."""
-    if op.kind != "self" or subset is not None:
-        return None
-    return ("sortbywl", cfg.pattern) if cfg.uses_sorted_points else ("natural",)
-
-
-def _stage_runs(index, queries):
+def _stage_runs(index, slots):
     """The half-neighbourhood walk's ``(query slots, starts, lengths)`` runs,
     one stage at a time: the later slots of each query's own cell, then
-    one lex-positive offset per unordered cell pair. The query slots and
-    cells are gathered now, the stages as they are consumed."""
-    q_slot = point_slots(index, queries)
-    q_rank = index.point_cell_rank[queries]
+    one lex-positive offset per unordered cell pair. The query cells are
+    gathered now, the stages as they are consumed."""
+    counts = index.cell_counts
+    q_rank = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    if len(slots) < len(q_rank):  # a shard's slots
+        q_rank = q_rank.take(slots)
 
     def stages():
-        cell_end = index.cell_starts[q_rank] + index.cell_counts[q_rank]
-        yield q_slot, q_slot + 1, cell_end - q_slot - 1
+        cell_end = index.cell_starts.take(q_rank) + counts.take(q_rank)
+        yield slots, slots + 1, cell_end - slots - 1
         for off in _half_offsets(index.ndim):
-            nbr = neighbor_ranks_for_offset(index, off)[q_rank]
-            yield cell_runs(index, q_slot, nbr)
+            nbr = neighbor_ranks_for_offset(index, off).take(q_rank)
+            yield cell_runs(index, slots, nbr)
 
     return stages()
 
 
-def _kept_runs(stages, table, key):
+def _kept_runs(stages, table):
     """Pass ``stages`` through, keeping their non-empty runs for
     ``table.store_runs``; once they outgrow the memo budget's room, the
     table is told and the rest pass through untouched."""
@@ -278,39 +276,38 @@ def _kept_runs(stages, table, key):
                 kept.append(stage)
             else:
                 kept = None
-                table.store_runs(key, None)
+                table.store_runs(None)
         yield stage
     if kept is not None:
-        table.store_runs(key, tuple(kept))
+        table.store_runs(tuple(kept))
 
 
-def _self_join_blocks(index, order, tasks, *, include_self, chunk_pairs, key=None):
-    """``(qi, cj, mirror)`` blocks of the half-neighborhood self-join: the
-    identity pairs (unmirrored), then every refined block's hits as ids,
-    to be emitted with their mirror; ``None`` for a block without hits.
+def _self_join_blocks(index, slots, tasks, *, include_self, chunk_pairs, whole=False):
+    """``(qi, cj, mirror)`` blocks of the half-neighborhood self-join over
+    query ``slots`` (increasing): the identity pairs (unmirrored), then
+    every refined block's hits as ids, to be emitted with their mirror;
+    ``None`` for a block without hits.
 
-    With a ``key`` (the visiting order of a whole-index walk), the walk
-    registers on the index's neighbour table, and its runs come from the
-    table once a second walk has kept them
+    A ``whole``-index walk registers on the index's neighbour table, and
+    its runs come from the table once a second walk has kept them
     (:meth:`~repro.grid.neighbors.NeighborTable.walk`); blocks are the
     same either way, because every stage is chunked on its own.
     """
-    queries = np.asarray(order, dtype=np.int64)
-    if queries.size == 0 or index.num_points == 0:
+    if len(slots) == 0:
         return
+    point_order = index.point_order
     if include_self:
-        for start in range(0, len(queries), max(chunk_pairs, 1)):
-            q = queries[start : start + chunk_pairs]
+        ids = point_order if whole else point_order.take(slots)
+        for start in range(0, len(ids), max(chunk_pairs, 1)):
+            q = ids[start : start + chunk_pairs]
             yield q, q, False
-    table = index.neighbors if key is not None else None
-    stored, keep_runs = table.walk(key) if table is not None else (None, False)
+    stored, keep_runs = index.neighbors.walk() if whole else (None, False)
     if stored is not None:
         stages = stored
     else:
-        stages = _stage_runs(index, queries)
+        stages = _stage_runs(index, slots)
         if keep_runs:
-            stages = _kept_runs(stages, table, key)
-    point_order = index.point_order
+            stages = _kept_runs(stages, index.neighbors)
     keep = epsilon_filter(index.points, index.points, index.epsilon, order=point_order)
 
     def refine(qs, cs):
@@ -398,24 +395,24 @@ def execute_shard_native(
     pool, and ``pairs`` is the same bytes on any number of cores.
     Pipeline times are host wall-clock, ``fidelity="none"``.
     """
-    order = native_query_order(op, index, cfg, subset=subset)
-    include_self = getattr(op, "include_self", True)
+    tasks = _Tasks()
+    if op.kind == "self":
+        queries = _query_slots(index, subset)
+        walk = _self_join_blocks(
+            index,
+            queries,
+            tasks,
+            include_self=getattr(op, "include_self", True),
+            chunk_pairs=chunk_pairs,
+            whole=subset is None,
+        )
+    else:
+        queries = native_query_order(op, index, cfg, subset=subset)
+        walk = _bipartite_blocks(op, index, queries, tasks, chunk_pairs=chunk_pairs)
     t0 = time.perf_counter()
     blocks: list = []
     starts: list[float] = []
     ends: list[float] = []
-    tasks = _Tasks()
-    if op.kind == "self":
-        walk = _self_join_blocks(
-            index,
-            order,
-            tasks,
-            include_self=include_self,
-            chunk_pairs=chunk_pairs,
-            key=_walk_key(op, cfg, subset),
-        )
-    else:
-        walk = _bipartite_blocks(op, index, order, tasks, chunk_pairs=chunk_pairs)
     prev = 0.0
     with contextlib.closing(walk):
         for block in walk:
@@ -437,7 +434,7 @@ def execute_shard_native(
     return JoinResult(
         pairs=pairs,
         epsilon=op.result_epsilon(index),
-        num_points=len(order),
+        num_points=len(queries),
         batch_stats=[],
         pipeline=pipeline,
         config_description=description if description is not None else op.describe(cfg),

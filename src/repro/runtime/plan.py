@@ -134,14 +134,15 @@ class NativeLaunchStage:
     No batches, no streams, no warp accounting: the runner hands the op
     to :mod:`repro.runtime.native`, which walks ``chunk_pairs``-bounded
     cell-pair blocks over the grid's neighbor topology in ``order``
-    (``"sortbywl"`` = the paper's heaviest-cells-first work ordering,
-    ``"natural"`` = dataset order) and refines them with vectorized
-    distance passes.
+    (``"slot"`` = ``point_order``, a self-join's under every config;
+    ``"sortbywl"`` = the paper's heaviest-cells-first work ordering or
+    ``"natural"`` = query order, a bipartite sweep's) and refines them
+    with vectorized distance passes.
     """
 
     kernel: str
     engine: str  # always "native"
-    order: str  # "sortbywl" or "natural"
+    order: str  # "slot", "sortbywl" or "natural"
     chunk_pairs: int
 
 
@@ -300,21 +301,20 @@ def _index_stage(index: GridIndex, *, reused: bool = False) -> IndexStage:
     )
 
 
-def _launch_stage(
-    kernel_name: str, runtime: RuntimeConfig
-) -> LaunchStage | NativeLaunchStage:
+def _launch_stage(op, runtime: RuntimeConfig) -> LaunchStage | NativeLaunchStage:
     opt = runtime.optimization
     if runtime.engine == NATIVE_ENGINE:
         from repro.runtime.native import NATIVE_CHUNK_PAIRS
 
+        order = "sortbywl" if opt.uses_sorted_points else "natural"
         return NativeLaunchStage(
-            kernel=kernel_name,
+            kernel=op.kernel_name,
             engine=NATIVE_ENGINE,
-            order="sortbywl" if opt.uses_sorted_points else "natural",
+            order="slot" if op.kind == "self" else order,
             chunk_pairs=NATIVE_CHUNK_PAIRS,
         )
     return LaunchStage(
-        kernel=kernel_name,
+        kernel=op.kernel_name,
         engine=runtime.engine,
         replay_mode=runtime.replay_mode,
         issue_order="fifo" if opt.work_queue else "random",
@@ -373,7 +373,7 @@ def compile_join(
         # driver ops shard their per-round sub-plans, not the plan itself;
         # the description still records the pooled execution shape
         description = _pooled_description(runtime, description)
-    stages.append(_launch_stage(op.kernel_name, runtime))
+    stages.append(_launch_stage(op, runtime))
     stages.append(MergeStage(dedup=dedup, description=description))
     plan = JoinPlan(
         op=op, index=index, config=runtime, stages=tuple(stages), subset=subset

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,51 @@ class TestHugeSpans:
         assert spec.cell_length == ref_length
         assert spec.widths.dtype == ref_widths.dtype
         assert spec.widths.tobytes() == ref_widths.tobytes()
+
+
+class TestFarQueries:
+    """Similarity queries far outside the indexed box: their unclamped
+    cell coordinates saturate before the int64 cast, so no NumPy warning
+    escapes and the far queries probe nothing."""
+
+    QUERIES = np.array(
+        [
+            [1e19, 0.5],
+            [0.5, -1e19],
+            [1e300, 1e300],
+            [-1e300, 0.25],
+            [0.75, 1e300],
+            [1.7e308, -1.7e308],
+            [0.5, 0.5],
+            [0.5, 1.05],
+            [-0.05, 0.35],
+        ]
+    )
+
+    @pytest.mark.parametrize("engine", ["native", "vectorized"])
+    def test_joins_match_brute_force_without_warnings(self, engine):
+        from repro import RuntimeConfig, SimilarityJoin
+        from repro.baselines import brute_force_pairs
+
+        points = np.random.default_rng(0).uniform(0.0, 1.0, (200, 2))
+        eps = 0.1
+        with np.errstate(over="ignore"):  # the oracle squares 1e300
+            pairs = brute_force_pairs(np.concatenate([self.QUERIES, points]), eps)
+        na = len(self.QUERIES)
+        cross = pairs[(pairs[:, 0] < na) & (pairs[:, 1] >= na)]
+        want = np.column_stack([cross[:, 0], cross[:, 1] - na])
+        assert len(want) and set(want[:, 0].tolist()) == {6, 7, 8}
+        join = SimilarityJoin(runtime=RuntimeConfig(engine=engine))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = join.execute(self.QUERIES, points, eps)
+        np.testing.assert_array_equal(got.canonical_pairs(), want)
+
+    def test_far_cells_saturate(self):
+        spec = GridSpec(0.1, np.zeros(2), np.ones(2))
+        coords = spec.cell_coords(self.QUERIES[:6], clamp=False)
+        assert np.abs(coords).max() == 2**62
+        assert (spec.cell_coords(self.QUERIES[6:], clamp=False) == [[5, 5], [5, 10], [-1, 3]]).all()
 
 
 def _doubling_reference(eps, mins, maxs):

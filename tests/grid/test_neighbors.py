@@ -138,6 +138,31 @@ def reference_probe(index, queries):
         yield inside, ranks
 
 
+def probe_before_saturation(table, queries):
+    """:meth:`NeighborTable.probe` as it was when unclamped cell
+    coordinates were cast to int64 unchecked: the reference for every
+    query whose cell coordinates int64 holds."""
+    spec = table.spec
+    coords = np.empty(queries.shape, dtype=np.int64)
+    for d in range(spec.ndim):
+        col = queries[:, d] - spec.mins[d]
+        col /= spec.cell_length
+        np.floor(col, out=col)
+        coords[:, d] = col.astype(np.int64)
+    edges = neighbors._edge_words(coords, spec.widths, 3)
+    near = np.flatnonzero(((coords >= -1) & (coords <= spec.widths)).all(axis=1))
+    base = np.zeros(len(coords), dtype=np.int64)
+    base[near] = spec.linearize(coords.take(near, axis=0))
+    by_id = None if table.dense is not None else near[np.argsort(base[near], kind="stable")]
+    for oi, word in enumerate(table._query_words):
+        inside = (edges & word) == 0
+        ranks = np.full(len(coords), -1, dtype=np.int32)
+        hit = np.flatnonzero(inside) if by_id is None else by_id[inside[by_id]]
+        if len(hit):
+            ranks[hit] = table.lookup(base[hit] + table.deltas[oi])
+        yield inside, ranks
+
+
 def reference_ranks_for_offset(index, offset):
     """``neighbor_ranks_for_offset`` as computed before the table."""
     coords = index.cell_coords_arr + offset
@@ -262,6 +287,27 @@ class TestNeighborTable:
             for q, query in enumerate(queries):
                 inside, ranks = table.probe_query(query)
                 assert ranks.dtype == np.int32
+                np.testing.assert_array_equal(inside, [w[0][q] for w in want])
+                np.testing.assert_array_equal(ranks, [w[1][q] for w in want])
+
+    @given(
+        index=grid_indexes(),
+        seed=st.integers(0, 2**32 - 1),
+        reach=st.sampled_from([2, 10**6, 2**40, 2**61]),
+    )
+    def test_probe_of_queries_whose_cells_fit_is_unchanged(self, index, seed, reach):
+        # query cells up to ``reach`` outside the grid, anywhere in their cell
+        spec = index.spec
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(-reach, spec.widths + reach, size=(16, index.ndim))
+        queries = spec.mins + (cells + rng.uniform(0.0, 1.0, cells.shape)) * spec.cell_length
+        for table in rank_paths(index):
+            want = list(probe_before_saturation(table, queries))
+            for (inside, ranks), (ref_inside, ref_ranks) in zip(table.probe(queries), want):
+                np.testing.assert_array_equal(inside, ref_inside)
+                np.testing.assert_array_equal(ranks, ref_ranks)
+            for q, query in enumerate(queries):
+                inside, ranks = table.probe_query(query)
                 np.testing.assert_array_equal(inside, [w[0][q] for w in want])
                 np.testing.assert_array_equal(ranks, [w[1][q] for w in want])
 
@@ -435,31 +481,37 @@ class TestNeighborMemo:
 
     def test_walk_records_then_keeps_then_replays(self, small_uniform_2d):
         table = GridIndex(small_uniform_2d, 1.0).neighbors
-        assert table.walk(("natural",)) == (None, False)
-        assert table.walk(("natural",)) == (None, True)
+        assert table.walk() == (None, False)
+        assert table.walk() == (None, True)
         runs = ((np.arange(3), np.arange(3), np.ones(3, dtype=np.int64)),)
-        assert table.store_runs(("natural",), runs)
-        got, keep = table.walk(("natural",))
+        assert table.store_runs(runs)
+        got, keep = table.walk()
         assert got is runs and not keep
         assert not any(a.flags.writeable for a in got[0])
         assert table.runs_bytes == table.memo_bytes == 72
-        # another visiting order has its own record
-        assert table.walk(("sortbywl", "full")) == (None, False)
+        # the index has one stored walk: later runs are not stored again
+        assert table.store_runs(((np.arange(5),),))
+        assert table.walk()[0] is runs and table.runs_bytes == 72
 
     def test_runs_beyond_the_budget_are_not_stored(self, small_uniform_2d):
-        table = GridIndex(small_uniform_2d, 1.0).neighbors
-        for off in range(9):
-            table.ranks(off)
-        room = table.memo_budget - table.memo_bytes
-        assert table.walk("big") == (None, False)
-        assert table.walk("big") == (None, True)
-        assert not table.store_runs("big", ((np.zeros(room // 8 + 1, dtype=np.int64),),))
+        def filled():
+            table = GridIndex(small_uniform_2d, 1.0).neighbors
+            for off in range(9):
+                table.ranks(off)
+            return table, table.memo_budget - table.memo_bytes
+
+        table, room = filled()
+        assert table.walk() == (None, False)
+        assert table.walk() == (None, True)
+        assert not table.store_runs(((np.zeros(room // 8 + 1, dtype=np.int64),),))
         # runs that did not fit are never kept again
-        assert table.runs_bytes == 0 and table.walk("big") == (None, False)
-        assert table.walk("big") == (None, False)
-        assert table.walk("outgrown") == (None, False)
-        assert not table.store_runs("outgrown", None)
-        assert table.walk("outgrown") == (None, False)
-        assert table.store_runs("fits", ((np.zeros(room // 8, dtype=np.int64),),))
+        assert table.runs_bytes == 0 and table.walk() == (None, False)
+        assert table.walk() == (None, False)
+        table, room = filled()
+        assert table.walk() == (None, False)
+        assert not table.store_runs(None)  # outgrown while being kept
+        assert table.walk() == (None, False)
+        table, room = filled()
+        assert table.store_runs(((np.zeros(room // 8, dtype=np.int64),),))
         assert table.runs_bytes == room // 8 * 8
         assert table.memo_bytes <= table.memo_budget

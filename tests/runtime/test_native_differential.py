@@ -2,15 +2,15 @@
 
 Every native path — one device or an inline pool of 2 or 3 shards,
 resident or memory-mapped points, ``include_self`` on and off, the
-SORTBYWL (``combined``) and natural (``gpucalcglobal``) query orders —
+``combined`` and ``gpucalcglobal`` configs (one slot order for both) —
 must return ``baselines.bruteforce``'s pair set on small adversarial
 datasets: 1–8 dimensions, 0–60 points, duplicated points, a pair at
 exactly ε and coordinates offset by 1e6. The three constructions of
 ``TestBoundarySemantics`` are pinned as examples. Each example also draws
 the plan's block bound (``NativeLaunchStage.chunk_pairs``) from 1 pair to
-4M, and how often one index is walked: a whole-index walk records its
-visiting order, the second keeps its candidate runs on the neighbour
-table if they fit the memo budget, and later walks replay them, so every
+4M, and how often one index is walked: the first whole-index walk is
+recorded, the second keeps its candidate runs on the neighbour table if
+they fit the memo budget, and later walks replay them, so every
 walk's pairs and fragments must be byte-identical to the first (a fresh
 index). Each example also draws the width of the pool of threads that
 refines the blocks (1 runs inline): pairs and fragments must be
@@ -187,7 +187,7 @@ def _check_self_join(points, eps, path, chunk=None, repeats=1, roomy=False, widt
             # a walk after the one that kept the runs must not rebuild them
             replay = walk > 2 and devices == 1 and len(points) and (roomy or table.runs_bytes)
             rebuilt = mock.patch.object(
-                native, "point_slots", side_effect=AssertionError("runs rebuilt")
+                native, "_stage_runs", side_effect=AssertionError("runs rebuilt")
             )
             with rebuilt if replay else contextlib.nullcontext():
                 again = Runner().run(plan)
@@ -198,7 +198,7 @@ def _check_self_join(points, eps, path, chunk=None, repeats=1, roomy=False, widt
 
 
 # One path per example: the whole matrix costs ~20 s per 8-D dataset
-# (3⁸ offsets through SORTBYWL, the shard planner and the pass), so
+# (3⁸ offsets through the shard planner and the pass), so
 # Hypothesis draws the path with the data, and the fixed dataset below
 # runs every path.
 @given(
@@ -365,7 +365,7 @@ def test_second_walk_keeps_runs_only_within_the_budget():
         fresh = execute_shard_native(op, GridIndex(points, 1.0), PRESETS["gpucalcglobal"])
         for walk in range(4):
             with (
-                mock.patch.object(native, "point_slots", wraps=native.point_slots) as slots,
+                mock.patch.object(native, "_stage_runs", wraps=native._stage_runs) as stages,
                 mock.patch.object(native, "_kept_runs", wraps=native._kept_runs) as kept,
             ):
                 result = execute_shard_native(op, index, PRESETS["gpucalcglobal"])
@@ -376,11 +376,12 @@ def test_second_walk_keeps_runs_only_within_the_budget():
             # record, keep, then replay; runs that outgrew the budget are
             # kept once, and later walks take the plain path
             assert kept.call_count == (walk == 1), (fits, walk)
-            assert slots.call_count == (walk < 2 or not fits), (fits, walk)
-        # another visiting order (SORTBYWL) is walked afresh
-        with mock.patch.object(native, "point_slots", wraps=native.point_slots) as slots:
-            execute_shard_native(op, index, PRESETS["combined"])
-        assert slots.call_count == 1
+            assert stages.call_count == (walk < 2 or not fits), (fits, walk)
+        # a combined walk replays the runs that the gpucalcglobal walks kept
+        with mock.patch.object(native, "_stage_runs", wraps=native._stage_runs) as stages:
+            result = execute_shard_native(op, index, PRESETS["combined"])
+        assert result.pairs.tobytes() == fresh.pairs.tobytes()
+        assert stages.call_count == (not fits), fits
 
 
 def _pool_threads():

@@ -23,6 +23,8 @@ from repro import (
 )
 from repro.core import OptimizationConfig, SimilarityJoin
 from repro.grid import GridIndex
+from repro.grid.bipartite import bipartite_workloads
+from repro.io import load_dataset, save_dataset
 from repro.resilience import (
     CrashPoint,
     DeviceFailure,
@@ -122,49 +124,76 @@ class TestResultContract:
         assert np.array_equal(np.concatenate(nat.fragments, axis=0), nat.pairs)
 
     def test_plan_uses_native_launch_stage(self, shared_index):
-        plan = compile_self_join(
-            shared_index, RuntimeConfig(optimization=PRESETS["combined"], engine="native")
-        )
+        rt = RuntimeConfig(optimization=PRESETS["combined"], engine="native")
+        plan = compile_self_join(shared_index, rt)
         stage = plan.launch_stage
         assert isinstance(stage, NativeLaunchStage)
         assert plan.stage(LaunchStage) is None
-        assert stage.order == "sortbywl"  # combined sorts by workload
+        assert stage.order == "slot"  # a self-join visits its slots under every config
         assert "engine=native" in plan.describe()
+        # the bipartite sweep keeps SORTBYWL (combined's pattern is one-sided)
+        queries = np.random.default_rng(4).uniform(0.0, 8.0, (20, 2))
+        rt = RuntimeConfig(optimization=PRESETS["sortbywl"], engine="native")
+        bipartite = compile_similarity_join(shared_index, queries, rt)
+        assert bipartite.launch_stage.order == "sortbywl"
 
     def test_plan_natural_order_without_sorting(self, shared_index):
-        plan = compile_self_join(
+        queries = np.random.default_rng(4).uniform(0.0, 8.0, (20, 2))
+        plan = compile_similarity_join(
             shared_index,
+            queries,
             RuntimeConfig(optimization=PRESETS["gpucalcglobal"], engine="native"),
         )
         assert plan.launch_stage.order == "natural"
 
 
 # -- query ordering ------------------------------------------------------
+class _SelfOp:
+    kind = "self"
+
+
+class _BipartiteOp:
+    kind = "similarity"
+    queries = np.random.default_rng(6).uniform(0.0, 8.0, (60, 2))
+
+
 class TestQueryOrder:
+    @pytest.mark.parametrize("preset", NATIVE_PRESETS)
+    def test_self_join_visits_slot_order(self, shared_index, preset):
+        order = native_query_order(_SelfOp(), shared_index, PRESETS[preset])
+        assert np.array_equal(order, shared_index.point_order)
+
     def test_subset_restriction_preserves_sorted_order(self, shared_index):
-        cfg = PRESETS["sortbywl"]
-
-        class _Op:
-            kind = "self"
-
-        subset = np.arange(0, shared_index.num_points, 3, dtype=np.int64)
-        full = native_query_order(_Op(), shared_index, cfg)
-        restricted = native_query_order(_Op(), shared_index, cfg, subset=subset)
-        assert set(restricted.tolist()) == set(subset.tolist())
-        pos = {p: i for i, p in enumerate(full.tolist())}
-        ranks = [pos[p] for p in restricted.tolist()]
-        assert ranks == sorted(ranks)
+        subset = np.arange(shared_index.num_points - 1, -1, -3, dtype=np.int64)
+        restricted = native_query_order(_SelfOp(), shared_index, PRESETS["combined"], subset=subset)
+        point_order = shared_index.point_order
+        assert np.array_equal(restricted, point_order[np.isin(point_order, subset)])
 
     def test_natural_order_is_subset_order(self, shared_index):
-        cfg = PRESETS["gpucalcglobal"]
-
-        class _Op:
-            kind = "self"
-
         subset = np.array([5, 2, 9], dtype=np.int64)
-        assert native_query_order(
-            _Op(), shared_index, cfg, subset=subset
-        ).tolist() == [5, 2, 9]
+        order = native_query_order(
+            _BipartiteOp(), shared_index, PRESETS["gpucalcglobal"], subset=subset
+        )
+        assert order.tolist() == [5, 2, 9]
+
+    def test_bipartite_sweep_keeps_sortbywl_order(self, shared_index):
+        op = _BipartiteOp()
+        subset = np.arange(0, len(op.queries), 2, dtype=np.int64)
+        workloads, _ = bipartite_workloads(shared_index, op.queries[subset])
+        order = native_query_order(op, shared_index, PRESETS["sortbywl"], subset=subset)
+        assert np.array_equal(order, subset[np.argsort(-workloads, kind="stable")])
+        assert not np.array_equal(order, subset)  # the sort is not a no-op here
+
+    @pytest.mark.parametrize("storage", ["resident", "mmap"])
+    def test_self_join_bytes_are_the_same_for_every_preset(self, tmp_path, storage):
+        points = _points()
+        if storage == "mmap":
+            save_dataset(tmp_path / "points.npy", points)
+            points = load_dataset(tmp_path / "points.npy", mmap=True)
+        index = GridIndex(points, 0.35)
+        pairs = {preset: _run(index, "native", PRESETS[preset]).pairs for preset in NATIVE_PRESETS}
+        for preset in NATIVE_PRESETS:
+            assert pairs[preset].tobytes() == pairs["gpucalcglobal"].tobytes(), preset
 
 
 # -- sharding ------------------------------------------------------------

@@ -11,14 +11,16 @@ with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
 from repro.data import uniform
 from repro.resilience import DeviceFailure, FaultPlan
-from repro.runtime import RuntimeConfig, ShardingConfig
+from repro.runtime import Runner, RuntimeConfig, ShardingConfig
 from repro.serve import AdmissionPolicy, JoinRequest, JoinService, ServeConfig
+from repro.serve import service as service_module
 
 _EPS = 0.08
 
@@ -36,7 +38,18 @@ def _faulty_pooled() -> RuntimeConfig:
     )
 
 
-def test_cancel_during_recovery_keeps_trail_and_pool_consistent(points):
+def test_cancel_during_recovery_keeps_trail_and_pool_consistent(points, monkeypatch):
+    # the request's run waits in its worker thread until the cancel is in,
+    # so it cannot finish between two polls of its state
+    release = threading.Event()
+
+    class GatedRunner(Runner):
+        def run(self, plan, **kwargs):
+            release.wait()
+            return super().run(plan, **kwargs)
+
+    monkeypatch.setattr(service_module, "Runner", GatedRunner)
+
     async def main():
         cfg = ServeConfig(admission=AdmissionPolicy(max_concurrency=1))
         async with JoinService(cfg) as svc:
@@ -48,9 +61,12 @@ def test_cancel_during_recovery_keeps_trail_and_pool_consistent(points):
             ticket = await svc.submit(
                 JoinRequest(dataset="d", epsilon=_EPS, runtime=_faulty_pooled())
             )
-            while ticket.state == "queued":
-                await asyncio.sleep(0.001)
-            assert ticket.cancel()
+            try:
+                while ticket.state == "queued":
+                    await asyncio.sleep(0.001)
+                assert ticket.cancel()
+            finally:
+                release.set()  # the worker thread must never outlive the test
             response = await svc.result(ticket)
             assert response.state == "cancelled"
             assert response.result is None
