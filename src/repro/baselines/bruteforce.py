@@ -21,9 +21,12 @@ _DEFAULT_BLOCK = 512
 
 def _within(rows: np.ndarray, pts: np.ndarray, eps: float) -> np.ndarray:
     """``(len(rows), N)`` mask of the pairs within ``eps``."""
-    d2 = (rows[:, None, 0] - pts[None, :, 0]) ** 2
-    for k in range(1, pts.shape[1]):
-        d2 += (rows[:, None, k] - pts[None, :, k]) ** 2
+    # a difference or square past float64 is inf, which is above every
+    # ε², so the pair is dropped as it should be: nothing to warn about
+    with np.errstate(over="ignore"):
+        d2 = (rows[:, None, 0] - pts[None, :, 0]) ** 2
+        for k in range(1, pts.shape[1]):
+            d2 += (rows[:, None, k] - pts[None, :, k]) ** 2
     return d2 <= eps * eps
 
 

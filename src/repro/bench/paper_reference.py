@@ -1,10 +1,8 @@
 """The paper's published numbers, machine-readable.
 
-Every quantitative claim of the paper's evaluation that this reproduction
-compares against, transcribed from the text (Section IV and Tables III–VI
-where legible; the headline speedups from the abstract/conclusion). Used
-by the comparison bench and EXPERIMENTS.md so "paper said / we measured"
-never drifts from a single source.
+The paper's central table (Table V), transcribed from the text. The
+``paper_speedup_directions`` check of the paper suite reads it, so
+"paper said / we measured" never drifts from a single source.
 
 Times are seconds on the authors' testbed (Quadro GP100 + 2×E5-2620v4) at
 the paper's dataset sizes — *not* comparable to simulated bench-scale
@@ -15,12 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "PAPER_HEADLINE_SPEEDUPS",
-    "PAPER_TABLE5",
-    "PaperCell",
-    "headline_bands",
-]
+__all__ = ["PAPER_TABLE5", "PaperCell"]
 
 
 @dataclass(frozen=True)
@@ -50,20 +43,3 @@ PAPER_TABLE5: tuple[PaperCell, ...] = (
     PaperCell("Unif2D2M", 1.0, 75.4, 75.4, 5.7, 3.9),
     PaperCell("Unif6D2M", 8.0, 51.3, 48.2, 3.3, 3.3),
 )
-
-#: Abstract / Figure 13: speedups of WORKQUEUE + LID-UNICOMP + k=8.
-PAPER_HEADLINE_SPEEDUPS = {
-    "superego": {"max": 10.7, "avg": 2.5},
-    "gpucalcglobal": {"max": 9.7, "avg": 1.6},
-}
-
-
-def headline_bands(baseline: str, *, slack: float = 2.5) -> tuple[float, float]:
-    """Acceptance band for a reproduced average speedup.
-
-    The reproduction's average should sit within a multiplicative ``slack``
-    of the paper's average (shape, not absolute agreement — see
-    EXPERIMENTS.md §calibration).
-    """
-    ref = PAPER_HEADLINE_SPEEDUPS[baseline]["avg"]
-    return ref / slack, ref * slack

@@ -152,23 +152,6 @@ class GridIndex:
         self._neighbors: NeighborTable | None = None
         self._neighbors_lock = threading.Lock()
 
-    @classmethod
-    def build(
-        cls,
-        points,
-        epsilon: float,
-        *,
-        spec: GridSpec | None = None,
-        method: str = "sorted",
-    ) -> "GridIndex":
-        """Construct an index explicitly naming the build strategy.
-
-        Equivalent to ``GridIndex(points, epsilon, spec=spec,
-        method=method)``; exists so call sites that care about the build
-        path read explicitly.
-        """
-        return cls(points, epsilon, spec=spec, method=method)
-
     # ------------------------------------------------------------------
     @property
     def num_points(self) -> int:

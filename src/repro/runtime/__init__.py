@@ -6,8 +6,8 @@ The plan/compile/execute split of the codebase:
   (engine, overflow policy, sharding, recovery, fault injection,
   profiling) alongside the paper's
   :class:`~repro.core.config.OptimizationConfig`;
-- the :mod:`repro.runtime.ops` registry holds one declarative strategy
-  per operation (``self``, ``bipartite``, ``knn``), and the generic
+- :mod:`repro.runtime.ops` holds one declarative strategy per
+  operation (``self``, ``bipartite``, ``knn``), and the generic
   ``compile_join(op, index, runtime)`` turns any of them into a
   declarative :class:`JoinPlan` (index build → op planning stages →
   shard plan → batch launches → merge), with resilience and
@@ -35,9 +35,8 @@ from repro.runtime.config import (
     RuntimeConfig,
     ShardingConfig,
 )
-from repro.runtime.native import execute_shard_native, native_query_order
+from repro.runtime.native import execute_shard_native
 from repro.runtime.ops import (
-    OPS,
     BipartiteOp,
     JoinOp,
     KnnConvergenceError,
@@ -45,8 +44,6 @@ from repro.runtime.ops import (
     KnnResult,
     SelfJoinOp,
     default_knn_epsilon,
-    get_op,
-    register_op,
 )
 from repro.runtime.plan import (
     CheckpointStage,
@@ -75,7 +72,6 @@ from repro.runtime.runner import (
 
 __all__ = [
     "NATIVE_ENGINE",
-    "OPS",
     "REPLAY_MODES",
     "RUNTIME_ENGINES",
     "BipartiteOp",
@@ -111,7 +107,4 @@ __all__ = [
     "execute_shard",
     "execute_shard_native",
     "executor_from_runtime",
-    "get_op",
-    "native_query_order",
-    "register_op",
 ]

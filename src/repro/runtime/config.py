@@ -11,7 +11,7 @@ replay fidelity, overflow handling, sharding, recovery, fault injection,
 profiling retention — so facades compile it into a
 :class:`~repro.runtime.plan.JoinPlan` and hand it to one
 :class:`~repro.runtime.runner.Runner` instead of forwarding keyword
-arguments layer by layer. One ``RuntimeConfig`` serves every registered
+arguments layer by layer. One ``RuntimeConfig`` serves every
 operation (:mod:`repro.runtime.ops`): the kNN driver threads it
 unchanged into each expansion round's sub-plan, so sharding, recovery,
 fault and checkpoint knobs apply per round without kNN-specific

@@ -9,10 +9,12 @@ accounting, no replay, no batch planning. Candidate blocks come from
 only the lexicographically-positive half of the ``3**n`` offsets is
 searched (plus, within each cell, the later slots of the query's own
 cell): every hit is emitted with its mirror, which restores the kernels'
-full directed pair set at half the candidate volume. A self-join visits
-its queries in slot order, cell by cell, under every optimization
-config: SORTBYWL gives a GPU warp's threads similar work, a host core
-has no warps, and slot order reads the cell-ordered columns forward.
+full directed pair set at half the candidate volume. Every pass visits
+its queries in one order under every optimization config: a self-join
+in slot order, cell by cell, which reads the cell-ordered columns
+forward; the bipartite sweep in query-id order (a shard: its subset as
+given). SORTBYWL gives a GPU warp's threads similar work, and a host
+core has no warps.
 
 The self-join refines in slot space. A slot is a position in the
 index's ``point_order``, so each candidate cell is one run of slots, and
@@ -38,9 +40,9 @@ and maps its hits to ids. Results are taken back in submission order,
 so pairs and fragments are byte-identical to an inline pass. A stage of
 one block and a process with one usable core refine inline.
 
-Dispatch is by the registry op's ``kind`` (:mod:`repro.runtime.ops`):
-``"self"`` walks the half-neighborhood scheme above, every other kind is
-executed through the op's ``queries`` attribute as a bipartite sweep.
+Dispatch is by the op's ``kind`` (:mod:`repro.runtime.ops`): ``"self"``
+walks the half-neighborhood scheme above, every other kind is executed
+through the op's ``queries`` attribute as a bipartite sweep.
 The kNN driver never reaches this module directly — each of its
 expansion rounds compiles to a bipartite sub-plan, so kNN-on-native is
 just this backend run once per round.
@@ -64,17 +66,11 @@ from repro.core.result import JoinResult
 # Tracer.install resolves every wrap target before it wraps any
 from repro.core.sortbywl import sort_by_workload  # noqa: F401
 from repro.grid import GridIndex
-from repro.grid.bipartite import bipartite_workloads
 from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
 from repro.grid.query import block_cuts, candidate_block, cell_runs, epsilon_filter
 from repro.simt.streams import PipelineResult
-from repro.util import stable_argsort_desc
 
-__all__ = [
-    "NATIVE_CHUNK_PAIRS",
-    "execute_shard_native",
-    "native_query_order",
-]
+__all__ = ["NATIVE_CHUNK_PAIRS", "execute_shard_native"]
 
 #: candidate pairs refined per block by every native pass — the
 #: self-join and the bipartite sweep (similarity joins and kNN rounds) —
@@ -135,8 +131,7 @@ class _Tasks:
 
     ``used`` tells whether any call went to the pool. Results come back in
     call order. Tasks carry no context variables, so the calls that walk
-    the grid (neighbour ranks, SORTBYWL, the run memo) stay on the
-    calling thread.
+    the grid (neighbour ranks, the run memo) stay on the calling thread.
     """
 
     def __init__(self) -> None:
@@ -191,30 +186,6 @@ def _refine_block(refine, runs, lo, hi):
 # ----------------------------------------------------------------------
 # the passes
 # ----------------------------------------------------------------------
-def native_query_order(
-    op, index: GridIndex, cfg, *, subset: np.ndarray | None = None
-) -> np.ndarray:
-    """The shard's query visiting order D' for the native engine.
-
-    A self-join visits its slots: ``index.point_order`` restricted to
-    ``subset``. A bipartite op mirrors the ops' ``prepare`` ordering —
-    SORTBYWL heaviest-cells-first when ``cfg.uses_sorted_points``, subset
-    order otherwise — but skips the result-size estimation the batch
-    planner needs and the native engine does not.
-    """
-    if op.kind == "self":
-        return index.point_order.take(_query_slots(index, subset))
-    ids = (
-        np.asarray(subset, dtype=np.int64)
-        if subset is not None
-        else np.arange(len(op.queries), dtype=np.int64)
-    )
-    if cfg.uses_sorted_points and len(ids):
-        workloads, _ = bipartite_workloads(index, op.queries[ids])
-        return ids[stable_argsort_desc(workloads)]
-    return ids
-
-
 def _query_slots(index: GridIndex, subset) -> np.ndarray:
     """The slots of a self-join's queries (all without a ``subset``), increasing."""
     if subset is None:
@@ -319,17 +290,17 @@ def _self_join_blocks(index, slots, tasks, *, include_self, chunk_pairs, whole=F
     yield from tasks.refined(stages, refine, chunk_pairs)
 
 
-def _bipartite_blocks(op, index, order, tasks, *, chunk_pairs):
-    """``(qi, cj, False)`` blocks of the bipartite sweep: one stage per
-    neighbour offset of each query's cell; ``None`` for a block without
-    hits."""
-    if len(order) == 0 or index.num_points == 0:
+def _bipartite_blocks(op, index, ids, tasks, *, chunk_pairs):
+    """``(qi, cj, False)`` blocks of the bipartite sweep over query ``ids``,
+    in the order given: one stage per neighbour offset of each query's
+    cell; ``None`` for a block without hits."""
+    if len(ids) == 0 or index.num_points == 0:
         return
     queries = op.queries
     point_order = index.point_order
     keep = epsilon_filter(queries, index.points, index.epsilon)
-    probes = index.neighbors.probe(queries.take(order, axis=0))
-    stages = (cell_runs(index, order, ranks) for _, ranks in probes)
+    probes = index.neighbors.probe(queries.take(ids, axis=0))
+    stages = (cell_runs(index, ids, ranks) for _, ranks in probes)
 
     def refine(qi, slots):
         cj = point_order.take(slots)
@@ -392,7 +363,9 @@ def execute_shard_native(
     :meth:`~repro.core.result.JoinResult.canonical_pairs`); fragments are
     row views of ``pairs``, one per refined block, so streaming
     consumption works unchanged. Blocks are refined on the refinement
-    pool, and ``pairs`` is the same bytes on any number of cores.
+    pool, and ``pairs`` is the same bytes on any number of cores. ``cfg``
+    only names the result (``config_description``): the walk is the same
+    under every optimization config, and so are the bytes of ``pairs``.
     Pipeline times are host wall-clock, ``fidelity="none"``.
     """
     tasks = _Tasks()
@@ -407,7 +380,11 @@ def execute_shard_native(
             whole=subset is None,
         )
     else:
-        queries = native_query_order(op, index, cfg, subset=subset)
+        queries = (
+            np.asarray(subset, dtype=np.int64)
+            if subset is not None
+            else np.arange(len(op.queries), dtype=np.int64)
+        )
         walk = _bipartite_blocks(op, index, queries, tasks, chunk_pairs=chunk_pairs)
     t0 = time.perf_counter()
     blocks: list = []

@@ -1,10 +1,10 @@
-"""The operation registry: every join workload as a declarative strategy.
+"""The join operations: every join workload as a declarative strategy.
 
 A :class:`~repro.runtime.plan.JoinPlan` is op-agnostic — index, estimate,
 shard, launch, merge — and one generic
 :func:`~repro.runtime.plan.compile_join` builds the stage list for *any*
-registered operation. What differs between workloads is bundled here, on
-the op object itself:
+operation. What differs between workloads is bundled here, on the op
+object itself:
 
 - how the query order D' is derived (and restricted to a shard's subset),
   how the result size is estimated, and which kernel with which argument
@@ -15,14 +15,15 @@ the op object itself:
   enter the run's checkpoint fingerprint (``plan_stages`` /
   ``shard_plan`` / ``fingerprint_extras`` — the compile half).
 
-Three operations register themselves: :class:`SelfJoinOp` (kind
-``"self"``), :class:`BipartiteOp` (kind ``"bipartite"``) and
-:class:`KnnJoinOp` (kind ``"knn"``) — the adaptive ε-expansion
-k-nearest-neighbor driver whose rounds are residual bipartite sub-plans
-(see :meth:`repro.runtime.runner.Runner`). New workload families add a
-class here and decorate it with :func:`register_op`; they inherit
-sharding, resilience, checkpointing and serving without touching the
-runner.
+There are three operations: :class:`SelfJoinOp` (kind ``"self"``),
+:class:`BipartiteOp` (kind ``"bipartite"``) and :class:`KnnJoinOp`
+(kind ``"knn"``) — the adaptive ε-expansion k-nearest-neighbor driver
+whose rounds are residual bipartite sub-plans (see
+:meth:`repro.runtime.runner.Runner`). ``compile_self_join``,
+``compile_similarity_join`` and ``compile_knn_join`` construct them; a
+new workload family subclasses :class:`JoinOp` and passes an instance
+to ``compile_join``, inheriting sharding, resilience and checkpointing
+without touching the runner.
 
 The self/bipartite bodies are the former private planning code of
 :class:`~repro.core.selfjoin.SelfJoin` and
@@ -49,7 +50,6 @@ from repro.simt import AtomicCounter
 from repro.util import as_points_array, stable_argsort_desc
 
 __all__ = [
-    "OPS",
     "BipartiteOp",
     "JoinOp",
     "KnnConvergenceError",
@@ -58,38 +58,7 @@ __all__ = [
     "SelfJoinOp",
     "ShardPrep",
     "default_knn_epsilon",
-    "get_op",
-    "register_op",
 ]
-
-#: kind -> op class, filled by :func:`register_op`
-OPS: dict[str, type] = {}
-
-
-def register_op(cls: type) -> type:
-    """Class decorator: register an operation under its ``kind``.
-
-    The registry is what makes the compile layer open: generic
-    ``compile_join`` consults only the op protocol, and
-    :func:`get_op` lets callers (the serving layer, benchmark executors)
-    resolve an op class from its wire-level kind string.
-    """
-    kind = getattr(cls, "kind", "")
-    if not kind:
-        raise ValueError("an op class must define a non-empty `kind`")
-    OPS[kind] = cls
-    return cls
-
-
-def get_op(kind: str) -> type:
-    """The registered op class for ``kind``; raises ``KeyError`` if absent."""
-    try:
-        return OPS[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown op kind {kind!r}; registered: {sorted(OPS)}"
-        ) from None
-
 
 @dataclass(frozen=True)
 class ShardPrep:
@@ -108,7 +77,7 @@ class ShardPrep:
 class JoinOp:
     """The declarative protocol generic ``compile_join`` asks of an op.
 
-    Subclasses set ``kind`` (the registry key and wire-level name),
+    Subclasses set ``kind`` (the op's name on plans and journals),
     ``kernel_name`` (recorded on the plan's launch stage) and
     ``shardable`` (whether a pooled runtime splits *this plan* into a
     device-level :class:`~repro.runtime.plan.ShardStage`; multi-round
@@ -148,7 +117,6 @@ class JoinOp:
         return ()
 
 
-@register_op
 class SelfJoinOp(JoinOp):
     """The self-join's op: symmetric patterns, in-index queries."""
 
@@ -242,7 +210,6 @@ class SelfJoinOp(JoinOp):
         return factory
 
 
-@register_op
 class BipartiteOp(JoinOp):
     """The bipartite join's op: external queries, full pattern only."""
 
@@ -296,8 +263,8 @@ class BipartiteOp(JoinOp):
 
         The bipartite estimator has no sampling-error model, so
         ``safety_z`` does not apply here (an overflow re-plans instead).
-        Workloads are quantified once and reused for both the SORTBYWL
-        order and the balanced-batch weights.
+        Workloads are quantified only when read, once for both the
+        SORTBYWL order and the balanced-batch weights.
         """
         queries = self.queries
         ids = (
@@ -306,18 +273,15 @@ class BipartiteOp(JoinOp):
             else np.arange(len(queries), dtype=np.int64)
         )
 
-        workloads, _ = bipartite_workloads(index, queries[ids])
-        if cfg.uses_sorted_points:
+        order, weights = ids, None
+        if cfg.uses_sorted_points:  # balanced batches need WORKQUEUE, which sorts
+            workloads, _ = bipartite_workloads(index, queries[ids])
             order = ids[stable_argsort_desc(workloads)]
-        else:
-            order = ids
-
+            if cfg.balanced_batches:
+                by_id = np.zeros(len(queries), dtype=np.float64)
+                by_id[ids] = workloads
+                weights = by_id[order]
         est = self._estimate(index, cfg, ids, order)
-        weights = None
-        if cfg.balanced_batches:
-            by_id = np.zeros(len(queries), dtype=np.float64)
-            by_id[ids] = workloads
-            weights = by_id[order]
         return ShardPrep(order=order, estimate=est, weights=weights)
 
     def _estimate(self, index, cfg, ids, order) -> int:
@@ -435,7 +399,6 @@ def default_knn_epsilon(points: np.ndarray, k: int) -> float:
     return float((2.0 * k / density) ** (1.0 / eff_d))
 
 
-@register_op
 class KnnJoinOp(JoinOp):
     """Exact kNN via adaptive ε-expansion: a multi-round driver op.
 

@@ -6,8 +6,8 @@ One generic :func:`compile_join` turns (op, index,
     index build → op planning stages → [shard plan] → batch launches
     → [resilience] → [checkpoint] → merge
 
-— without executing anything. The op (a strategy from the
-:mod:`repro.runtime.ops` registry) declares its planning stages (a
+— without executing anything. The op (a strategy from
+:mod:`repro.runtime.ops`) declares its planning stages (a
 result-size :class:`EstimateStage` for single-pass joins, an
 :class:`ExpansionStage` for the multi-round kNN driver), how its query
 side shards across devices, and which kernel the launch stage records;
@@ -133,16 +133,12 @@ class NativeLaunchStage:
 
     No batches, no streams, no warp accounting: the runner hands the op
     to :mod:`repro.runtime.native`, which walks ``chunk_pairs``-bounded
-    cell-pair blocks over the grid's neighbor topology in ``order``
-    (``"slot"`` = ``point_order``, a self-join's under every config;
-    ``"sortbywl"`` = the paper's heaviest-cells-first work ordering or
-    ``"natural"`` = query order, a bipartite sweep's) and refines them
-    with vectorized distance passes.
+    cell-pair blocks over the grid's neighbor topology (a self-join's
+    queries in slot order, a bipartite sweep's in query-id order, under
+    every config) and refines them with vectorized distance passes.
     """
 
     kernel: str
-    engine: str  # always "native"
-    order: str  # "slot", "sortbywl" or "natural"
     chunk_pairs: int
 
 
@@ -269,10 +265,7 @@ class JoinPlan:
                     f"capacity={s.result_capacity}"
                 )
             elif isinstance(s, NativeLaunchStage):
-                lines.append(
-                    f"  launch   {s.kernel} engine=native order={s.order} "
-                    f"chunk={s.chunk_pairs}"
-                )
+                lines.append(f"  launch   {s.kernel} engine=native chunk={s.chunk_pairs}")
             elif isinstance(s, ResilienceStage):
                 parts = []
                 if s.fault_plan is not None and not s.fault_plan.is_empty:
@@ -302,17 +295,11 @@ def _index_stage(index: GridIndex, *, reused: bool = False) -> IndexStage:
 
 
 def _launch_stage(op, runtime: RuntimeConfig) -> LaunchStage | NativeLaunchStage:
-    opt = runtime.optimization
     if runtime.engine == NATIVE_ENGINE:
         from repro.runtime.native import NATIVE_CHUNK_PAIRS
 
-        order = "sortbywl" if opt.uses_sorted_points else "natural"
-        return NativeLaunchStage(
-            kernel=op.kernel_name,
-            engine=NATIVE_ENGINE,
-            order="slot" if op.kind == "self" else order,
-            chunk_pairs=NATIVE_CHUNK_PAIRS,
-        )
+        return NativeLaunchStage(kernel=op.kernel_name, chunk_pairs=NATIVE_CHUNK_PAIRS)
+    opt = runtime.optimization
     return LaunchStage(
         kernel=op.kernel_name,
         engine=runtime.engine,
@@ -338,7 +325,7 @@ def compile_join(
     subset: np.ndarray | None = None,
     index_reused: bool = False,
 ) -> JoinPlan:
-    """Compile any registered op over a prebuilt index into a plan.
+    """Compile any op over a prebuilt index into a plan.
 
     The one generic pipeline: the op validates the runtime, contributes
     its planning stages (estimate or expansion), and — on pooled

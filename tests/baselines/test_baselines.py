@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,16 @@ class TestBruteForce:
         pts = np.zeros((5, 2))
         counts = brute_force_neighbor_counts(pts, 1.0, include_self=False)
         np.testing.assert_array_equal(counts, [4] * 5)
+
+    def test_huge_coordinates_warn_nothing(self):
+        # squaring 1e300 overflows to inf, which is above every ε²
+        pts = np.array([[1e300, 0.0], [0.0, 0.0], [0.5, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = brute_force_pairs(pts, 1.0)
+            counts = brute_force_neighbor_counts(pts, 1.0)
+        assert pairs.tolist() == [[0, 0], [1, 1], [1, 2], [2, 1], [2, 2]]
+        np.testing.assert_array_equal(counts, [1, 2, 2])
 
 
 class TestOraclesAgree:

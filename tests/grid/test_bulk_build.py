@@ -1,4 +1,4 @@
-"""``GridIndex.build(method="sorted")``: the vectorized bulk construction.
+"""``GridIndex(..., method="sorted")``: the vectorized bulk construction.
 
 The sorted build derives cell boundaries from one stable argsort instead
 of per-cell ``np.unique`` bookkeeping; the ``"unique"`` path stays as the
@@ -58,13 +58,6 @@ class TestSortedMatchesUnique:
 
 
 class TestBuildApi:
-    def test_classmethod_equals_constructor(self):
-        points = np.random.default_rng(3).uniform(0.0, 6.0, (200, 2))
-        a = GridIndex.build(points, 0.7)
-        b = GridIndex(points, 0.7)
-        for attr in _ARRAYS:
-            assert np.array_equal(getattr(a, attr), getattr(b, attr))
-
     def test_default_method_is_sorted(self):
         assert BUILD_METHODS[0] == "sorted"
 

@@ -16,7 +16,9 @@ index). Each example also draws the width of the pool of threads that
 refines the blocks (1 runs inline): pairs and fragments must be
 byte-identical to an inline run. Single-device results must also keep
 their fragments as row views that tile ``pairs``; shard subsets never
-store runs.
+store runs. The bipartite sweep draws its preset from the five
+full-pattern ones, which all visit the queries in id order, so a
+single-device sweep's bytes must equal the ``gpucalcglobal`` run's.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ from tests.integration.test_adversarial import _order_sensitive_pair
 #: 7.463412840658728 is the ε whose ``eps**2`` rounds one ulp below ``eps * eps``
 EPSILONS = (0.5, 1.0, 7.463412840658728)
 SELF_PRESETS = ("combined", "gpucalcglobal")
+#: the full-pattern presets a similarity join accepts (one query order for all)
+BIPARTITE_PRESETS = ("gpucalcglobal", "k8", "sortbywl", "workqueue", "workqueue_k8")
 #: native block bounds: one pair, tiny, the engine's default, the VM's
 CHUNKS = (1, 3, 64, NATIVE_CHUNK_PAIRS, 4_000_000)
 #: refinement pool widths: inline, the 2-core host's, more threads than cores
@@ -292,27 +296,52 @@ def _near_queries(points, eps, num_queries, rng):
     num_queries=st.integers(0, 30),
     seed=st.integers(0, 2**32 - 1),
     path=st.sampled_from(tuple(itertools.product(("resident", "mmap"), (1, 2)))),
+    preset=st.sampled_from(BIPARTITE_PRESETS),
     chunk=st.sampled_from(CHUNKS),
     width=st.sampled_from(WIDTHS),
 )
-@example(case=_EPS_SQUARED_LOW, num_queries=0, seed=0, path=("mmap", 2), chunk=1, width=3)
+@example(
+    case=_EPS_SQUARED_LOW,
+    num_queries=0,
+    seed=0,
+    path=("mmap", 2),
+    preset="gpucalcglobal",
+    chunk=1,
+    width=3,
+)
+@example(
+    case=_fixed_dataset(),
+    num_queries=30,
+    seed=5,
+    path=("resident", 1),
+    preset="workqueue_k8",
+    chunk=3,
+    width=2,
+)
 @settings(max_examples=settings.default.max_examples * 3 // 4)
-def test_native_bipartite_sweep_matches_oracle(case, num_queries, seed, path, chunk, width):
+def test_native_bipartite_sweep_matches_oracle(
+    case, num_queries, seed, path, preset, chunk, width
+):
     points, eps = case
     storage, devices = path
     queries = _near_queries(points, eps, num_queries, np.random.default_rng(seed))
     expect = _cross_oracle(queries, points, eps)
     with tempfile.TemporaryDirectory() as tmp:
-        data = _storages(points, tmp)[storage]
-        rt = _runtime("gpucalcglobal", devices)
-        plan = _with_chunk(compile_similarity_join(GridIndex(data, eps), queries, rt), chunk)
+        index = GridIndex(_storages(points, tmp)[storage], eps)
+
+        def plan(preset):
+            rt = _runtime(preset, devices)
+            return _with_chunk(compile_similarity_join(index, queries, rt), chunk)
+
         with _pool_width(width):
-            result = Runner().run(plan)
-        assert np.array_equal(result.canonical_pairs(), expect), (path, chunk)
+            result = Runner().run(plan(preset))
+        assert np.array_equal(result.canonical_pairs(), expect), (path, preset, chunk)
         _assert_fragments_tile(result)
         if width != 1:
             with _pool_width(1):
-                _assert_same_bytes(result, Runner().run(plan), path, chunk, width)
+                _assert_same_bytes(result, Runner().run(plan(preset)), path, preset, chunk, width)
+        if devices == 1 and preset != "gpucalcglobal":  # one query order for every preset
+            _assert_same_bytes(result, Runner().run(plan("gpucalcglobal")), path, preset, chunk)
 
 
 def _bounded_runs(op, index, cfg):

@@ -21,6 +21,7 @@ from repro import (
     compile_self_join,
     compile_similarity_join,
 )
+from repro.baselines import brute_force_neighbor_counts
 from repro.core import OptimizationConfig, SimilarityJoin
 from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_workloads
@@ -33,10 +34,19 @@ from repro.resilience import (
     SimulatedCrashError,
     Straggler,
 )
-from repro.runtime import CheckpointConfig, NativeLaunchStage, native_query_order
+from repro.runtime import (
+    BipartiteOp,
+    CheckpointConfig,
+    NativeLaunchStage,
+    SelfJoinOp,
+    execute_shard_native,
+)
+from repro.runtime.native import NATIVE_CHUNK_PAIRS
 from repro.runtime.plan import LaunchStage
 
 NATIVE_PRESETS = ("gpucalcglobal", "lidunicomp", "sortbywl", "workqueue_k8", "combined")
+#: the presets a similarity join accepts (``pattern="full"``)
+FULL_PRESETS = ("gpucalcglobal", "k8", "sortbywl", "workqueue", "workqueue_k8")
 
 
 def _points(n=400, seed=3):
@@ -127,72 +137,108 @@ class TestResultContract:
         rt = RuntimeConfig(optimization=PRESETS["combined"], engine="native")
         plan = compile_self_join(shared_index, rt)
         stage = plan.launch_stage
-        assert isinstance(stage, NativeLaunchStage)
+        assert stage == NativeLaunchStage(kernel="selfjoin_kernel", chunk_pairs=NATIVE_CHUNK_PAIRS)
         assert plan.stage(LaunchStage) is None
-        assert stage.order == "slot"  # a self-join visits its slots under every config
         assert "engine=native" in plan.describe()
-        # the bipartite sweep keeps SORTBYWL (combined's pattern is one-sided)
+        # a sorting preset's bipartite plan launches as gpucalcglobal's does
         queries = np.random.default_rng(4).uniform(0.0, 8.0, (20, 2))
         rt = RuntimeConfig(optimization=PRESETS["sortbywl"], engine="native")
         bipartite = compile_similarity_join(shared_index, queries, rt)
-        assert bipartite.launch_stage.order == "sortbywl"
+        assert bipartite.launch_stage == NativeLaunchStage(
+            kernel="bipartite_kernel", chunk_pairs=NATIVE_CHUNK_PAIRS
+        )
+        natural = execute_shard_native(
+            BipartiteOp(queries), shared_index, PRESETS["gpucalcglobal"]
+        )
+        assert Runner().run(bipartite).pairs.tobytes() == natural.pairs.tobytes()
 
-    def test_plan_natural_order_without_sorting(self, shared_index):
-        queries = np.random.default_rng(4).uniform(0.0, 8.0, (20, 2))
+    def test_plan_natural_order_without_sorting(self):
+        queries, index = _one_hit_case()
         plan = compile_similarity_join(
-            shared_index,
+            index,
             queries,
             RuntimeConfig(optimization=PRESETS["gpucalcglobal"], engine="native"),
         )
-        assert plan.launch_stage.order == "natural"
+        assert Runner().run(plan).pairs[:, 0].tolist() == list(range(len(queries)))
 
 
 # -- query ordering ------------------------------------------------------
-class _SelfOp:
-    kind = "self"
+def _one_hit_case(n=400, eps=0.35, seed=8):
+    """``(queries, index)``: queries are copies of indexed points that lie
+    more than ε from every other one, so each query's only pair is its
+    copy, found in the sweep's zero-offset stage, and the pairs' query
+    column is the order the sweep visits. Neighbour cells still hold
+    other points, so the queries' workloads differ."""
+    points = np.random.default_rng(seed).uniform(0.0, 8.0, (n, 2))
+    alone = brute_force_neighbor_counts(points, eps, include_self=False) == 0
+    points = points[alone]
+    return points[::-1].copy(), GridIndex(points, eps)
 
 
-class _BipartiteOp:
-    kind = "similarity"
-    queries = np.random.default_rng(6).uniform(0.0, 8.0, (60, 2))
+def _stored_index(tmp_path, storage):
+    """An index over :func:`_points`, resident or memory-mapped."""
+    points = _points()
+    if storage == "mmap":
+        save_dataset(tmp_path / "points.npy", points)
+        points = load_dataset(tmp_path / "points.npy", mmap=True)
+    return GridIndex(points, 0.35)
 
 
 class TestQueryOrder:
     @pytest.mark.parametrize("preset", NATIVE_PRESETS)
     def test_self_join_visits_slot_order(self, shared_index, preset):
-        order = native_query_order(_SelfOp(), shared_index, PRESETS[preset])
-        assert np.array_equal(order, shared_index.point_order)
+        # the identity pairs come first, one per query, as the walk visits
+        result = execute_shard_native(SelfJoinOp(), shared_index, PRESETS[preset])
+        n = shared_index.num_points
+        assert np.array_equal(result.pairs[:n, 0], shared_index.point_order)
 
     def test_subset_restriction_preserves_sorted_order(self, shared_index):
         subset = np.arange(shared_index.num_points - 1, -1, -3, dtype=np.int64)
-        restricted = native_query_order(_SelfOp(), shared_index, PRESETS["combined"], subset=subset)
-        point_order = shared_index.point_order
-        assert np.array_equal(restricted, point_order[np.isin(point_order, subset)])
-
-    def test_natural_order_is_subset_order(self, shared_index):
-        subset = np.array([5, 2, 9], dtype=np.int64)
-        order = native_query_order(
-            _BipartiteOp(), shared_index, PRESETS["gpucalcglobal"], subset=subset
+        result = execute_shard_native(
+            SelfJoinOp(), shared_index, PRESETS["combined"], subset=subset
         )
-        assert order.tolist() == [5, 2, 9]
+        point_order = shared_index.point_order
+        visited = result.pairs[: len(subset), 0]
+        assert np.array_equal(visited, point_order[np.isin(point_order, subset)])
 
-    def test_bipartite_sweep_keeps_sortbywl_order(self, shared_index):
-        op = _BipartiteOp()
-        subset = np.arange(0, len(op.queries), 2, dtype=np.int64)
-        workloads, _ = bipartite_workloads(shared_index, op.queries[subset])
-        order = native_query_order(op, shared_index, PRESETS["sortbywl"], subset=subset)
-        assert np.array_equal(order, subset[np.argsort(-workloads, kind="stable")])
-        assert not np.array_equal(order, subset)  # the sort is not a no-op here
+    def test_natural_order_is_subset_order(self):
+        queries, index = _one_hit_case()
+        subset = np.array([5, 2, 9], dtype=np.int64)
+        result = execute_shard_native(
+            BipartiteOp(queries), index, PRESETS["gpucalcglobal"], subset=subset
+        )
+        assert result.pairs[:, 0].tolist() == [5, 2, 9]
+
+    def test_bipartite_sweep_visits_query_order(self):
+        queries, index = _one_hit_case()
+        op = BipartiteOp(queries)
+        subset = np.random.default_rng(1).permutation(len(queries))[: len(queries) // 2]
+        workloads, _ = bipartite_workloads(index, queries[subset])
+        # SORTBYWL would visit another order here
+        assert not np.array_equal(subset[np.argsort(-workloads, kind="stable")], subset)
+        for preset in FULL_PRESETS:
+            whole = execute_shard_native(op, index, PRESETS[preset])
+            assert whole.pairs[:, 0].tolist() == list(range(len(queries))), preset
+            shard = execute_shard_native(op, index, PRESETS[preset], subset=subset)
+            assert np.array_equal(shard.pairs[:, 0], subset), preset
 
     @pytest.mark.parametrize("storage", ["resident", "mmap"])
     def test_self_join_bytes_are_the_same_for_every_preset(self, tmp_path, storage):
-        points = _points()
-        if storage == "mmap":
-            save_dataset(tmp_path / "points.npy", points)
-            points = load_dataset(tmp_path / "points.npy", mmap=True)
-        index = GridIndex(points, 0.35)
+        index = _stored_index(tmp_path, storage)
         pairs = {preset: _run(index, "native", PRESETS[preset]).pairs for preset in NATIVE_PRESETS}
         for preset in NATIVE_PRESETS:
+            assert pairs[preset].tobytes() == pairs["gpucalcglobal"].tobytes(), preset
+
+    @pytest.mark.parametrize("storage", ["resident", "mmap"])
+    def test_bipartite_bytes_are_the_same_for_every_preset(self, tmp_path, storage):
+        index = _stored_index(tmp_path, storage)
+        queries = np.random.default_rng(11).uniform(0.0, 8.0, (150, 2))
+        pairs = {}
+        for preset in FULL_PRESETS:
+            rt = RuntimeConfig(optimization=PRESETS[preset], seed=0, engine="native")
+            pairs[preset] = Runner().run(compile_similarity_join(index, queries, rt)).pairs
+        assert len(pairs["gpucalcglobal"])
+        for preset in FULL_PRESETS:
             assert pairs[preset].tobytes() == pairs["gpucalcglobal"].tobytes(), preset
 
 

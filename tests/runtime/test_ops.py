@@ -1,4 +1,4 @@
-"""The operation registry and the generic compile pipeline.
+"""The join operations and the generic compile pipeline.
 
 Every op declares its stages through the :mod:`repro.runtime.ops` hooks;
 ``compile_join`` must produce the same plans the dedicated entry points
@@ -8,27 +8,31 @@ dataset but answer different questions.
 
 from __future__ import annotations
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from repro.core import PRESETS
 from repro.data import uniform
 from repro.grid import GridIndex
+from repro.grid.bipartite import bipartite_workloads
 from repro.resilience import run_fingerprint
 from repro.runtime import (
-    OPS,
     BipartiteOp,
     ExpansionStage,
     JoinOp,
     KnnJoinOp,
+    Runner,
     RuntimeConfig,
     SelfJoinOp,
     compile_join,
     compile_knn_join,
     compile_self_join,
     compile_similarity_join,
-    get_op,
-    register_op,
+    ops,
 )
+from repro.util import stable_argsort_desc
 
 _EPS = 0.1
 
@@ -43,28 +47,9 @@ def index(points):
     return GridIndex(points, _EPS)
 
 
-# ------------------------------------------------------------ registry
+# ------------------------------------------------------------ op protocol
 class TestRegistry:
-    def test_builtin_kinds_registered(self):
-        assert {"self", "bipartite", "knn"} <= set(OPS)
-        assert get_op("self") is SelfJoinOp
-        assert get_op("bipartite") is BipartiteOp
-        assert get_op("knn") is KnnJoinOp
-
-    def test_unknown_kind_raises_with_inventory(self):
-        with pytest.raises(KeyError, match="registered"):
-            get_op("voronoi")
-
-    def test_register_op_round_trip(self):
-        @register_op
-        class _ProbeOp(JoinOp):
-            kind = "probe-test"
-            kernel_name = "selfjoin_kernel"
-
-        try:
-            assert get_op("probe-test") is _ProbeOp
-        finally:
-            del OPS["probe-test"]
+    """The defaults a :class:`JoinOp` subclass inherits."""
 
     def test_default_hooks(self, index):
         class _Minimal(JoinOp):
@@ -158,3 +143,52 @@ class TestFingerprints:
         assert a != b
         (chunk,) = BipartiteOp(points[:30]).fingerprint_extras()
         assert isinstance(chunk, bytes) and chunk
+
+
+# ------------------------------------------------------------ bipartite prepare
+def _prepare_quantifying_every_query(op, index, cfg, subset):
+    """``BipartiteOp.prepare`` as it was when it quantified every query's
+    workload, read or not: ``(order, estimate, weights)``."""
+    ids = np.arange(len(op.queries), dtype=np.int64) if subset is None else subset
+    workloads, _ = bipartite_workloads(index, op.queries[ids])
+    order = ids[stable_argsort_desc(workloads)] if cfg.uses_sorted_points else ids
+    weights = None
+    if cfg.balanced_batches:
+        by_id = np.zeros(len(op.queries), dtype=np.float64)
+        by_id[ids] = workloads
+        weights = by_id[order]
+    return order, op._estimate(index, cfg, ids, order), weights
+
+
+class TestBipartitePrepare:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_order_estimate_and_weights_are_unchanged(self, index, points, preset, sharded):
+        op = BipartiteOp(points[::2] + 0.013)
+        subset = np.random.default_rng(2).permutation(len(op.queries))[:40] if sharded else None
+        cfg = PRESETS[preset]
+        prep = op.prepare(index, cfg, subset=subset, safety_z=0.0)
+        order, estimate, weights = _prepare_quantifying_every_query(op, index, cfg, subset)
+        assert prep.order.tobytes() == order.tobytes()
+        assert prep.estimate == estimate
+        if weights is None:
+            assert prep.weights is None
+        else:
+            assert prep.weights.tobytes() == weights.tobytes()
+
+    def test_gpucalcglobal_on_the_vm_quantifies_no_workloads(self, index, points):
+        rc = RuntimeConfig(optimization=PRESETS["gpucalcglobal"], engine="vectorized", seed=0)
+        queries = points[::3] + 0.02
+        unread = mock.patch.object(
+            ops, "bipartite_workloads", side_effect=AssertionError("workloads quantified")
+        )
+        with unread:
+            joined = Runner().run(compile_similarity_join(index, queries, rc))
+            knn = Runner().run(compile_knn_join(points, 4, rc, epsilon0=0.05))
+        native = rc.with_(engine="native")
+        assert np.array_equal(
+            joined.canonical_pairs(),
+            Runner().run(compile_similarity_join(index, queries, native)).canonical_pairs(),
+        )
+        expect = Runner().run(compile_knn_join(points, 4, native, epsilon0=0.05))
+        assert knn.indices.tobytes() == expect.indices.tobytes()
