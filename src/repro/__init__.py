@@ -35,8 +35,6 @@ from repro.grid import GridIndex
 from repro.resilience import FaultPlan, RecoveryPolicy
 from repro.runtime import (
     JoinPlan,
-    OverflowConfig,
-    ProfilingOptions,
     Runner,
     RuntimeConfig,
     ShardingConfig,
@@ -57,9 +55,7 @@ __all__ = [
     "JoinPlan",
     "JoinResult",
     "OptimizationConfig",
-    "OverflowConfig",
     "PRESETS",
-    "ProfilingOptions",
     "RecoveryPolicy",
     "Runner",
     "RuntimeConfig",

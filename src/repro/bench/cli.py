@@ -247,6 +247,7 @@ def _cmd_suite_gate(args) -> int:
     from repro.bench.history import bench_path, latest_comparable, load_history
 
     report = GateReport()
+    skipped = 0
     for suite, run, entry in _execute_suites(args):
         print(run.render_summary())
         report.extend(evaluate_tier_a(run.results))
@@ -259,8 +260,9 @@ def _cmd_suite_gate(args) -> int:
                 + (f": {check.detail}" if check.detail else ""),
             )
             for check in run.suite_checks
-            if not check.passed
+            if check.failed
         )
+        skipped += sum(1 for r in run.results for c in r.checks if c.skipped)
         report.extend(evaluate_tier_b(run.results, args.size))
         history = load_history(bench_path(args.results_dir, suite.suite_id))
         previous = latest_comparable(history, size=args.size)
@@ -270,6 +272,8 @@ def _cmd_suite_gate(args) -> int:
         )
     print()
     print(report.render())
+    if skipped:
+        print(f"skipped (below their size floor, not gated): {skipped} check(s)")
     return 0 if report.ok else 1
 
 

@@ -63,31 +63,33 @@ class SuiteRun:
 
     @property
     def checks_passed(self) -> bool:
-        return all(r.checks_passed for r in self.results) and all(
-            c.passed for c in self.suite_checks
+        return all(r.checks_passed for r in self.results) and not any(
+            c.failed for c in self.suite_checks
         )
 
     def render_summary(self) -> str:
         from repro.util import Table
 
         t = Table(
-            ["experiment", "wall (s)", "rows/s", "checks", "headline"],
+            ["experiment", "wall (s)", "rows/s", "checks", "skipped", "headline"],
             title=f"suite {self.suite.suite_id} — {self.suite.title}",
         )
         for r in self.results:
             ok = sum(1 for c in r.checks if c.passed)
+            skipped = sum(1 for c in r.checks if c.skipped)
             t.add_row(
                 [
                     r.exp_id,
                     f"{r.wall_seconds:.3f}",
                     "-" if r.throughput is None else f"{r.throughput:,.0f}",
-                    f"{ok}/{len(r.checks)}" + ("" if r.checks_passed else " FAIL"),
+                    f"{ok}/{len(r.checks) - skipped}" + ("" if r.checks_passed else " FAIL"),
+                    skipped,
                     r.headline,
                 ]
             )
         lines = [t.render()]
         for c in self.suite_checks:
-            status = "ok" if c.passed else "FAIL"
+            status = "skipped" if c.skipped else "ok" if c.passed else "FAIL"
             lines.append(f"  suite check {c.name}: {status}" + (f" ({c.detail})" if c.detail else ""))
         return "\n".join(lines)
 
@@ -104,7 +106,7 @@ def _timed(fn, repeats: int):
 
 
 def _skipped(name: str, floor: str) -> CheckResult:
-    return CheckResult(name, True, f"skipped (needs --size {floor} or larger)")
+    return CheckResult(name, None, f"skipped (needs --size {floor} or larger)")
 
 
 def _pairs_checksum(pairs: np.ndarray) -> str:
@@ -593,7 +595,7 @@ def run_ablation(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> Ex
         metrics=metrics,
         checks=checks,
         budget=exp.budget,
-        headline=f"{sum(c.passed for c in checks)}/{len(checks)} invariants",
+        headline=f"{sum(1 for c in checks if c.passed)}/{len(checks)} invariants",
     )
 
 

@@ -6,7 +6,8 @@ rows; this module turns them into gate verdicts:
 - **tier A — correctness cross-checks.** Every failed
   :class:`CheckResult` (pair mismatches, lost determinism, broken shape
   invariants) is a violation. Always enforced: a benchmark whose answer
-  is wrong has no performance to report.
+  is wrong has no performance to report. A check skipped below its
+  size floor fails no gate; it is counted apart from the passes.
 - **tier B — perf budgets.** Each experiment may declare a
   :class:`Budget`: wall-clock ceilings and throughput floors per size
   class, with a tolerance band absorbing machine-to-machine noise.
@@ -40,16 +41,30 @@ TRAJECTORY_BAND = 0.75
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one tier-A correctness cross-check."""
+    """Outcome of one tier-A correctness cross-check.
+
+    ``passed`` is ``None`` for a check that did not run (below its size
+    floor): recorded as ``null``, it is a skip, neither a pass nor a
+    failure.
+    """
 
     name: str
-    passed: bool
+    passed: bool | None
     detail: str = ""
 
     def __post_init__(self):
         # a check computed with NumPy hands in a numpy.bool_, which
         # json.dumps rejects when the entry is recorded
-        object.__setattr__(self, "passed", bool(self.passed))
+        if self.passed is not None:
+            object.__setattr__(self, "passed", bool(self.passed))
+
+    @property
+    def skipped(self) -> bool:
+        return self.passed is None
+
+    @property
+    def failed(self) -> bool:
+        return self.passed is False
 
     def to_record(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -146,7 +161,7 @@ def evaluate_tier_a(results) -> list[Violation]:
     out = []
     for res in results:
         for check in res.checks:
-            if not check.passed:
+            if check.failed:
                 out.append(
                     Violation(
                         "A",

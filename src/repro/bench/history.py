@@ -3,9 +3,10 @@
 Each suite owns one JSON file holding a bounded list of history entries.
 An entry is one ``suite run`` at a given (size, seed): per-experiment
 wall-clock and throughput, the deterministic metrics with a stable
-digest, and the tier-A check tallies. Committed entries are the baseline
-tier-C gates compare against, and ``suite history`` renders the
-trajectory with per-entry deltas.
+digest, and the tier-A check records (a skipped check's ``passed`` is
+``null``; entries recorded before skips existed logged them as passes).
+Committed entries are the baseline tier-C gates compare against, and
+``suite history`` renders the trajectory with per-entry deltas.
 
 Timing fields (``wall_seconds``, ``throughput``) are *measurements* and
 vary run to run; ``metrics`` and ``digest`` are seed-deterministic —
@@ -71,7 +72,7 @@ def make_entry(results, *, size: str, seed: int, trials: int, suite_checks=()) -
         experiments[res.exp_id] = {
             "wall_seconds": round(res.wall_seconds, 6),
             "throughput": None if res.throughput is None else round(res.throughput, 3),
-            "checks_passed": all(c.passed for c in res.checks),
+            "checks_passed": res.checks_passed,
             "checks": [c.to_record() for c in res.checks],
             "metrics": res.metrics,
             "digest": entry_digest(res.metrics),
@@ -169,13 +170,15 @@ def render_history(history: Mapping, *, limit: int = 10) -> str:
     suite = history.get("suite", "?")
     entries = history.get("entries", [])[-limit:]
     t = Table(
-        ["recorded", "git", "size", "seed", "experiments", "checks", "wall total (s)"],
+        ["recorded", "git", "size", "seed", "experiments", "checks", "skipped", "wall total (s)"],
         title=f"BENCH_{suite} trajectory ({len(entries)} of "
         f"{len(history.get('entries', []))} entries)",
     )
     for entry in entries:
         exps = entry.get("experiments", {})
-        ok = sum(1 for e in exps.values() if e.get("checks_passed"))
+        checks = [c for e in exps.values() for c in e.get("checks", ())]
+        passed = sum(1 for c in checks if c.get("passed"))
+        skipped = sum(1 for c in checks if c.get("passed") is None)
         stamp = time.strftime("%Y-%m-%d %H:%M", time.localtime(entry.get("recorded_unix", 0)))
         t.add_row(
             [
@@ -184,7 +187,8 @@ def render_history(history: Mapping, *, limit: int = 10) -> str:
                 entry.get("size", "?"),
                 entry.get("seed", "?"),
                 len(exps),
-                f"{ok}/{len(exps)}",
+                f"{passed}/{len(checks) - skipped}",
+                skipped,
                 f"{sum(e.get('wall_seconds') or 0.0 for e in exps.values()):.3f}",
             ]
         )

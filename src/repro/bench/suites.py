@@ -182,7 +182,8 @@ class ExperimentResult:
 
     @property
     def checks_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """No check failed (skipped checks fail nothing)."""
+        return not any(c.failed for c in self.checks)
 
 
 # ---------------------------------------------------------------------------

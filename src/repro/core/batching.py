@@ -61,10 +61,10 @@ class BatchPlan:
 class ResultSizeEstimate:
     """A result-size estimate *with its own error bar*.
 
-    The bare scalar the batching scheme historically trusted hides how
-    good the sample was; on skewed data an underestimate overflows the
-    result buffer on a real GPU. This carries the point estimate plus the
-    sample spread so callers can size safety margins instead of hoping:
+    The bare scalar the batching scheme plans from hides how good the
+    sample was; on skewed data an underestimate overflows the result
+    buffer (and the run re-plans). This carries the point estimate plus
+    the sample spread, as read-only diagnostics:
 
     - ``estimate`` — the scaled point estimate (what
       :func:`estimate_result_size` has always returned);
@@ -108,13 +108,6 @@ class ResultSizeEstimate:
             and (self.sample_size >= 30 or self.sample_size == self.population)
             and self.relative_stderr <= 0.25
         )
-
-    def with_margin(self, z: float = 2.0) -> int:
-        """The estimate padded by ``z`` standard errors — the buffer size a
-        caller should plan for when an overflow is expensive."""
-        if z < 0:
-            raise ValueError("z must be non-negative")
-        return int(math.ceil(self.estimate + z * self.stderr))
 
 
 def estimate_result_size_detailed(

@@ -14,16 +14,18 @@ one join on a pool of independent simulated devices, each with its own
 executor, buffers and counters, and :mod:`repro.resilience` wraps it to
 inject faults.
 
-Overflow handling is a policy. ``overflow_policy="raise"`` (the default)
-propagates :class:`~repro.simt.BufferOverflowError` to the caller, whose
+Overflow handling follows the run's recovery story. Without a
+:class:`~repro.resilience.policy.RecoveryPolicy`,
+:class:`~repro.simt.BufferOverflowError` propagates to the caller, whose
 re-plan doubles the estimate and restarts the whole plan — the paper's
-recovery. ``"retry"`` instead recovers *at batch granularity*: the failed
-batch alone is relaunched with a geometrically grown buffer (bounded
-retries, optional backoff), the wasted attempt time is charged to the
-pipeline in simulated seconds, and every retry is recorded as an
-:class:`OverflowRetry` so recovery overhead is measurable. An aborted
-launch's work-queue fetches are rolled back to the batch's entry state,
-exactly as a fresh relaunch of the kernel would observe.
+recovery. A run that carries one recovers *at batch granularity*
+instead: the failed batch alone is relaunched with a buffer
+``OVERFLOW_GROWTH`` times larger (at most ``MAX_OVERFLOW_RETRIES``
+times), the wasted attempt time is charged to the pipeline in simulated
+seconds, and every retry is recorded as an :class:`OverflowRetry` so
+recovery overhead is measurable. An aborted launch's work-queue fetches
+are rolled back to the batch's entry state, exactly as a fresh relaunch
+of the kernel would observe.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro.simt import (
-    ENGINES,
     BufferOverflowError,
     CostParams,
     DeviceSpec,
@@ -48,7 +49,8 @@ __all__ = [
     "BatchExecutor",
     "BatchOutcome",
     "DeviceExecutor",
-    "OVERFLOW_POLICIES",
+    "MAX_OVERFLOW_RETRIES",
+    "OVERFLOW_GROWTH",
     "OverflowRetry",
     "PAIR_BYTES",
 ]
@@ -56,7 +58,10 @@ __all__ = [
 #: Device bytes per result pair (two int64 indices) — transfer modeling.
 PAIR_BYTES = 16
 
-OVERFLOW_POLICIES = ("raise", "retry")
+#: batch-level overflow retry: each relaunch grows the failed batch's
+#: buffer this many times over, at most this many times per batch
+OVERFLOW_GROWTH = 4
+MAX_OVERFLOW_RETRIES = 6
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ class OverflowRetry:
 
     ``attempts`` failed launches preceded the success; ``final_capacity``
     is the buffer size that fit; ``wasted_seconds`` is the simulated time
-    the failed attempts and backoff burned (charged to the pipeline).
+    the failed attempts burned (charged to the pipeline).
     """
 
     batch_index: int
@@ -81,7 +86,7 @@ class BatchOutcome:
     ``pairs_per_batch`` preserves batch order so callers can keep the
     stable concatenation order the single-device path has always used.
     ``overflow_retries`` records any batch-level overflow recoveries (empty
-    under the default ``"raise"`` policy).
+    unless the run carries a recovery policy).
     """
 
     pairs_per_batch: list[np.ndarray] = field(repr=False)
@@ -123,56 +128,29 @@ class BatchExecutor(Protocol):
 class DeviceExecutor:
     """Runs batch kernels on one simulated device.
 
-    Parameters mirror the hardware knobs :class:`SelfJoin` used to own:
-    the device spec, the cost model, the scheduler seed, the warp replay
-    fidelity and the execution engine (``"interpreted"`` or
-    ``"vectorized"`` — see :mod:`repro.simt.vectorized`; both produce
-    identical results, the vectorized engine is just fast). One executor
-    is one device — buffer allocation, kernel launch and transfer timing
-    all happen against ``self.device``.
+    Built from a :class:`~repro.runtime.config.RuntimeConfig`, which has
+    already checked its values: the device spec and cost model (the
+    paper's testbed class when unset), the warp replay fidelity, the
+    execution engine (``"interpreted"`` or ``"vectorized"`` — see
+    :mod:`repro.simt.vectorized`; both produce identical results, the
+    vectorized engine is just fast) and the scheduler seed
+    ``seed + device_index`` (pooled device ``d`` is built with
+    ``device_index=d``). One executor is one device — buffer allocation,
+    kernel launch and transfer timing all happen against ``self.device``.
 
-    Overflow parameters (only consulted under ``overflow_policy="retry"``):
-    a failed batch is relaunched with capacity grown by ``overflow_growth``
-    per attempt, up to ``max_overflow_retries`` attempts, each retry adding
-    ``overflow_backoff_seconds`` of simulated backoff on top of the failed
-    attempt's own duration.
+    ``retry_overflows`` is whether the runtime carries a recovery policy:
+    then a failed batch is relaunched with capacity grown
+    ``OVERFLOW_GROWTH``-fold per attempt, up to ``MAX_OVERFLOW_RETRIES``
+    attempts.
     """
 
-    def __init__(
-        self,
-        device: DeviceSpec | None = None,
-        costs: CostParams | None = None,
-        *,
-        seed: int = 0,
-        replay_mode: str = "aggregate",
-        engine: str = "interpreted",
-        overflow_policy: str = "raise",
-        overflow_growth: float = 4.0,
-        max_overflow_retries: int = 6,
-        overflow_backoff_seconds: float = 0.0,
-    ):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if overflow_policy not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"unknown overflow policy {overflow_policy!r}; "
-                f"expected one of {OVERFLOW_POLICIES}"
-            )
-        if overflow_growth <= 1.0:
-            raise ValueError("overflow_growth must be > 1")
-        if max_overflow_retries < 0:
-            raise ValueError("max_overflow_retries must be >= 0")
-        if overflow_backoff_seconds < 0:
-            raise ValueError("overflow_backoff_seconds must be >= 0")
-        self.device = device if device is not None else DeviceSpec()
-        self.costs = costs if costs is not None else CostParams()
-        self.seed = seed
-        self.replay_mode = replay_mode
-        self.engine = engine
-        self.overflow_policy = overflow_policy
-        self.overflow_growth = overflow_growth
-        self.max_overflow_retries = max_overflow_retries
-        self.overflow_backoff_seconds = overflow_backoff_seconds
+    def __init__(self, runtime, *, device_index: int = 0):
+        self.device = runtime.device if runtime.device is not None else DeviceSpec()
+        self.costs = runtime.costs if runtime.costs is not None else CostParams()
+        self.seed = runtime.seed + device_index
+        self.replay_mode = runtime.replay_mode
+        self.engine = runtime.engine
+        self.retry_overflows = runtime.recovery is not None
 
     def run_batches(
         self,
@@ -189,11 +167,11 @@ class DeviceExecutor:
         stream pipeline. ``make_args(batch)`` must return the kernel's
         argument bundle exposing ``num_threads``.
 
-        Under ``overflow_policy="raise"``, a batch exceeding
-        ``result_capacity`` raises :class:`~repro.simt.BufferOverflowError`
-        — the caller re-plans, exactly as on the single-device path. Under
-        ``"retry"``, the batch alone is relaunched with a geometrically
-        grown buffer and the recovery is recorded on the outcome.
+        A batch exceeding ``result_capacity`` raises
+        :class:`~repro.simt.BufferOverflowError` — the caller re-plans,
+        exactly as on the single-device path — unless ``retry_overflows``:
+        then the batch alone is relaunched with a geometrically grown
+        buffer and the recovery is recorded on the outcome.
         """
         machine = GpuMachine(
             self.device,
@@ -227,17 +205,12 @@ class DeviceExecutor:
                         coop_groups=coop_groups,
                     )
                 except BufferOverflowError:
-                    if (
-                        self.overflow_policy != "retry"
-                        or attempts >= self.max_overflow_retries
-                    ):
+                    if not self.retry_overflows or attempts >= MAX_OVERFLOW_RETRIES:
                         raise
                     if counter is not None:
                         counter.reset(mark)
                     attempts += 1
-                    capacity = max(
-                        int(np.ceil(capacity * self.overflow_growth)), capacity + 1
-                    )
+                    capacity = max(capacity * OVERFLOW_GROWTH, capacity + 1)
                     continue
                 break
             pairs = buffer.drain()
@@ -246,8 +219,8 @@ class DeviceExecutor:
             kernel_seconds = stats.seconds
             if attempts:
                 # each failed attempt ran to (approximately) the kernel's
-                # full duration before aborting, plus configured backoff
-                wasted = attempts * (stats.seconds + self.overflow_backoff_seconds)
+                # full duration before aborting
+                wasted = attempts * stats.seconds
                 kernel_seconds += wasted
                 retries.append(
                     OverflowRetry(

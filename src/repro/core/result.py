@@ -9,7 +9,7 @@ import numpy as np
 from repro.simt import KernelStats
 from repro.simt.streams import PipelineResult
 
-__all__ = ["JoinResult", "stack_fragments"]
+__all__ = ["JoinResult", "merge_pairs", "stack_fragments"]
 
 
 def stack_fragments(blocks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -21,6 +21,43 @@ def stack_fragments(blocks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     pairs = np.concatenate(blocks, axis=0)
     bounds = np.cumsum([len(b) for b in blocks[:-1]], dtype=np.int64)
     return pairs, tuple(np.split(pairs, bounds))
+
+
+def merge_pairs(pairs_list: list[np.ndarray], *, dedup: bool = False) -> np.ndarray:
+    """Merge pair blocks into one lexicographically sorted ``(N, 2)`` int64 array.
+
+    The order comes from sorting one int64 key per pair, ``q · width + c``
+    with ``width`` the largest second-column id + 1, built block by block
+    and decoded straight into the output — the ``(N, 2)`` concatenation
+    and a sort permutation are never allocated. ``dedup=True`` also
+    removes duplicate rows (an adjacent-difference mask on the sorted
+    key). A negative id, or ids so large that the key could overflow
+    int64, raise ``ValueError``.
+    """
+    blocks = [np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in pairs_list if len(p)]
+    if not blocks:
+        return np.empty((0, 2), dtype=np.int64)
+    if min(int(b.min()) for b in blocks) < 0:
+        raise ValueError("pair ids must be non-negative")
+    width = max(int(b[:, 1].max()) for b in blocks) + 1
+    if (max(int(b[:, 0].max()) for b in blocks) + 1) * width > 2**63:
+        raise ValueError("pair ids would overflow the int64 merge key")
+    key = np.empty(sum(len(b) for b in blocks), dtype=np.int64)
+    start = 0
+    for b in blocks:
+        part = key[start : start + len(b)]
+        np.multiply(b[:, 0], width, out=part)
+        part += b[:, 1]
+        start += len(b)
+    key.sort()
+    if dedup:
+        keep = np.empty(len(key), dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    out = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, width, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -38,15 +75,15 @@ class JoinResult:
     batch_stats: list[KernelStats] = field(repr=False)
     pipeline: PipelineResult = field(repr=False)
     config_description: str = ""
-    #: batch-level overflow recoveries (executor ``"retry"`` policy): failed
+    #: batch-level overflow recoveries (runs with a recovery policy): failed
     #: launch attempts and the simulated time they wasted, already included
     #: in the pipeline's ``total_seconds``.
     overflow_retries: int = 0
     overflow_wasted_seconds: float = 0.0
     #: per-batch pair blocks in buffer order (their concatenation equals
     #: ``pairs``), kept by the runner for streaming consumption; ``None``
-    #: when retention was turned off or the pairs were re-ordered by a
-    #: multi-device merge.
+    #: on a pooled run's shards and on the merged result, whose pairs the
+    #: multi-device merge re-ordered.
     fragments: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
     #: simulation fidelity of the execution statistics: ``"simulated"``
     #: when the pairs came through the SIMT machine (cycle-accurate
@@ -101,8 +138,7 @@ class JoinResult:
         out: dict[int, np.ndarray] = {}
         if self.num_pairs == 0:
             return out
-        order = np.lexsort((self.pairs[:, 1], self.pairs[:, 0]))
-        sorted_pairs = self.pairs[order]
+        sorted_pairs = self.sorted_pairs()
         qs, starts = np.unique(sorted_pairs[:, 0], return_index=True)
         bounds = np.append(starts, len(sorted_pairs))
         for q, a, b in zip(qs, bounds[:-1], bounds[1:]):
@@ -144,11 +180,11 @@ class JoinResult:
             yield pending[0] if len(pending) == 1 else np.concatenate(pending)
 
     def sorted_pairs(self) -> np.ndarray:
-        """Pairs in lexicographic order — canonical form for comparisons."""
+        """Pairs in lexicographic order — canonical form for comparisons
+        (one key sort, :func:`merge_pairs`; the pairs' dtype is kept)."""
         if self.num_pairs == 0:
             return self.pairs
-        order = np.lexsort((self.pairs[:, 1], self.pairs[:, 0]))
-        return self.pairs[order]
+        return merge_pairs([self.pairs]).astype(self.pairs.dtype, copy=False)
 
     def canonical_pairs(self) -> np.ndarray:
         """The result set in a stable lexicographic order.

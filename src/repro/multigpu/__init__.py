@@ -44,7 +44,7 @@ An explicit (e.g. heterogeneous) pool runs a compiled plan directly::
     from repro.multigpu import DevicePool
 
     rt = RuntimeConfig(sharding=ShardingConfig(num_devices=2))
-    pool = DevicePool.from_runtime(rt, specs=[fast_spec, slow_spec])
+    pool = DevicePool(rt, specs=[fast_spec, slow_spec])
     result = Runner(pool=pool).run(compile_self_join(GridIndex(points, 0.5), rt))
 """
 

@@ -4,12 +4,10 @@ Shards execute in whatever order the scheduler's simulated clock dictates,
 so the merge must not depend on execution order: pairs are gathered in
 *shard-id* order and then put into canonical lexicographic order, giving a
 byte-identical result for any interleaving of the same shard set. The
-order comes from sorting one int64 key per pair, ``q · width + c`` with
-``width`` the largest second-column id + 1, built block by block and
-decoded straight into the output — the ``(N, 2)`` concatenation and a
-sort permutation are never allocated. Planners that shard
-cell-granularly under a mirrored half-pattern are additionally deduped
-(an adjacent-difference mask on the sorted key) — single-coverage
+order comes from one int64 key sort per merge,
+:func:`~repro.core.result.merge_pairs` — the same sort that puts a single
+result in canonical form. Planners that shard cell-granularly under a
+mirrored half-pattern are additionally deduped — single-coverage
 emission makes this a no-op in practice, but the merge enforces the
 invariant rather than assuming it.
 
@@ -23,45 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.result import JoinResult
+from repro.core.result import JoinResult, merge_pairs
 from repro.multigpu.scheduler import ScheduleTrace
 from repro.simt.streams import PipelineResult
 
 __all__ = ["merge_pairs", "merge_shard_results", "pipeline_from_trace"]
-
-
-def merge_pairs(pairs_list: list[np.ndarray], *, dedup: bool = False) -> np.ndarray:
-    """Merge pair blocks into one lexicographically sorted ``(N, 2)`` int64 array.
-
-    ``dedup=True`` also removes duplicate rows — required when a shard
-    plan could emit one pair from two shards. A negative id, or ids so
-    large that the sort key ``q · width + c`` could overflow int64, raise
-    ``ValueError``.
-    """
-    blocks = [np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in pairs_list if len(p)]
-    if not blocks:
-        return np.empty((0, 2), dtype=np.int64)
-    if min(int(b.min()) for b in blocks) < 0:
-        raise ValueError("pair ids must be non-negative")
-    width = max(int(b[:, 1].max()) for b in blocks) + 1
-    if (max(int(b[:, 0].max()) for b in blocks) + 1) * width > 2**63:
-        raise ValueError("pair ids would overflow the int64 merge key")
-    key = np.empty(sum(len(b) for b in blocks), dtype=np.int64)
-    start = 0
-    for b in blocks:
-        part = key[start : start + len(b)]
-        np.multiply(b[:, 0], width, out=part)
-        part += b[:, 1]
-        start += len(b)
-    key.sort()
-    if dedup:
-        keep = np.empty(len(key), dtype=bool)
-        keep[0] = True
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        key = key[keep]
-    out = np.empty((len(key), 2), dtype=np.int64)
-    np.divmod(key, width, out=(out[:, 0], out[:, 1]))
-    return out
 
 
 def pipeline_from_trace(trace: ScheduleTrace) -> PipelineResult:

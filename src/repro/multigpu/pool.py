@@ -8,10 +8,10 @@ its own PCIe link. Nothing is shared device-to-device except the
 host-side grid index and the host scheduler's shard queue, matching the
 multi-GPU partitioning setup Gowanlock & Karsin name as the scaling path.
 
-Pools are homogeneous by default (N copies of one
-:class:`~repro.simt.DeviceSpec`) but accept an explicit heterogeneous
-``specs`` list — the scheduler's dynamic mode then load-balances across
-unequal devices for free.
+A pool builds from a :class:`~repro.runtime.config.RuntimeConfig`:
+``sharding.num_devices`` copies of its device spec by default, or an
+explicit heterogeneous ``specs`` list — the scheduler's dynamic mode then
+load-balances across unequal devices for free.
 
 Every device carries a mutable :class:`DeviceHealth`: whether it is
 alive, when it failed (in simulated seconds), and how many shard
@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.executor import DeviceExecutor
-from repro.runtime.config import NATIVE_ENGINE, OverflowConfig, RuntimeConfig
-from repro.runtime.runner import executor_from_runtime
-from repro.simt import CostParams, DeviceSpec
+from repro.runtime.config import NATIVE_ENGINE, RuntimeConfig
+from repro.simt import DeviceSpec
 
 __all__ = ["DeviceHealth", "DevicePool", "PoolDevice"]
 
@@ -75,74 +74,25 @@ class DevicePool:
 
     Parameters
     ----------
-    num_devices:
-        Pool size (ignored when ``specs`` is given).
-    spec:
-        Device spec cloned for every pool member; defaults to the paper's
-        testbed class.
+    runtime:
+        The :class:`~repro.runtime.config.RuntimeConfig` of the runs the
+        pool serves; it must carry a sharding config. Device ``d`` gets
+        a :class:`~repro.core.executor.DeviceExecutor` built from it
+        (seeded ``seed + d``, so the pool's issue-order shuffles are
+        independent yet reproducible) — or none on the ``"native"``
+        engine, whose shards run as NumPy passes
+        (:mod:`repro.runtime.native`).
     specs:
-        Explicit per-device specs for a heterogeneous pool.
-    costs:
-        Instruction cost model, shared by all devices (one architecture).
-    seed:
-        Base seed; device ``d`` runs with ``seed + d`` so the pool's
-        issue-order shuffles are independent yet reproducible.
-    replay_mode:
-        Warp replay fidelity forwarded to every executor.
-    engine:
-        Kernel execution engine forwarded to every executor
-        (``"interpreted"`` or ``"vectorized"``), or ``"native"`` — the
-        array engine builds no executors at all (``PoolDevice.executor``
-        is ``None``; shards run as NumPy passes, see
-        :mod:`repro.runtime.native`).
-    overflow_policy:
-        Forwarded to every executor: ``"raise"`` (default — overflow
-        propagates and the join re-plans) or ``"retry"`` (batch-level
-        recovery with a geometrically grown buffer; see
-        :class:`~repro.core.executor.DeviceExecutor`).
+        Explicit per-device specs for a heterogeneous pool; by default
+        ``sharding.num_devices`` copies of the runtime's device spec
+        (the paper's testbed class when unset).
     """
 
-    def __init__(
-        self,
-        num_devices: int = 2,
-        *,
-        spec: DeviceSpec | None = None,
-        specs: list[DeviceSpec] | None = None,
-        costs: CostParams | None = None,
-        seed: int = 0,
-        replay_mode: str = "aggregate",
-        engine: str = "interpreted",
-        overflow_policy: str = "raise",
-    ):
-        if specs is None:
-            if num_devices < 1:
-                raise ValueError("num_devices must be >= 1")
-            base = spec if spec is not None else DeviceSpec()
-            specs = [base] * num_devices
-        elif not specs:
-            raise ValueError("specs must name at least one device")
-        runtime = RuntimeConfig(
-            engine=engine,
-            replay_mode=replay_mode,
-            seed=seed,
-            costs=costs,
-            overflow=OverflowConfig(policy=overflow_policy),
-        )
-        self.devices = _devices(runtime, specs)
-
-    @classmethod
-    def from_runtime(
-        cls,
-        runtime,
-        *,
-        specs: list[DeviceSpec] | None = None,
-    ) -> "DevicePool":
-        """Build the pool a :class:`~repro.runtime.config.RuntimeConfig`
-        describes: ``sharding.num_devices`` copies of its device spec,
-        executors carrying its engine, replay mode, seed ladder and
-        resolved overflow policy. ``specs`` overrides the homogeneous
-        layout for heterogeneous pools.
-        """
+    def __init__(self, runtime: RuntimeConfig, *, specs: list[DeviceSpec] | None = None):
+        if not isinstance(runtime, RuntimeConfig):
+            raise TypeError(
+                f"DevicePool takes a RuntimeConfig, not {type(runtime).__name__}"
+            )
         if runtime.sharding is None:
             raise ValueError("runtime has no sharding config; nothing to pool")
         if specs is None:
@@ -150,9 +100,16 @@ class DevicePool:
             specs = [base] * runtime.sharding.num_devices
         elif not specs:
             raise ValueError("specs must name at least one device")
-        pool = cls.__new__(cls)
-        pool.devices = _devices(runtime, specs)
-        return pool
+        self.devices = [
+            PoolDevice(
+                device_id=d,
+                spec=s,
+                executor=None
+                if runtime.engine == NATIVE_ENGINE
+                else DeviceExecutor(runtime.with_(device=s), device_index=d),
+            )
+            for d, s in enumerate(specs)
+        ]
 
     @property
     def num_devices(self) -> int:
@@ -186,18 +143,3 @@ class DevicePool:
         dead = self.num_devices - len(self.alive_device_ids())
         suffix = f", dead={dead}" if dead else ""
         return f"DevicePool(n={self.num_devices}, specs={sorted(names)}{suffix})"
-
-
-def _devices(runtime: RuntimeConfig, specs: list[DeviceSpec]) -> list[PoolDevice]:
-    """One :class:`PoolDevice` per spec; device ``d`` gets the runtime's
-    executor at ``device_index=d`` (seeded ``seed + d``), none on native."""
-    return [
-        PoolDevice(
-            device_id=d,
-            spec=s,
-            executor=None
-            if runtime.engine == NATIVE_ENGINE
-            else executor_from_runtime(runtime.with_(device=s), device_index=d),
-        )
-        for d, s in enumerate(specs)
-    ]

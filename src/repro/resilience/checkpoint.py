@@ -19,8 +19,8 @@ A journal is keyed by :func:`run_fingerprint`: the dataset fingerprint
 baked into :meth:`~repro.grid.GridIndex.fingerprint`, the query side (for
 bipartite joins), the query subset, and the *result-relevant* half of the
 :class:`~repro.runtime.config.RuntimeConfig` (:func:`config_identity`).
-Fault plans, recovery policies, profiling retention and the checkpoint
-config itself are **excluded** from the identity on purpose: the
+Fault plans, recovery policies and the checkpoint config itself are
+**excluded** from the identity on purpose: the
 resilience contract makes them result-invariant, and excluding them is
 precisely what lets a run crashed by an injected ``CrashPoint`` resume
 under a fault-free config and still find its journal.
@@ -100,19 +100,12 @@ class CheckpointStats:
 def config_identity(runtime) -> str:
     """Stable hash of the result-relevant part of a :class:`RuntimeConfig`.
 
-    Strips ``fault_plan``, ``recovery``, ``checkpoint`` and ``profiling``
-    before hashing: injected faults and healing change *how* a run
-    executes, never *what* it returns (the resilience contract), so two
-    configs differing only there share one journal.
+    Strips ``fault_plan``, ``recovery`` and ``checkpoint`` before
+    hashing: injected faults and healing change *how* a run executes,
+    never *what* it returns (the resilience contract), so two configs
+    differing only there share one journal.
     """
-    from repro.runtime.config import ProfilingOptions
-
-    reduced = runtime.with_(
-        fault_plan=None,
-        recovery=None,
-        checkpoint=None,
-        profiling=ProfilingOptions(),
-    )
+    reduced = runtime.with_(fault_plan=None, recovery=None, checkpoint=None)
     return hashlib.sha256(repr(reduced).encode()).hexdigest()
 
 

@@ -3,7 +3,9 @@
 A :class:`RecoveryPolicy` is pure configuration — the
 :class:`~repro.multigpu.scheduler.HostScheduler` interprets it. Passing a
 policy switches the scheduler into its resilient run loop; ``None`` (the
-default everywhere) keeps the PR-1 fail-fast behaviour bit-for-bit.
+default everywhere) keeps the PR-1 fail-fast behaviour bit-for-bit. A
+run that carries a policy also retries a result-buffer overflow batch by
+batch (:class:`~repro.core.executor.DeviceExecutor`).
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 The plan/compile/execute split of the codebase:
 
 - :class:`RuntimeConfig` holds every cross-cutting execution knob
-  (engine, overflow policy, sharding, recovery, fault injection,
-  profiling) alongside the paper's
-  :class:`~repro.core.config.OptimizationConfig`;
+  (engine, device, sharding, recovery, fault injection, checkpointing)
+  alongside the paper's :class:`~repro.core.config.OptimizationConfig`;
 - :mod:`repro.runtime.ops` holds one declarative strategy per
   operation (``self``, ``bipartite``, ``knn``), and the generic
   ``compile_join(op, index, runtime)`` turns any of them into a
@@ -21,8 +20,8 @@ The plan/compile/execute split of the codebase:
   through the same runner.
 
 The public facades (:class:`~repro.core.selfjoin.SelfJoin`,
-:class:`~repro.core.join.SimilarityJoin`, :mod:`repro.multigpu`'s pooled
-variants) are thin compilers over this package.
+:class:`~repro.core.join.SimilarityJoin`) are thin compilers over this
+package.
 """
 
 from repro.runtime.config import (
@@ -30,8 +29,6 @@ from repro.runtime.config import (
     REPLAY_MODES,
     RUNTIME_ENGINES,
     CheckpointConfig,
-    OverflowConfig,
-    ProfilingOptions,
     RuntimeConfig,
     ShardingConfig,
 )
@@ -63,12 +60,7 @@ from repro.runtime.plan import (
     compile_self_join,
     compile_similarity_join,
 )
-from repro.runtime.runner import (
-    DeadlineExceededError,
-    Runner,
-    execute_shard,
-    executor_from_runtime,
-)
+from repro.runtime.runner import DeadlineExceededError, Runner, execute_shard
 
 __all__ = [
     "NATIVE_ENGINE",
@@ -89,8 +81,6 @@ __all__ = [
     "LaunchStage",
     "MergeStage",
     "NativeLaunchStage",
-    "OverflowConfig",
-    "ProfilingOptions",
     "ResilienceStage",
     "Runner",
     "RuntimeConfig",
@@ -106,5 +96,4 @@ __all__ = [
     "default_knn_epsilon",
     "execute_shard",
     "execute_shard_native",
-    "executor_from_runtime",
 ]

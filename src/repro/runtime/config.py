@@ -1,29 +1,24 @@
 """`RuntimeConfig`: every cross-cutting execution knob, in one frozen value.
 
-Before this package existed each knob travelled its own path: ``engine=``
-was threaded through :class:`~repro.core.selfjoin.SelfJoin`,
-:class:`~repro.core.executor.DeviceExecutor` *and*
-:class:`~repro.multigpu.pool.DevicePool`; ``overflow_policy=`` took a
-different route; ``recovery=`` a third. A :class:`RuntimeConfig` composes
-the paper's :class:`~repro.core.config.OptimizationConfig` (the *what* —
-pattern, k, SORTBYWL, WORKQUEUE, batching) with every *how* knob — engine,
-replay fidelity, overflow handling, sharding, recovery, fault injection,
-profiling retention — so facades compile it into a
-:class:`~repro.runtime.plan.JoinPlan` and hand it to one
-:class:`~repro.runtime.runner.Runner` instead of forwarding keyword
-arguments layer by layer. One ``RuntimeConfig`` serves every
+A :class:`RuntimeConfig` composes the paper's
+:class:`~repro.core.config.OptimizationConfig` (the *what* — pattern, k,
+SORTBYWL, WORKQUEUE, batching) with every *how* knob — engine, replay
+fidelity, device, sharding, recovery, fault injection, checkpointing —
+so facades compile it into a :class:`~repro.runtime.plan.JoinPlan` and
+hand it to one :class:`~repro.runtime.runner.Runner`, and the device
+layer builds from it too:
+:class:`~repro.core.executor.DeviceExecutor` and
+:class:`~repro.multigpu.pool.DevicePool` take a ``RuntimeConfig`` and
+nothing that copies its fields. One ``RuntimeConfig`` serves every
 operation (:mod:`repro.runtime.ops`): the kNN driver threads it
 unchanged into each expansion round's sub-plan, so sharding, recovery,
 fault and checkpoint knobs apply per round without kNN-specific
 spellings.
 
 Sub-configs group the knobs that travel together:
-
-- :class:`OverflowConfig` — what happens when a batch overflows its result
-  buffer (the :class:`~repro.core.executor.DeviceExecutor` retry knobs);
-- :class:`ShardingConfig` — pool size and the device-level load-balancing
-  strategy (:mod:`repro.multigpu`); ``None`` means single-device;
-- :class:`ProfilingOptions` — which execution artifacts the result keeps.
+:class:`ShardingConfig` — pool size and the device-level load-balancing
+strategy (:mod:`repro.multigpu`), ``None`` meaning single-device — and
+:class:`CheckpointConfig` — the durable journal of a resumable run.
 
 Everything is frozen and hashable (fault plans and policies already are),
 so a ``RuntimeConfig`` can key caches and appear in golden fingerprints.
@@ -34,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import OptimizationConfig
-from repro.core.executor import OVERFLOW_POLICIES
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RecoveryPolicy
 from repro.simt import ENGINES, CostParams, DeviceSpec
@@ -42,8 +36,6 @@ from repro.simt import ENGINES, CostParams, DeviceSpec
 __all__ = [
     "CheckpointConfig",
     "NATIVE_ENGINE",
-    "OverflowConfig",
-    "ProfilingOptions",
     "REPLAY_MODES",
     "RUNTIME_ENGINES",
     "RuntimeConfig",
@@ -59,43 +51,6 @@ NATIVE_ENGINE = "native"
 #: engines a RuntimeConfig accepts: the two simulated SIMT engines
 #: (``repro.simt.ENGINES``) plus the native array engine
 RUNTIME_ENGINES = (*ENGINES, NATIVE_ENGINE)
-
-
-@dataclass(frozen=True)
-class OverflowConfig:
-    """Result-buffer overflow handling, resolved per run.
-
-    ``policy=None`` (the default) picks automatically: ``"retry"`` when a
-    :class:`~repro.resilience.policy.RecoveryPolicy` is active (a healing
-    run should not abandon a whole plan over one under-sized buffer) and
-    ``"raise"`` otherwise (the paper's re-plan-and-restart recovery).
-    The remaining knobs parameterize the ``"retry"`` path — see
-    :class:`~repro.core.executor.DeviceExecutor`.
-    """
-
-    policy: str | None = None
-    growth: float = 4.0
-    max_retries: int = 6
-    backoff_seconds: float = 0.0
-
-    def __post_init__(self):
-        if self.policy is not None and self.policy not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"unknown overflow policy {self.policy!r}; "
-                f"expected one of {OVERFLOW_POLICIES} or None (auto)"
-            )
-        if self.growth <= 1.0:
-            raise ValueError("growth must be > 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be >= 0")
-
-    def resolved_policy(self, recovery: RecoveryPolicy | None) -> str:
-        """The effective executor policy under the given recovery setting."""
-        if self.policy is not None:
-            return self.policy
-        return "retry" if recovery is not None else "raise"
 
 
 @dataclass(frozen=True)
@@ -168,23 +123,6 @@ class CheckpointConfig:
 
 
 @dataclass(frozen=True)
-class ProfilingOptions:
-    """Which execution artifacts the returned result retains.
-
-    ``keep_fragments`` preserves the per-batch pair blocks that back
-    :meth:`~repro.core.result.JoinResult.iter_pairs` streaming. In memory
-    they are row views of ``pairs``, but pickling a result (a journaled
-    shard) copies them: turn them off to keep the journal at one copy of
-    the pairs. ``keep_trace`` preserves the pooled run's
-    :class:`~repro.multigpu.scheduler.ScheduleTrace` (pool statistics are
-    computed either way); turn it off to shed memory on huge runs.
-    """
-
-    keep_fragments: bool = True
-    keep_trace: bool = True
-
-
-@dataclass(frozen=True)
 class RuntimeConfig:
     """The complete execution recipe of one join.
 
@@ -210,29 +148,23 @@ class RuntimeConfig:
     include_self:
         Self-join only: whether each point pairs with itself
         (``dist = 0 <= eps``).
-    estimate_safety_z:
-        Pad the result-size estimate by this many standard errors before
-        planning batches (0 = the paper's point estimate). A caller that
-        cannot afford an overflow re-plan sizes its margin here instead
-        of hoping the sample was representative.
     device, costs:
         Simulated hardware; ``None`` means the paper's testbed class.
-    overflow:
-        Buffer-overflow handling (see :class:`OverflowConfig`).
     sharding:
         ``None`` runs single-device; a :class:`ShardingConfig` runs the
         join sharded over a device pool.
     recovery:
         Optional :class:`~repro.resilience.policy.RecoveryPolicy` enabling
-        the self-healing scheduler loop on pooled runs.
+        the self-healing scheduler loop on pooled runs. A run that
+        carries one also recovers a result-buffer overflow batch by batch
+        (see :class:`~repro.core.executor.DeviceExecutor`) instead of
+        re-planning the whole plan.
     fault_plan:
         Optional seeded :class:`~repro.resilience.faults.FaultPlan` to
         inject. On pooled runs a plan with *device* faults implies the
         default ``RecoveryPolicy`` unless one is given explicitly
         (host :class:`~repro.resilience.faults.CrashPoint`\\ s do not —
         their recovery story is checkpoint resume, not requeue).
-    profiling:
-        Artifact-retention switches (see :class:`ProfilingOptions`).
     checkpoint:
         Optional :class:`CheckpointConfig`: journal completed shards
         durably so an interrupted run resumes via ``Runner.resume``.
@@ -243,14 +175,11 @@ class RuntimeConfig:
     replay_mode: str = "aggregate"
     seed: int = 0
     include_self: bool = True
-    estimate_safety_z: float = 0.0
     device: DeviceSpec | None = None
     costs: CostParams | None = None
-    overflow: OverflowConfig = field(default_factory=OverflowConfig)
     sharding: ShardingConfig | None = None
     recovery: RecoveryPolicy | None = None
     fault_plan: FaultPlan | None = None
-    profiling: ProfilingOptions = field(default_factory=ProfilingOptions)
     checkpoint: CheckpointConfig | None = None
 
     def __post_init__(self):
@@ -263,8 +192,6 @@ class RuntimeConfig:
                 f"unknown replay mode {self.replay_mode!r}; "
                 f"expected one of {REPLAY_MODES}"
             )
-        if self.estimate_safety_z < 0:
-            raise ValueError("estimate_safety_z must be >= 0")
         if self.engine == NATIVE_ENGINE:
             # the native engine has no simulated device seam: device-level
             # fault injection and the self-healing scheduler loop both live
@@ -303,11 +230,6 @@ class RuntimeConfig:
     def pooled(self) -> bool:
         """Whether this recipe runs on a device pool."""
         return self.sharding is not None
-
-    @property
-    def overflow_policy(self) -> str:
-        """The effective executor overflow policy."""
-        return self.overflow.resolved_policy(self.recovery)
 
     def with_(self, **changes) -> "RuntimeConfig":
         """A copy with the given fields replaced."""

@@ -102,7 +102,6 @@ class JoinOp:
             EstimateStage(
                 mode="head" if opt.work_queue else "strided",
                 sample_fraction=opt.sample_fraction,
-                safety_z=runtime.estimate_safety_z,
             )
         ]
 
@@ -153,7 +152,6 @@ class SelfJoinOp(JoinOp):
         cfg: OptimizationConfig,
         *,
         subset: np.ndarray | None,
-        safety_z: float,
     ) -> ShardPrep:
         """Derive D', the result-size estimate and batch weights.
 
@@ -172,15 +170,14 @@ class SelfJoinOp(JoinOp):
         else:
             order = np.arange(index.num_points, dtype=np.int64)
 
-        detailed = estimate_result_size_detailed(
+        est = estimate_result_size_detailed(
             index,
             sample_fraction=cfg.sample_fraction,
             mode="head" if cfg.work_queue else "strided",
             order=order if cfg.work_queue else None,
             include_self=self.include_self,
             subset=subset,
-        )
-        est = detailed.with_margin(safety_z) if safety_z > 0 else detailed.estimate
+        ).estimate
 
         weights = (
             point_workloads(index, cfg.pattern)[order].astype(float)
@@ -257,12 +254,9 @@ class BipartiteOp(JoinOp):
         cfg: OptimizationConfig,
         *,
         subset: np.ndarray | None,
-        safety_z: float,
     ) -> ShardPrep:
         """Derive the shard's query order, estimate and batch weights.
 
-        The bipartite estimator has no sampling-error model, so
-        ``safety_z`` does not apply here (an overflow re-plans instead).
         Workloads are quantified only when read, once for both the
         SORTBYWL order and the balanced-batch weights.
         """

@@ -85,7 +85,6 @@ class EstimateStage:
 
     mode: str  # "head" (WORKQUEUE) or "strided"
     sample_fraction: float
-    safety_z: float
 
 
 @dataclass(frozen=True)
@@ -243,10 +242,7 @@ class JoinPlan:
                     f"dim={s.ndim} cells={s.num_cells}{reused}"
                 )
             elif isinstance(s, EstimateStage):
-                z = f" z={s.safety_z:g}" if s.safety_z else ""
-                lines.append(
-                    f"  estimate {s.mode} sample={s.sample_fraction:g}{z}"
-                )
+                lines.append(f"  estimate {s.mode} sample={s.sample_fraction:g}")
             elif isinstance(s, ExpansionStage):
                 lines.append(
                     f"  expand   k={s.k} eps0={s.epsilon0:g} "

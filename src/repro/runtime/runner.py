@@ -17,8 +17,8 @@ of bipartite sub-plans through this same runner; the round algorithm
 lives on the op (:meth:`~repro.runtime.ops.KnnJoinOp.expansion`).
 
 The pooled path pulls :mod:`repro.multigpu` lazily: the runtime package
-sits *below* multigpu in the import graph (the device pool builds its
-executors with :func:`executor_from_runtime`), so the upward reference
+sits *below* multigpu in the import graph (the device pool builds from a
+:class:`~repro.runtime.config.RuntimeConfig`), so the upward reference
 resolves at call time, when the package is fully initialized.
 
 ``Runner.stream(plan)`` yields the result pairs in blocks. Execution is
@@ -45,14 +45,9 @@ from repro.resilience.faults import SimulatedCrashError
 from repro.runtime.config import NATIVE_ENGINE, RuntimeConfig
 from repro.runtime.native import execute_shard_native
 from repro.runtime.plan import JoinPlan
-from repro.simt import AtomicCounter, BufferOverflowError, CostParams, DeviceSpec
+from repro.simt import AtomicCounter, BufferOverflowError
 
-__all__ = [
-    "DeadlineExceededError",
-    "Runner",
-    "execute_shard",
-    "executor_from_runtime",
-]
+__all__ = ["DeadlineExceededError", "Runner", "execute_shard"]
 
 _MAX_REPLANS = 8
 
@@ -67,28 +62,6 @@ class DeadlineExceededError(RuntimeError):
     """
 
 
-def executor_from_runtime(
-    runtime: RuntimeConfig, *, device_index: int = 0
-) -> DeviceExecutor:
-    """Build the :class:`DeviceExecutor` a runtime config describes.
-
-    Pooled device ``d`` uses ``device_index=d`` (seeded ``seed + d``).
-    The one builder of executors: :class:`~repro.multigpu.pool.DevicePool`
-    calls it per device, with that device's spec as ``runtime.device``.
-    """
-    return DeviceExecutor(
-        runtime.device if runtime.device is not None else DeviceSpec(),
-        runtime.costs if runtime.costs is not None else CostParams(),
-        seed=runtime.seed + device_index,
-        replay_mode=runtime.replay_mode,
-        engine=runtime.engine,
-        overflow_policy=runtime.overflow_policy,
-        overflow_growth=runtime.overflow.growth,
-        max_overflow_retries=runtime.overflow.max_retries,
-        overflow_backoff_seconds=runtime.overflow.backoff_seconds,
-    )
-
-
 def execute_shard(
     op,
     index: GridIndex,
@@ -96,7 +69,6 @@ def execute_shard(
     executor: BatchExecutor,
     *,
     subset: np.ndarray | None = None,
-    safety_z: float = 0.0,
     description: str | None = None,
     keep_fragments: bool = True,
 ) -> JoinResult:
@@ -110,7 +82,7 @@ def execute_shard(
     WORKQUEUE state (the atomic counter over this shard's D' slice) is
     private to this call; a fresh counter is built per launch attempt.
     """
-    prep = op.prepare(index, cfg, subset=subset, safety_z=safety_z)
+    prep = op.prepare(index, cfg, subset=subset)
     est = prep.estimate
     for _attempt in range(_MAX_REPLANS):
         if cfg.balanced_batches:
@@ -241,9 +213,7 @@ def _launch_shard(plan: JoinPlan, executor, subset, **kw) -> JoinResult:
         return execute_shard_native(
             op, index, rc.optimization, subset=subset, chunk_pairs=chunk, **kw
         )
-    return execute_shard(
-        op, index, rc.optimization, executor, subset=subset, safety_z=rc.estimate_safety_z, **kw
-    )
+    return execute_shard(op, index, rc.optimization, executor, subset=subset, **kw)
 
 
 class Runner:
@@ -323,13 +293,13 @@ class Runner:
     # ------------------------------------------------------------------
     def _execute(self, plan: JoinPlan, *, resume: bool, deadline_seconds):
         self.last_checkpoint_stats = None
-        rc, stage = plan.config, plan.shard_stage
+        stage = plan.shard_stage
         if stage is not None and self.pool is not None:
             if self.pool.num_devices != stage.num_devices:
                 raise ValueError(
                     f"pool has {self.pool.num_devices} devices but the plan was "
                     f"compiled for {stage.num_devices}; size the pool with "
-                    "DevicePool.from_runtime(runtime)"
+                    "DevicePool(runtime)"
                 )
         guard = _ShardGuard(self, plan, resume=resume, deadline_seconds=deadline_seconds)
         if plan.expansion_stage is not None:
@@ -342,7 +312,6 @@ class Runner:
                     self._device_executor(plan),
                     plan.subset,
                     description=plan.merge_stage.description,
-                    keep_fragments=rc.profiling.keep_fragments,
                 ),
             )
             guard.finish()
@@ -355,9 +324,7 @@ class Runner:
         """The single-device executor (none on native), fault-wrapped as planned."""
         if plan.config.engine == NATIVE_ENGINE:
             return None
-        executor = (
-            self.executor if self.executor is not None else executor_from_runtime(plan.config)
-        )
+        executor = self.executor if self.executor is not None else DeviceExecutor(plan.config)
         resil = plan.resilience_stage
         if resil is not None and resil.fault_plan is not None:
             executor = FaultyExecutor(executor, 0, resil.fault_plan)
@@ -372,7 +339,7 @@ class Runner:
         from repro.resilience.executor import arm_pool
 
         rc = plan.config
-        pool = self.pool if self.pool is not None else DevicePool.from_runtime(rc)
+        pool = self.pool if self.pool is not None else DevicePool(rc)
         resil = plan.resilience_stage
         # native pools have no executors to wrap; arming with None still
         # re-arms device health for a fresh run
@@ -463,6 +430,6 @@ def _merge(plan: JoinPlan, results: list, trace):
         schedule_mode=trace.mode,
         num_devices=trace.num_devices,
         pool_stats=pool_stats_from_trace(trace, results, planner=shard_plan.planner),
-        trace=trace if plan.config.profiling.keep_trace else None,
+        trace=trace,
         shard_plan=shard_plan,
     )

@@ -756,7 +756,7 @@ class JoinService:
                         rc.sharding, num_devices=self.config.pool_devices
                     )
                 )
-                self._pool = DevicePool.from_runtime(sized)
+                self._pool = DevicePool(sized)
         if rc.sharding.num_devices != self._pool.num_devices:
             rc = rc.with_(
                 sharding=replace(rc.sharding, num_devices=self._pool.num_devices)

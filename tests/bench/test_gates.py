@@ -28,6 +28,29 @@ def make_result(**kw) -> ExperimentResult:
     return ExperimentResult(**base)
 
 
+class TestSkippedChecks:
+    def test_skip_is_neither_pass_nor_failure(self):
+        skip = CheckResult("claim", None, "skipped (needs --size full or larger)")
+        assert skip.skipped and not skip.failed and skip.passed is None
+        assert skip.to_record()["passed"] is None
+        assert CheckResult("c", False).failed and not CheckResult("c", True).skipped
+
+    def test_skip_fails_no_gate(self):
+        result = make_result(checks=[CheckResult("claim", None, "skipped")])
+        assert result.checks_passed
+        assert evaluate_tier_a([result]) == []
+
+    def test_summary_counts_skips_apart(self):
+        from repro.bench.executors import SuiteRun, _skipped
+        from repro.bench.suites import get_suite
+
+        checks = [CheckResult("ran", True), _skipped("claim", "full")]
+        run = SuiteRun(get_suite("core"), [make_result(checks=checks)])
+        assert run.checks_passed
+        row = next(line for line in run.render_summary().splitlines() if line.startswith("e "))
+        assert [c.strip() for c in row.split("|")][3:5] == ["1/1", "1"]
+
+
 class TestBudget:
     def test_tolerance_widens_wall_ceiling(self):
         b = Budget(wall_seconds={"tiny": 10.0}, tolerance=0.25)

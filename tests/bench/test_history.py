@@ -149,6 +149,44 @@ class TestDeltas:
         assert deltas(cur, None) == {}
 
 
+class TestSkippedChecks:
+    """A check below its size floor is a skip: recorded as ``passed: null``,
+    counted apart from the passes, failing nothing."""
+
+    def _entry(self):
+        from repro.bench.executors import _skipped
+
+        checks = [CheckResult("ran", True), _skipped("claim", "full")]
+        return make_entry([make_result(checks=checks)], size="tiny", seed=0, trials=1)
+
+    def test_skip_records_null_and_fails_nothing(self, tmp_path):
+        path = bench_path(tmp_path, "paper")
+        record_entry(path, "paper", self._entry())
+        (reloaded,) = load_history(path)["entries"]
+        exp = reloaded["experiments"]["e"]
+        assert [c["passed"] for c in exp["checks"]] == [True, None]
+        assert exp["checks_passed"] is True
+
+    def test_history_counts_skips_apart(self, tmp_path):
+        path = bench_path(tmp_path, "paper")
+        record_entry(path, "paper", self._entry())
+        row = render_history(load_history(path)).splitlines()[-1]
+        assert [c.strip() for c in row.split("|")][4:7] == ["1", "1/1", "1"]
+
+    def test_older_entries_still_load(self, tmp_path):
+        # entries recorded before skips existed logged them as passes
+        entry = self._entry()
+        entry["experiments"]["e"]["checks"][1]["passed"] = True
+        path = bench_path(tmp_path, "paper")
+        path.write_text(
+            json.dumps({"schema": SCHEMA_VERSION, "suite": "paper", "entries": [entry]})
+        )
+        history = load_history(path)
+        row = render_history(history).splitlines()[-1]
+        assert [c.strip() for c in row.split("|")][4:7] == ["1", "2/2", "0"]
+        assert latest_comparable(history, size="tiny") == entry
+
+
 def test_render_history_smoke(tmp_path):
     path = bench_path(tmp_path, "core")
     record_entry(path, "core", make_entry([make_result()], size="tiny", seed=0, trials=1))

@@ -96,9 +96,23 @@ class TestTinySmoke:
             for entry in data["entries"]:
                 for exp_id, exp in entry["experiments"].items():
                     for check in exp["checks"]:
-                        if not check["passed"]:
+                        if check["passed"] is False:
                             failures.append(f"{suite_id}/{exp_id}:{check['name']}")
         assert not failures
+
+    def test_checks_below_their_floor_record_skips(self, tiny_run):
+        # a skipped check is recorded as a skip (passed: null), never as a pass
+        _, results_dir = tiny_run
+        skipped, passed_skips = [], []
+        for suite_id in SUITES:
+            data = json.loads((results_dir / f"BENCH_{suite_id}.json").read_text())
+            for entry in data["entries"]:
+                for exp in entry["experiments"].values():
+                    for check in exp["checks"]:
+                        if check["detail"].startswith("skipped"):
+                            (skipped if check["passed"] is None else passed_skips).append(check)
+        assert skipped
+        assert not passed_skips
 
     def test_gate_passes_against_fresh_history(self, tiny_run, capsys):
         rc, results_dir = tiny_run
@@ -114,7 +128,10 @@ class TestTinySmoke:
             ]
         )
         assert gate_rc == 0
-        assert "gate passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "gate passed" in out
+        # the ablations' size-floored claims are skips: counted, not gated
+        assert "skipped (below their size floor, not gated):" in out
 
     def test_history_renders(self, tiny_run, capsys):
         _, results_dir = tiny_run

@@ -21,7 +21,7 @@ from repro.core import (
 from repro.core.config import PRESETS
 from repro.data.adversarial import dense_core_sparse_halo
 from repro.grid import GridIndex
-from repro.resilience import FaultPlan, FaultyExecutor, ForcedOverflow
+from repro.resilience import FaultPlan, FaultyExecutor, ForcedOverflow, RecoveryPolicy
 from repro.runtime import RuntimeConfig
 
 _EPS = 0.8
@@ -123,22 +123,22 @@ class TestBipartitePresets:
 class TestOverflowEquivalence:
     def _clamped(self, engine, *, times=1, cap=16) -> FaultyExecutor:
         return FaultyExecutor(
-            DeviceExecutor(seed=0, overflow_policy="retry", engine=engine),
+            DeviceExecutor(RuntimeConfig(engine=engine, recovery=RecoveryPolicy())),
             0,
             FaultPlan(overflows=[ForcedOverflow(0, times=times, clamp_capacity=cap)]),
         )
 
     def test_replan_on_raise_policy(self, index):
         # capacity honored: the vectorized engine must overflow exactly
-        # where the interpreter does, propagate under the "raise" policy,
-        # and the doubled re-plan must converge to the same answer
+        # where the interpreter does, propagate on a run without a recovery
+        # policy, and the doubled re-plan must converge to the same answer
         cfg = OptimizationConfig(
             pattern="lidunicomp", work_queue=True, k=2, batch_result_capacity=4000
         )
         results = []
         for engine in ("interpreted", "vectorized"):
             executor = FaultyExecutor(
-                DeviceExecutor(seed=0, engine=engine),
+                DeviceExecutor(RuntimeConfig(engine=engine)),
                 0,
                 FaultPlan(overflows=[ForcedOverflow(0, times=1, clamp_capacity=16)]),
             )

@@ -39,7 +39,6 @@ def test_full_sample_has_zero_stderr(uniform_index):
     assert d.sample_size == d.population
     assert d.stderr == 0.0
     assert d.confident
-    assert d.with_margin(3.0) == d.estimate
 
 
 def test_uniform_data_is_confident(uniform_index):
@@ -68,15 +67,6 @@ def test_head_mode_never_confident(skewed_index):
     strided = estimate_result_size_detailed(skewed_index, sample_fraction=0.05)
     assert not head.confident
     assert head.estimate >= strided.estimate  # the bias it exists for
-
-
-def test_with_margin_monotone(skewed_index):
-    d = estimate_result_size_detailed(skewed_index, sample_fraction=0.05)
-    margins = [d.with_margin(z) for z in (0.0, 1.0, 2.0, 4.0)]
-    assert margins[0] == d.estimate
-    assert margins == sorted(margins)
-    with pytest.raises(ValueError):
-        d.with_margin(-1.0)
 
 
 def test_degenerate_inputs():

@@ -32,7 +32,7 @@ def test_explicit_default_executor_is_identical(points):
     join = SelfJoin(runtime=RuntimeConfig(optimization=cfg, seed=4))
     implicit = join.execute_on_index(index)
     explicit = join.execute_on_index(
-        index, executor=DeviceExecutor(seed=4)
+        index, executor=DeviceExecutor(RuntimeConfig(seed=4))
     )
     assert implicit.pairs.tobytes() == explicit.pairs.tobytes()
     assert implicit.kernel_seconds == pytest.approx(explicit.kernel_seconds)
@@ -45,7 +45,9 @@ def test_executor_device_spec_changes_timing_not_answer(points):
     base = SelfJoin(cfg).execute_on_index(index)
     small = SelfJoin(cfg).execute_on_index(
         index,
-        executor=DeviceExecutor(DeviceSpec(name="small", num_sms=1, warps_per_sm_slot=2)),
+        executor=DeviceExecutor(
+            RuntimeConfig(device=DeviceSpec(name="small", num_sms=1, warps_per_sm_slot=2))
+        ),
     )
     assert np.array_equal(base.sorted_pairs(), small.sorted_pairs())
     # 2 warp slots instead of 112 must serialize the 8 warps of work

@@ -1,5 +1,6 @@
 """Batch-level overflow recovery inside the executor: geometric regrow,
-WORKQUEUE counter rollback, and waste accounting."""
+WORKQUEUE counter rollback, and waste accounting. It runs exactly when
+the runtime carries a recovery policy."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core import DeviceExecutor, OptimizationConfig, SelfJoin
-from repro.core.executor import OVERFLOW_POLICIES, OverflowRetry
+from repro.core.executor import MAX_OVERFLOW_RETRIES, OVERFLOW_GROWTH, OverflowRetry
 from repro.data.adversarial import dense_core_sparse_halo
 from repro.grid import GridIndex
-from repro.resilience import FaultPlan, FaultyExecutor, ForcedOverflow
+from repro.resilience import FaultPlan, FaultyExecutor, ForcedOverflow, RecoveryPolicy
+from repro.runtime import RuntimeConfig
+from repro.simt import GpuMachine
 
 _EPS = 0.8
 
@@ -18,6 +21,14 @@ _EPS = 0.8
 @pytest.fixture(scope="module")
 def points() -> np.ndarray:
     return dense_core_sparse_halo(220, 2, seed=23)
+
+
+def _plain() -> DeviceExecutor:
+    return DeviceExecutor(RuntimeConfig())
+
+
+def _healing() -> DeviceExecutor:
+    return DeviceExecutor(RuntimeConfig(recovery=RecoveryPolicy()))
 
 
 def _clamped(executor: DeviceExecutor, *, times=1, cap=8) -> FaultyExecutor:
@@ -28,25 +39,11 @@ def _clamped(executor: DeviceExecutor, *, times=1, cap=8) -> FaultyExecutor:
     )
 
 
-def test_policy_validation():
-    assert "retry" in OVERFLOW_POLICIES
-    with pytest.raises(ValueError):
-        DeviceExecutor(overflow_policy="panic")
-    with pytest.raises(ValueError):
-        DeviceExecutor(overflow_growth=1.0)
-    with pytest.raises(ValueError):
-        DeviceExecutor(max_overflow_retries=-1)
-    with pytest.raises(ValueError):
-        DeviceExecutor(overflow_backoff_seconds=-0.5)
-
-
 def test_retry_recovers_exact_result(points):
     index = GridIndex(points, _EPS)
     join = SelfJoin()
-    plain = join.execute_on_index(index, executor=DeviceExecutor(seed=0))
-    recovered = join.execute_on_index(
-        index, executor=_clamped(DeviceExecutor(seed=0, overflow_policy="retry"))
-    )
+    plain = join.execute_on_index(index, executor=_plain())
+    recovered = join.execute_on_index(index, executor=_clamped(_healing()))
     assert np.array_equal(plain.sorted_pairs(), recovered.sorted_pairs())
     assert recovered.overflow_retries > 0
 
@@ -58,12 +55,10 @@ def test_retry_rolls_back_workqueue_counter(points):
     cfg = OptimizationConfig(work_queue=True, pattern="lidunicomp")
     index = GridIndex(points, _EPS)
     join = SelfJoin(cfg)
-    plain = join.execute_on_index(index, executor=DeviceExecutor(seed=0))
+    plain = join.execute_on_index(index, executor=_plain())
     recovered = join.execute_on_index(
         index,
-        executor=_clamped(
-            DeviceExecutor(seed=0, overflow_policy="retry"), times=2, cap=16
-        ),
+        executor=_clamped(_healing(), times=2, cap=16),
     )
     assert recovered.overflow_retries > 0
     assert np.array_equal(plain.sorted_pairs(), recovered.sorted_pairs())
@@ -72,70 +67,54 @@ def test_retry_rolls_back_workqueue_counter(points):
 def test_retry_accounts_wasted_time(points):
     index = GridIndex(points, _EPS)
     join = SelfJoin()
-    plain = join.execute_on_index(index, executor=DeviceExecutor(seed=0))
-    recovered = join.execute_on_index(
-        index, executor=_clamped(DeviceExecutor(seed=0, overflow_policy="retry"))
-    )
+    plain = join.execute_on_index(index, executor=_plain())
+    recovered = join.execute_on_index(index, executor=_clamped(_healing()))
     assert recovered.overflow_wasted_seconds > 0
     # failed attempts inflate the response time — waste is charged, not free
     assert recovered.total_seconds > plain.total_seconds
 
 
-def test_backoff_adds_to_waste(points):
-    index = GridIndex(points, _EPS)
-    join = SelfJoin()
-    quick = join.execute_on_index(
-        index, executor=_clamped(DeviceExecutor(seed=0, overflow_policy="retry"))
-    )
-    slow = join.execute_on_index(
-        index,
-        executor=_clamped(
-            DeviceExecutor(
-                seed=0, overflow_policy="retry", overflow_backoff_seconds=1.0
-            )
-        ),
-    )
-    assert slow.overflow_retries == quick.overflow_retries
-    assert slow.overflow_wasted_seconds == pytest.approx(
-        quick.overflow_wasted_seconds + quick.overflow_retries * 1.0
-    )
-
-
-def test_bounded_retries_give_up(points):
+def test_bounded_retries_give_up(points, monkeypatch):
     """An overflow the growth can't fix within the budget must surface,
     not loop forever."""
     index = GridIndex(points, _EPS)
     join = SelfJoin()
-    executor = _clamped(
-        DeviceExecutor(
-            seed=0,
-            overflow_policy="retry",
-            overflow_growth=1.001,
-            max_overflow_retries=2,
-        ),
-        cap=2,
-    )
-    # the executor gives up after 2 attempts; SelfJoin's replan loop then
-    # doubles the estimate, but the clamp stays (times=1 budget already
-    # spent), so the second plan succeeds — exercising both layers
-    result = join.execute_on_index(index, executor=executor)
-    assert result.num_pairs == join.execute_on_index(
-        index, executor=DeviceExecutor(seed=0)
-    ).num_pairs
+    plain = join.execute_on_index(index, executor=_plain())
+    # one batch holds every pair, more than a 1-pair buffer grown
+    # OVERFLOW_GROWTH-fold MAX_OVERFLOW_RETRIES times can take
+    assert plain.num_batches == 1
+    assert plain.num_pairs > OVERFLOW_GROWTH**MAX_OVERFLOW_RETRIES
+    capacities = []
+    launch = GpuMachine.launch
+
+    def recording_launch(self, *args, result_buffer, **kw):
+        capacities.append(result_buffer.capacity)
+        return launch(self, *args, result_buffer=result_buffer, **kw)
+
+    monkeypatch.setattr(GpuMachine, "launch", recording_launch)
+    # the executor gives up after its retries; SelfJoin's replan loop then
+    # doubles the estimate, and the clamp is spent (times=1), so the second
+    # plan runs unclamped — exercising both layers
+    result = join.execute_on_index(index, executor=_clamped(_healing(), cap=1))
+    grown = [OVERFLOW_GROWTH**a for a in range(MAX_OVERFLOW_RETRIES + 1)]
+    unclamped = [OptimizationConfig().batch_result_capacity] * result.num_batches
+    assert capacities == grown + unclamped
+    assert result.overflow_retries == 0
+    assert np.array_equal(result.sorted_pairs(), plain.sorted_pairs())
 
 
 def test_raise_policy_is_default_and_propagates(points):
     index = GridIndex(points, _EPS)
     join = SelfJoin()
-    executor = DeviceExecutor(seed=0)
-    assert executor.overflow_policy == "raise"
-    # under "raise", recovery happens one layer up (SelfJoin re-plans) and
-    # no batch-level retries are recorded
+    executor = _plain()
+    assert not executor.retry_overflows
+    # without a recovery policy, recovery happens one layer up (SelfJoin
+    # re-plans) and no batch-level retries are recorded
     result = join.execute_on_index(index, executor=_clamped(executor))
     assert result.overflow_retries == 0
     assert np.array_equal(
         result.sorted_pairs(),
-        join.execute_on_index(index, executor=DeviceExecutor(seed=0)).sorted_pairs(),
+        join.execute_on_index(index, executor=_plain()).sorted_pairs(),
     )
 
 

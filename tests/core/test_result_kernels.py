@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.core import PRESETS, SelfJoin
+from repro.core import JoinResult, SelfJoin
 from repro.core.kernels import KernelArgs, selfjoin_kernel
 from repro.grid import GridIndex
 from repro.runtime import RuntimeConfig
 from repro.simt import AtomicCounter, DeviceSpec, GpuMachine, ResultBuffer
+from repro.simt.streams import PipelineResult
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,46 @@ class TestJoinResult:
         res, pts = small_result
         assert res.num_points == len(pts)
         assert res.selectivity == res.num_pairs / len(pts)
+
+
+def _hand_built(pairs: np.ndarray) -> JoinResult:
+    return JoinResult(
+        pairs=pairs,
+        epsilon=1.0,
+        num_points=int(pairs.max()) + 1 if len(pairs) else 0,
+        batch_stats=[],
+        pipeline=PipelineResult(0.0, np.zeros(0), np.zeros(0), np.zeros(0)),
+    )
+
+
+def _lexsorted(pairs: np.ndarray) -> np.ndarray:
+    """The two-key lexsort the canonical order used before its one-key sort."""
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+# a few small ids make duplicate rows likely
+_ids = st.one_of(st.integers(0, 3), st.integers(0, 2**31 - 1))
+
+
+@given(
+    rows=st.lists(st.tuples(_ids, _ids), max_size=300),
+    dtype=st.sampled_from([np.int64, np.int32]),
+)
+@example(rows=[], dtype=np.int64)
+@example(rows=[], dtype=np.int32)
+@example(rows=[(2, 1), (0, 3), (2, 1), (0, 0)], dtype=np.int32)
+def test_canonical_order_matches_lexsort(rows, dtype):
+    pairs = np.array(rows, dtype=dtype).reshape(-1, 2)
+    result = _hand_built(pairs)
+    expected = _lexsorted(pairs)
+    got = result.sorted_pairs()
+    assert got.dtype == pairs.dtype
+    assert got.tobytes() == expected.tobytes()
+    assert result.canonical_pairs().tobytes() == expected.tobytes()
+    lists = result.neighbor_lists()
+    assert sorted(lists) == sorted(set(pairs[:, 0].tolist()))
+    for q, nbs in lists.items():
+        assert nbs.tolist() == expected[expected[:, 0] == q, 1].tolist()
 
 
 class TestKernelArgs:

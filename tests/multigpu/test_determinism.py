@@ -75,10 +75,10 @@ def test_random_issue_order_is_seeded_per_device(points):
 
 def test_explicit_pool_reuse_is_deterministic(points):
     """Reusing one DevicePool across runs must not leak state between them."""
-    pool = DevicePool(2, seed=3)
     rt = RuntimeConfig(
         optimization=OptimizationConfig(work_queue=True), sharding=ShardingConfig(num_devices=2)
     )
+    pool = DevicePool(rt.with_(seed=3))
     plan = compile_self_join(GridIndex(points, _EPS), rt)
     first = Runner(pool=pool).run(plan)
     second = Runner(pool=pool).run(plan)

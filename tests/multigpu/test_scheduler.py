@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.multigpu import DevicePool, HostScheduler, Shard, ShardPlan
+from repro.runtime import RuntimeConfig, ShardingConfig
 from repro.simt import DeviceSpec
 
 
@@ -15,6 +16,10 @@ from repro.simt import DeviceSpec
 class _StubResult:
     total_seconds: float
     num_pairs: int = 0
+
+
+def _pool(num_devices: int) -> DevicePool:
+    return DevicePool(RuntimeConfig(sharding=ShardingConfig(num_devices=num_devices)))
 
 
 def _plan(works):
@@ -33,7 +38,7 @@ def _runner(seconds_by_shard):
 
 
 def test_static_round_robin_assignment():
-    pool = DevicePool(2)
+    pool = _pool(2)
     plan = _plan([4, 3, 2, 1])
     results, trace = HostScheduler(pool, "static").run(
         plan, _runner({0: 4.0, 1: 3.0, 2: 2.0, 3: 1.0})
@@ -50,7 +55,7 @@ def test_static_round_robin_assignment():
 
 
 def test_dynamic_dispatches_most_work_first():
-    pool = DevicePool(2)
+    pool = _pool(2)
     plan = _plan([1, 10, 5, 7])  # estimated work
     seen = []
 
@@ -64,7 +69,7 @@ def test_dynamic_dispatches_most_work_first():
 
 def test_dynamic_steals_onto_free_device():
     """One long shard pins a device; the other device drains the rest."""
-    pool = DevicePool(2)
+    pool = _pool(2)
     plan = _plan([100, 1, 1, 1])  # dispatch order: 0 first
     results, trace = HostScheduler(pool, "dynamic").run(
         plan, _runner({0: 100.0, 1: 1.0, 2: 1.0, 3: 1.0})
@@ -82,7 +87,7 @@ def test_dynamic_steals_onto_free_device():
 
 
 def test_trace_event_times_are_consistent():
-    pool = DevicePool(3)
+    pool = _pool(3)
     plan = _plan([3, 2, 2, 1, 1])
     secs = {i: float(s.estimated_work) for i, s in enumerate(plan.shards)}
     _, trace = HostScheduler(pool, "dynamic").run(plan, _runner(secs))
@@ -102,7 +107,7 @@ def test_trace_event_times_are_consistent():
 def test_heterogeneous_pool_is_allowed():
     fast = DeviceSpec(name="fast")
     slow = DeviceSpec(name="slow", clock_hz=0.65e9)
-    pool = DevicePool(specs=[fast, slow])
+    pool = DevicePool(RuntimeConfig(sharding=ShardingConfig()), specs=[fast, slow])
     assert pool.num_devices == 2
     assert pool[0].spec.name == "fast"
     assert pool[1].executor.device.name == "slow"
@@ -110,8 +115,8 @@ def test_heterogeneous_pool_is_allowed():
 
 def test_invalid_mode_and_pool_args():
     with pytest.raises(ValueError, match="unknown schedule mode"):
-        HostScheduler(DevicePool(1), "adaptive")
+        HostScheduler(_pool(1), "adaptive")
     with pytest.raises(ValueError, match="num_devices"):
-        DevicePool(0)
+        _pool(0)
     with pytest.raises(ValueError, match="at least one device"):
-        DevicePool(specs=[])
+        DevicePool(RuntimeConfig(sharding=ShardingConfig()), specs=[])

@@ -15,12 +15,17 @@ from repro.multigpu import (
     ShardPlan,
 )
 from repro.resilience import DeviceLostError, RecoveryPolicy, TransientKernelError
+from repro.runtime import RuntimeConfig, ShardingConfig
 
 
 @dataclass
 class _StubResult:
     total_seconds: float
     num_pairs: int = 0
+
+
+def _pool(num_devices: int) -> DevicePool:
+    return DevicePool(RuntimeConfig(sharding=ShardingConfig(num_devices=num_devices)))
 
 
 def _plan(works):
@@ -41,7 +46,7 @@ def _runner(seconds_by_shard):
 @pytest.mark.parametrize("mode", ["static", "dynamic"])
 @pytest.mark.parametrize("recovery", [None, RecoveryPolicy()])
 def test_empty_shard_plan(mode, recovery):
-    pool = DevicePool(2)
+    pool = _pool(2)
     results, trace = HostScheduler(pool, mode, recovery=recovery).run(
         _plan([]), _runner({})
     )
@@ -53,7 +58,7 @@ def test_empty_shard_plan(mode, recovery):
 
 @pytest.mark.parametrize("mode", ["static", "dynamic"])
 def test_single_device_pool_serializes(mode):
-    pool = DevicePool(1)
+    pool = _pool(1)
     plan = _plan([3, 1, 2])
     results, trace = HostScheduler(pool, mode).run(
         plan, _runner({0: 3.0, 1: 1.0, 2: 2.0})
@@ -67,7 +72,7 @@ def test_single_device_pool_serializes(mode):
 
 
 def test_many_more_shards_than_devices():
-    pool = DevicePool(2)
+    pool = _pool(2)
     works = list(range(10, 0, -1))
     plan = _plan(works)
     seconds = {i: float(w) for i, w in enumerate(works)}
@@ -85,7 +90,7 @@ def test_signature_deterministic_under_requeue():
     the lost-attempt event and the requeue target."""
 
     def build():
-        pool = DevicePool(3)
+        pool = _pool(3)
         calls = {"n": 0}
 
         def run_shard(device, shard):
@@ -113,7 +118,7 @@ def test_signature_deterministic_under_requeue():
 def test_static_mode_fails_over_preassignment():
     """Static recovery keeps the i % N pre-assignment but skips dead
     devices deterministically."""
-    pool = DevicePool(2)
+    pool = _pool(2)
 
     def run_shard(device, shard):
         if device.device_id == 0 and device.health.shards_started == 1:
@@ -130,7 +135,7 @@ def test_static_mode_fails_over_preassignment():
 
 
 def test_recovery_none_trace_has_no_recovery_log():
-    pool = DevicePool(2)
+    pool = _pool(2)
     _, trace = HostScheduler(pool, "dynamic").run(
         _plan([2, 1]), _runner({0: 2.0, 1: 1.0})
     )
@@ -144,7 +149,7 @@ def test_recovery_none_trace_has_no_recovery_log():
 def test_recovery_none_reraises_device_faults(mode, error):
     """Without a policy a device fault ends the run where it happened:
     no requeue onto the other device, no retry on the same one."""
-    pool = DevicePool(2)
+    pool = _pool(2)
     dispatched = []
 
     def run_shard(device, shard):

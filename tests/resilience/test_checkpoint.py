@@ -35,7 +35,6 @@ from repro.runtime import runner as runner_module
 from repro.runtime import (
     CheckpointConfig,
     DeadlineExceededError,
-    ProfilingOptions,
     Runner,
     RuntimeConfig,
     ShardingConfig,
@@ -81,7 +80,6 @@ class TestFingerprint:
             _pooled(
                 fault_plan=FaultPlan(crashes=(CrashPoint(at_shard=1),)),
                 checkpoint=CheckpointConfig(directory=str(tmp_path)),
-                profiling=ProfilingOptions(keep_fragments=True),
             ),
         )
         assert run_fingerprint(clean) == run_fingerprint(noisy)

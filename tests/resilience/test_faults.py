@@ -15,11 +15,12 @@ from repro.resilience import (
     FaultPlan,
     FaultyExecutor,
     ForcedOverflow,
+    RecoveryPolicy,
     Straggler,
     TransientFaults,
     TransientKernelError,
 )
-from repro.simt import CostParams, DeviceSpec
+from repro.runtime import RuntimeConfig
 
 _EPS = 0.8
 
@@ -30,7 +31,7 @@ def points() -> np.ndarray:
 
 
 def _executor(**kw) -> DeviceExecutor:
-    return DeviceExecutor(DeviceSpec(), CostParams(), seed=0, **kw)
+    return DeviceExecutor(RuntimeConfig(**kw))
 
 
 # ---------------------------------------------------------------- plans
@@ -182,7 +183,7 @@ class TestFaultyExecutor:
         join = SelfJoin()
         plain = join.execute_on_index(index, executor=_executor())
         fx = FaultyExecutor(
-            _executor(overflow_policy="retry"),
+            _executor(recovery=RecoveryPolicy()),
             0,
             FaultPlan(overflows=[ForcedOverflow(0, times=1, clamp_capacity=8)]),
         )

@@ -2,11 +2,14 @@
 
 The one-cycle shims (``engine=``, ``executor=``, ``fault_plan=``,
 ``recovery=`` on the facades, and ``repro.runtime.shim``), the kwargs
-that mirrored ``RuntimeConfig`` fields, the attributes that re-exported
-them and the pooled ``MultiGpu*`` facades were removed; these tests pin
-the end state — the removed spellings raise, and the supported spellings
-(``runtime=RuntimeConfig(...)`` and a ``RuntimeConfig`` in the config
-slot) carry every knob, pooled or not, readable as ``join.runtime``.
+that mirrored ``RuntimeConfig`` fields (on the facades, the executor and
+the device pool), the attributes that re-exported them, the knobs only
+tests set (``OverflowConfig``, ``ProfilingOptions``,
+``estimate_safety_z``) and the pooled ``MultiGpu*`` facades were
+removed; these tests pin the end state — the removed spellings raise,
+and the supported spellings (``runtime=RuntimeConfig(...)`` and a
+``RuntimeConfig`` in the config slot) carry every knob, pooled or not,
+readable as ``join.runtime``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ def points(n=80, seed=0):
         (SimilarityJoin, {"device": DeviceSpec()}),
         (SimilarityJoin, {"costs": CostParams()}),
         (SimilarityJoin, {"seed": 1}),
+        (DeviceExecutor, {"seed": 0}),
+        (DeviceExecutor, {"engine": "vectorized", "overflow_policy": "retry"}),
+        (DevicePool, {"num_devices": 2}),
+        (RuntimeConfig, {"estimate_safety_z": 2.0}),
+        (RuntimeConfig, {"overflow": None}),
+        (RuntimeConfig, {"profiling": None}),
     ],
     ids=lambda p: getattr(p, "__name__", None) or "+".join(sorted(p)),
 )
@@ -70,6 +79,20 @@ def test_shim_module_is_gone():
 def test_pooled_facades_are_gone():
     with pytest.raises(ImportError):
         from repro import MultiGpuSelfJoin  # noqa: F401
+
+
+def test_test_only_configs_are_gone():
+    with pytest.raises(ImportError):
+        from repro import OverflowConfig  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro import ProfilingOptions  # noqa: F401
+
+
+def test_pool_takes_a_runtime_config():
+    with pytest.raises(TypeError, match="RuntimeConfig"):
+        DevicePool(2)
+    pool = DevicePool(RuntimeConfig(sharding=ShardingConfig(num_devices=3), seed=4))
+    assert [d.executor.seed for d in pool] == [4, 5, 6]
 
 
 # ------------------------------------------------- supported spellings
@@ -108,7 +131,7 @@ def test_executor_moves_to_execute_on_index():
     index = GridIndex(pts, 0.7)
     default = SelfJoin(cfg).execute_on_index(index)
     explicit = SelfJoin(cfg).execute_on_index(
-        index, executor=DeviceExecutor(seed=0)
+        index, executor=DeviceExecutor(RuntimeConfig())
     )
     np.testing.assert_array_equal(
         default.sorted_pairs(), explicit.sorted_pairs()
@@ -127,8 +150,7 @@ def test_fault_plan_and_recovery_ride_the_runtime():
     assert join.runtime.fault_plan == plan
     # the fault plan implies the default recovery policy
     assert join.runtime.recovery == RecoveryPolicy()
-    assert join.runtime.overflow_policy == "retry"
-    assert DevicePool.from_runtime(join.runtime)[0].executor.overflow_policy == "retry"
+    assert DevicePool(join.runtime)[0].executor.retry_overflows
 
 
 def test_recovery_via_runtime_on_bipartite_facade():
@@ -139,7 +161,7 @@ def test_recovery_via_runtime_on_bipartite_facade():
         )
     )
     assert join.runtime.recovery == RecoveryPolicy(max_shard_attempts=5)
-    assert join.runtime.overflow_policy == "retry"
+    assert DevicePool(join.runtime)[0].executor.retry_overflows
 
 
 def test_knobs_are_read_from_the_runtime():

@@ -167,7 +167,7 @@ class TestBipartitePrepare:
         op = BipartiteOp(points[::2] + 0.013)
         subset = np.random.default_rng(2).permutation(len(op.queries))[:40] if sharded else None
         cfg = PRESETS[preset]
-        prep = op.prepare(index, cfg, subset=subset, safety_z=0.0)
+        prep = op.prepare(index, cfg, subset=subset)
         order, estimate, weights = _prepare_quantifying_every_query(op, index, cfg, subset)
         assert prep.order.tobytes() == order.tobytes()
         assert prep.estimate == estimate

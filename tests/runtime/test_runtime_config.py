@@ -8,8 +8,6 @@ import pytest
 from repro import (
     PRESETS,
     JoinPlan,
-    OverflowConfig,
-    ProfilingOptions,
     Runner,
     RuntimeConfig,
     SelfJoin,
@@ -17,6 +15,7 @@ from repro import (
     compile_self_join,
     compile_similarity_join,
 )
+from repro.core.executor import DeviceExecutor
 from repro.grid import GridIndex
 from repro.multigpu import DevicePool, MultiJoinResult
 from repro.resilience import FaultPlan, RecoveryPolicy
@@ -49,11 +48,7 @@ def test_rejects_unknown_engine_and_replay_mode():
         RuntimeConfig(replay_mode="exact")
 
 
-def test_rejects_bad_overflow_and_sharding_values():
-    with pytest.raises(ValueError, match="overflow policy"):
-        OverflowConfig(policy="explode")
-    with pytest.raises(ValueError, match="growth"):
-        OverflowConfig(growth=1.0)
+def test_rejects_bad_sharding_values():
     with pytest.raises(ValueError, match="planner"):
         ShardingConfig(planner="round_robin")
     with pytest.raises(ValueError, match="schedule"):
@@ -63,21 +58,13 @@ def test_rejects_bad_overflow_and_sharding_values():
 
 
 def test_overflow_policy_resolution_tracks_recovery():
-    assert RuntimeConfig().overflow_policy == "raise"
-    assert (
-        RuntimeConfig(
-            sharding=ShardingConfig(), recovery=RecoveryPolicy()
-        ).overflow_policy
-        == "retry"
-    )
-    # explicit policy wins over the auto rule
-    assert (
-        RuntimeConfig(
-            overflow=OverflowConfig(policy="raise"),
-            sharding=ShardingConfig(),
-            recovery=RecoveryPolicy(),
-        ).overflow_policy
-        == "raise"
+    # batch-level overflow retry runs exactly when the run can heal
+    assert not DeviceExecutor(RuntimeConfig()).retry_overflows
+    assert DeviceExecutor(RuntimeConfig(recovery=RecoveryPolicy())).retry_overflows
+    pooled = RuntimeConfig(sharding=ShardingConfig(), recovery=RecoveryPolicy())
+    assert all(d.executor.retry_overflows for d in DevicePool(pooled))
+    assert not any(
+        d.executor.retry_overflows for d in DevicePool(pooled.with_(recovery=None))
     )
 
 
@@ -178,7 +165,7 @@ def test_runner_accepts_explicit_pool():
         optimization=PRESETS["combined"], sharding=ShardingConfig(num_devices=2)
     )
     plan = compile_self_join(idx, rt)
-    result = Runner(pool=DevicePool.from_runtime(rt)).run(plan)
+    result = Runner(pool=DevicePool(rt)).run(plan)
     np.testing.assert_array_equal(
         result.sorted_pairs(), Runner().run(plan).sorted_pairs()
     )
@@ -192,7 +179,7 @@ def test_runner_rejects_pool_of_another_size(tmp_path):
         checkpoint=CheckpointConfig(directory=str(journal_dir)),
     )
     plan = compile_self_join(index(), rt)
-    runner = Runner(pool=DevicePool(3))
+    runner = Runner(pool=DevicePool(rt.with_(sharding=ShardingConfig(num_devices=3))))
     with pytest.raises(ValueError, match="pool has 3 devices .* compiled for 2"):
         runner.run(plan)
     assert not journal_dir.exists()
@@ -207,7 +194,7 @@ def test_single_device_fault_plan_wraps_executor():
     )
     rt = RuntimeConfig(
         optimization=PRESETS["combined"],
-        overflow=OverflowConfig(policy="retry"),
+        recovery=RecoveryPolicy(),
         fault_plan=plan_cfg,
     )
     faulted = Runner().run(compile_self_join(idx, rt))
@@ -216,17 +203,6 @@ def test_single_device_fault_plan_wraps_executor():
     )
     assert faulted.overflow_retries > 0
     np.testing.assert_array_equal(faulted.sorted_pairs(), clean.sorted_pairs())
-
-
-def test_keep_trace_off_drops_trace_keeps_stats():
-    rt = RuntimeConfig(
-        optimization=PRESETS["combined"],
-        sharding=ShardingConfig(num_devices=2),
-        profiling=ProfilingOptions(keep_trace=False),
-    )
-    result = Runner().run(compile_self_join(index(), rt))
-    assert result.trace is None
-    assert result.pool_stats is not None
 
 
 def test_facade_compile_returns_plan():
@@ -239,4 +215,4 @@ def test_facade_compile_returns_plan():
 
 def test_pool_from_runtime_requires_sharding():
     with pytest.raises(ValueError, match="sharding"):
-        DevicePool.from_runtime(RuntimeConfig())
+        DevicePool(RuntimeConfig())

@@ -9,7 +9,6 @@ import pytest
 
 from repro import (
     PRESETS,
-    ProfilingOptions,
     Runner,
     RuntimeConfig,
     SelfJoin,
@@ -102,10 +101,9 @@ def test_runner_stream_yields_result_blocks():
 
 
 def test_keep_fragments_off_sheds_blocks():
-    rt = RuntimeConfig(
-        optimization=PRESETS["combined"],
-        profiling=ProfilingOptions(keep_fragments=False),
-    )
+    # pooled shards run without fragments (the journal stores one copy of
+    # the pairs), and the merged result has no per-batch blocks either
+    rt = RuntimeConfig(optimization=PRESETS["combined"], sharding=ShardingConfig(num_devices=2))
     result = SelfJoin(rt).execute(points(), 0.7)
     assert result.fragments is None
     # iter_pairs still streams, backed by the materialized pairs
