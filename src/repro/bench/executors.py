@@ -741,7 +741,7 @@ def run_native(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> Expe
             )
         vec, nat = results["vectorized"], results["native"]
         problems = []
-        if not np.array_equal(nat.canonical_pairs(), vec.canonical_pairs()):
+        if not np.array_equal(nat.sorted_pairs(), vec.sorted_pairs()):
             problems.append("canonical pair sets diverge")
         if nat.fidelity != "none":
             problems.append(f"native fidelity {nat.fidelity!r} != 'none'")
@@ -758,7 +758,7 @@ def run_native(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> Expe
         native_seconds += timings["native"]
         metrics["presets"][variant.preset] = {
             "num_pairs": int(len(nat.pairs)),
-            "checksum": _pairs_checksum(nat.canonical_pairs()),
+            "checksum": _pairs_checksum(nat.sorted_pairs()),
         }
         ctx.note(
             f"{exp.exp_id}: {variant.preset} {len(nat.pairs)} pairs, "
@@ -1221,7 +1221,7 @@ def run_checkpoint(suite: BenchSuite, exp: BenchExperiment, ctx: RunContext) -> 
     repeats = ctx.effective_trials()
     golden_plan = compile_kind(_pooled())
     golden, golden_wall = _timed(lambda: Runner().run(golden_plan), repeats)
-    num_shards = len(golden_plan.shard_stage.plan.shards)
+    num_shards = len(golden_plan.shard_plan.shards)
 
     checks: list[CheckResult] = []
     wall_t0 = time.perf_counter()

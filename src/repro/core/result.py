@@ -180,18 +180,13 @@ class JoinResult:
             yield pending[0] if len(pending) == 1 else np.concatenate(pending)
 
     def sorted_pairs(self) -> np.ndarray:
-        """Pairs in lexicographic order — canonical form for comparisons
-        (one key sort, :func:`merge_pairs`; the pairs' dtype is kept)."""
+        """Pairs in lexicographic order — the canonical form for comparisons.
+
+        Engines and shard layouts emit pairs in different buffer orders;
+        two results answer the same join iff their sorted pairs are
+        array-equal. One key sort (:func:`merge_pairs`); the pairs' dtype
+        is kept.
+        """
         if self.num_pairs == 0:
             return self.pairs
         return merge_pairs([self.pairs]).astype(self.pairs.dtype, copy=False)
-
-    def canonical_pairs(self) -> np.ndarray:
-        """The result set in a stable lexicographic order.
-
-        Engines and shard layouts emit pairs in different buffer orders;
-        two results answer the same join iff their canonical forms are
-        array-equal. This is the comparison form used by the cross-engine
-        equivalence tests and the ``native`` bench suite.
-        """
-        return self.sorted_pairs()

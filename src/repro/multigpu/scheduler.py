@@ -32,10 +32,11 @@ injected (or genuine) device faults:
   and raising :class:`~repro.resilience.faults.AllDevicesLostError` only
   when none remain;
 - :class:`~repro.resilience.faults.TransientKernelError` retries on the
-  same device (bounded, with simulated backoff), then requeues elsewhere;
+  same device (at most :data:`MAX_TRANSIENT_RETRIES` times), then
+  requeues elsewhere;
 - in dynamic mode, once the queue drains, the latest-finishing shard is
   checked against the straggler criterion (duration above
-  ``straggler_threshold ×`` the median) and speculatively re-executed on
+  :data:`STRAGGLER_THRESHOLD` × the median) and speculatively re-executed on
   an idle device: the first result wins, the loser is cancelled at the
   winner's finish time, and the loser's spend is recorded as waste.
 
@@ -85,6 +86,16 @@ EVENT_KINDS = ("run", "transient", "lost", "preempted", "speculative", "cancelle
 
 #: Event kinds whose result actually contributed pairs/kernel time.
 PRODUCTIVE_KINDS = ("run", "speculative")
+
+#: Retries of a transiently failed shard on the same device before it
+#: is requeued onto a different one.
+MAX_TRANSIENT_RETRIES = 2
+#: A completed shard is a straggler when its duration exceeds this many
+#: times the median shard duration.
+STRAGGLER_THRESHOLD = 1.5
+#: Speculate only when the idle device could beat the straggler's
+#: finish by more than this many simulated seconds.
+SPECULATION_MIN_BENEFIT_SECONDS = 0.0
 
 
 @dataclass(frozen=True)
@@ -341,7 +352,7 @@ class HostScheduler:
             except TransientKernelError as e:
                 if policy is None:
                     raise
-                wasted = float(e.wasted_seconds) + policy.transient_backoff_seconds
+                wasted = float(e.wasted_seconds)
                 end = start + wasted
                 state.clocks[d] = end
                 state.events.append(
@@ -354,7 +365,7 @@ class HostScheduler:
                     TransientRecord(sid, d, attempts_on_device, wasted)
                 )
                 attempts_on_device += 1
-                if attempts_on_device > policy.max_transient_retries:
+                if attempts_on_device > MAX_TRANSIENT_RETRIES:
                     nd = self._next_device(exclude=d, state=state)
                     if nd != d:
                         state.log.requeues.append(
@@ -393,7 +404,7 @@ class HostScheduler:
             # the latest-finishing shard is the tail; ties to lowest shard id
             idx, tail = max(candidates, key=lambda kv: (kv[1].end_seconds, -kv[1].shard_id))
             tried.add(tail.shard_id)
-            if median <= 0 or tail.duration_seconds <= policy.straggler_threshold * median:
+            if median <= 0 or tail.duration_seconds <= STRAGGLER_THRESHOLD * median:
                 return
             # the tail must still be the last thing on its device, or a
             # cancelled copy already occupies it later and preemption would
@@ -405,7 +416,7 @@ class HostScheduler:
                 return
             b = min(backups, key=lambda d: (state.clocks[d], d))
             t0 = float(state.clocks[b])
-            if tail.end_seconds - t0 <= policy.speculation_min_benefit_seconds:
+            if tail.end_seconds - t0 <= SPECULATION_MIN_BENEFIT_SECONDS:
                 return
             shard = plan.shards[tail.shard_id]
             self.pool[b].health.shards_started += 1

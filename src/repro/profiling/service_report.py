@@ -3,7 +3,7 @@
 The per-run reports profile one join; this report profiles the *service*
 around the joins: queue latency percentiles, session-cache hit rate,
 per-tenant throughput (requests, result rows, simulated device-seconds),
-and the utilization of the shared device pool across every pooled run.
+and the device utilization of every pooled run.
 
 Like the other profiling reports it is duck-typed: built from any object
 with a ``snapshot()`` returning the plain accounting dict
@@ -196,8 +196,8 @@ class ServiceReport:
         ]
         if self.pooled_runs:
             lines.append(
-                f"shared pool ({self.pool_devices} devices): {self.pooled_runs} "
-                f"pooled runs, utilization {100 * self.pool_utilization:.1f}%"
+                f"pooled runs: {self.pooled_runs} on {self.pool_devices} devices "
+                f"each, utilization {100 * self.pool_utilization:.1f}%"
             )
         if self.checkpoint_writes or self.checkpoint_loads:
             lines.append(

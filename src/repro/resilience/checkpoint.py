@@ -4,14 +4,16 @@ A crashed process (OOM kill, service restart, ``CrashPoint`` in a fault
 plan) loses everything the paper's batching scheme worked to produce
 incrementally. This module makes the increments durable: the
 :class:`~repro.runtime.runner.Runner` opens a :class:`RunJournal` when
-its plan carries a :class:`~repro.runtime.plan.CheckpointStage` and
-persists each shard's :class:`~repro.core.result.JoinResult` the moment
-it completes (atomic ``.npz`` fragments via
-:mod:`repro.io.checkpoints`). ``Runner.resume`` replays the same
-schedule but answers completed shards from the journal — the merged
-result is **bit-identical** (pair bytes, trace signature) to the
-uninterrupted run because shard execution is deterministic and the merge
-is execution-order independent.
+its plan's config carries a
+:class:`~repro.runtime.config.CheckpointConfig`, keys it by the plan's
+``fingerprint`` (:func:`run_fingerprint`, computed when the plan
+compiles) and persists each shard's
+:class:`~repro.core.result.JoinResult` the moment it completes (atomic
+``.npz`` fragments via :mod:`repro.io.checkpoints`). ``Runner.resume``
+replays the same schedule but answers completed shards from the journal
+— the merged result is **bit-identical** (pair bytes, trace signature)
+to the uninterrupted run because shard execution is deterministic and
+the merge is execution-order independent.
 
 Identity
 --------

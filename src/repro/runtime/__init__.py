@@ -8,12 +8,13 @@ The plan/compile/execute split of the codebase:
 - :mod:`repro.runtime.ops` holds one declarative strategy per
   operation (``self``, ``bipartite``, ``knn``), and the generic
   ``compile_join(op, index, runtime)`` turns any of them into a
-  declarative :class:`JoinPlan` (index build → op planning stages →
-  shard plan → batch launches → merge), with resilience and
-  checkpointing applied as plan transforms; ``compile_self_join`` /
+  :class:`JoinPlan`: the op, index and config, plus what compiling
+  computes (a pooled run's shard plan, a checkpointed run's journal
+  fingerprint, the result description); ``compile_self_join`` /
   ``compile_similarity_join`` / ``compile_knn_join`` are thin
   op-constructing wrappers;
-- one :class:`Runner` executes any plan, on a lone
+- one :class:`Runner` executes any plan, reading every execution knob
+  from its config, on a lone
   :class:`~repro.core.executor.DeviceExecutor` or a
   :class:`~repro.multigpu.pool.DevicePool` — single-device is simply the
   one-shard case, and the kNN driver loop runs its per-round sub-plans
@@ -43,18 +44,8 @@ from repro.runtime.ops import (
     default_knn_epsilon,
 )
 from repro.runtime.plan import (
-    CheckpointStage,
-    EstimateStage,
     ExpansionStage,
-    IndexStage,
     JoinPlan,
-    LaunchStage,
-    MergeStage,
-    NativeLaunchStage,
-    ResilienceStage,
-    ShardStage,
-    apply_checkpoint,
-    apply_resilience,
     compile_join,
     compile_knn_join,
     compile_self_join,
@@ -68,27 +59,17 @@ __all__ = [
     "RUNTIME_ENGINES",
     "BipartiteOp",
     "CheckpointConfig",
-    "CheckpointStage",
     "DeadlineExceededError",
-    "EstimateStage",
     "ExpansionStage",
-    "IndexStage",
     "JoinOp",
     "JoinPlan",
     "KnnConvergenceError",
     "KnnJoinOp",
     "KnnResult",
-    "LaunchStage",
-    "MergeStage",
-    "NativeLaunchStage",
-    "ResilienceStage",
     "Runner",
     "RuntimeConfig",
     "SelfJoinOp",
-    "ShardStage",
     "ShardingConfig",
-    "apply_checkpoint",
-    "apply_resilience",
     "compile_join",
     "compile_knn_join",
     "compile_self_join",

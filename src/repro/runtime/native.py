@@ -73,8 +73,9 @@ from repro.simt.streams import PipelineResult
 __all__ = ["NATIVE_CHUNK_PAIRS", "execute_shard_native"]
 
 #: candidate pairs refined per block by every native pass — the
-#: self-join and the bipartite sweep (similarity joins and kNN rounds) —
-#: recorded in the plan's ``NativeLaunchStage``.
+#: self-join and the bipartite sweep (similarity joins and kNN rounds);
+#: the runner always runs at this bound (``execute_shard_native``'s
+#: default), and direct callers may pass another.
 #: A block's int64 and float64 intermediates are 512 KiB each, so the few
 #: live at once stay near a core's 2 MiB L2 instead of streaming through
 #: DRAM as :data:`~repro.grid.query.BLOCK_PAIRS`-sized (32 MB) arrays;
@@ -360,7 +361,7 @@ def execute_shard_native(
 
     The returned pair set equals the simulated engines' merged set
     order-normalized (compare via
-    :meth:`~repro.core.result.JoinResult.canonical_pairs`); fragments are
+    :meth:`~repro.core.result.JoinResult.sorted_pairs`); fragments are
     row views of ``pairs``, one per refined block, so streaming
     consumption works unchanged. Blocks are refined on the refinement
     pool, and ``pairs`` is the same bytes on any number of cores. ``cfg``

@@ -1,19 +1,17 @@
 """The join operations: every join workload as a declarative strategy.
 
-A :class:`~repro.runtime.plan.JoinPlan` is op-agnostic — index, estimate,
-shard, launch, merge — and one generic
-:func:`~repro.runtime.plan.compile_join` builds the stage list for *any*
-operation. What differs between workloads is bundled here, on the op
-object itself:
+A :class:`~repro.runtime.plan.JoinPlan` is op-agnostic, and one generic
+:func:`~repro.runtime.plan.compile_join` compiles *any* operation. What
+differs between workloads is bundled here, on the op object itself:
 
 - how the query order D' is derived (and restricted to a shard's subset),
   how the result size is estimated, and which kernel with which argument
   pack runs each batch (``prepare`` / ``make_args`` — the shard-execution
   half);
-- which planning stages the compiled plan carries, how the query side is
-  sharded across devices, and which bytes beyond the indexed dataset
-  enter the run's checkpoint fingerprint (``plan_stages`` /
-  ``shard_plan`` / ``fingerprint_extras`` — the compile half).
+- how the result is named, how the query side is sharded across
+  devices, and which bytes beyond the indexed dataset enter the run's
+  checkpoint fingerprint (``describe`` / ``shard_plan`` /
+  ``fingerprint_extras`` — the compile half).
 
 There are three operations: :class:`SelfJoinOp` (kind ``"self"``),
 :class:`BipartiteOp` (kind ``"bipartite"``) and :class:`KnnJoinOp`
@@ -62,7 +60,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShardPrep:
-    """Everything the launch stage needs about one shard's queries.
+    """Everything a shard's batch launch needs about its queries.
 
     ``order`` is the (possibly workload-sorted) query id sequence D';
     ``estimate`` the planned result size; ``weights`` the per-query
@@ -77,33 +75,18 @@ class ShardPrep:
 class JoinOp:
     """The declarative protocol generic ``compile_join`` asks of an op.
 
-    Subclasses set ``kind`` (the op's name on plans and journals),
-    ``kernel_name`` (recorded on the plan's launch stage) and
+    Subclasses set ``kind`` (the op's name on plans and journals) and
     ``shardable`` (whether a pooled runtime splits *this plan* into a
-    device-level :class:`~repro.runtime.plan.ShardStage`; multi-round
-    driver ops shard their sub-plans instead), and override the hooks
-    their workload needs. The defaults describe a single-pass batched
-    join.
+    device-level shard plan; multi-round driver ops shard their
+    sub-plans instead), and override the hooks their workload needs.
+    The defaults describe a single-pass batched join.
     """
 
     kind = ""
-    kernel_name = ""
     shardable = True
 
     def validate(self, runtime) -> None:
         """Reject runtime configs this op cannot honor (default: none)."""
-
-    def plan_stages(self, index: GridIndex, runtime) -> list:
-        """Op-specific planning stages between index and shard/launch."""
-        from repro.runtime.plan import EstimateStage
-
-        opt = runtime.optimization
-        return [
-            EstimateStage(
-                mode="head" if opt.work_queue else "strided",
-                sample_fraction=opt.sample_fraction,
-            )
-        ]
 
     def shard_plan(self, index: GridIndex, runtime):
         """Device-level shard plan of the query side (pooled runtimes)."""
@@ -120,7 +103,6 @@ class SelfJoinOp(JoinOp):
     """The self-join's op: symmetric patterns, in-index queries."""
 
     kind = "self"
-    kernel_name = "selfjoin_kernel"
     kernel = staticmethod(selfjoin_kernel)
 
     def __init__(self, *, include_self: bool = True):
@@ -211,7 +193,6 @@ class BipartiteOp(JoinOp):
     """The bipartite join's op: external queries, full pattern only."""
 
     kind = "bipartite"
-    kernel_name = "bipartite_kernel"
     kernel = staticmethod(bipartite_kernel)
 
     def __init__(self, queries):
@@ -396,17 +377,15 @@ def default_knn_epsilon(points: np.ndarray, k: int) -> float:
 class KnnJoinOp(JoinOp):
     """Exact kNN via adaptive ε-expansion: a multi-round driver op.
 
-    The compiled plan carries an
-    :class:`~repro.runtime.plan.ExpansionStage` instead of an estimate —
-    the runner's driver loop compiles one residual *bipartite* sub-plan
-    per round (still-pending queries against the full dataset at the
-    round's radius), so every round inherits the runtime's engine,
-    sharding, recovery, fault and checkpoint configuration unchanged.
-    The round algorithm itself is :meth:`expansion`'s
-    :class:`KnnExpansion`.
-    ``shardable`` is ``False``: the driver plan itself carries no
-    :class:`~repro.runtime.plan.ShardStage`; pooled runtimes shard each
-    round's sub-plan.
+    The compiled plan's :class:`~repro.runtime.plan.ExpansionStage` is
+    its ε-schedule; instead of one estimated launch, the runner's driver
+    loop compiles one residual *bipartite* sub-plan per round
+    (still-pending queries against the full dataset at the round's
+    radius), so every round inherits the runtime's engine, sharding,
+    recovery, fault and checkpoint configuration unchanged. The round
+    algorithm itself is :meth:`expansion`'s :class:`KnnExpansion`.
+    ``shardable`` is ``False``: the driver plan itself carries no shard
+    plan; pooled runtimes shard each round's sub-plan.
 
     ``index_factory`` (optional, ``epsilon -> GridIndex`` over
     ``points``) lets a caller with an index cache — the serving layer's
@@ -415,7 +394,6 @@ class KnnJoinOp(JoinOp):
     """
 
     kind = "knn"
-    kernel_name = "bipartite_kernel"
     kernel = staticmethod(bipartite_kernel)
     shardable = False
 
@@ -469,18 +447,6 @@ class KnnJoinOp(JoinOp):
                 "unidirectional patterns exploit self-join symmetry; the "
                 "kNN join's bipartite rounds require pattern='full'"
             )
-
-    def plan_stages(self, index: GridIndex, runtime) -> list:
-        from repro.runtime.plan import ExpansionStage
-
-        return [
-            ExpansionStage(
-                k=self.k,
-                epsilon0=self.epsilon0,
-                growth=self.growth,
-                max_rounds=self.max_rounds,
-            )
-        ]
 
     def fingerprint_extras(self) -> tuple[bytes, ...]:
         # k + (epsilon0, growth, max_rounds) pin the whole ε-schedule:

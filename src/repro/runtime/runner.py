@@ -4,17 +4,19 @@
 and every execution is one guarded shard loop around the per-shard
 function :func:`execute_shard` (estimate → batch plan → launch →
 overflow re-plan loop) or its array-native twin
-:func:`~repro.runtime.native.execute_shard_native`. A plan without a
-:class:`~repro.runtime.plan.ShardStage` is one shard over
-``plan.subset``, whose result is returned as-is: no scheduler, no
-merge, no copy. A pooled plan's shards run inline, one at a time, under
-the :class:`~repro.multigpu.scheduler.HostScheduler` (VM or native),
-then merge into one ``MultiJoinResult``. Either way one
-:class:`_ShardGuard` owns the journal, the resume cache, the crash
-ordinal and the deadline, and is called around each shard.
-A kNN plan (:class:`~repro.runtime.plan.ExpansionStage`) drives rounds
-of bipartite sub-plans through this same runner; the round algorithm
-lives on the op (:meth:`~repro.runtime.ops.KnnJoinOp.expansion`).
+:func:`~repro.runtime.native.execute_shard_native`. Every execution
+knob — engine, schedule, device count, fault plan, recovery,
+checkpoint directory — is read from ``plan.config``. A plan without a
+``shard_plan`` is one shard over ``plan.subset``, whose result is
+returned as-is: no scheduler, no merge, no copy. A pooled plan's shards
+run inline, one at a time, under the
+:class:`~repro.multigpu.scheduler.HostScheduler` (VM or native), then
+merge into one ``MultiJoinResult``. Either way one :class:`_ShardGuard`
+owns the journal, the resume cache, the crash ordinal and the deadline,
+and is called around each shard. A kNN plan (one with an
+:class:`~repro.runtime.plan.ExpansionStage`) drives rounds of bipartite
+sub-plans through this same runner; the round algorithm lives on the op
+(:meth:`~repro.runtime.ops.KnnJoinOp.expansion`).
 
 The pooled path pulls :mod:`repro.multigpu` lazily: the runtime package
 sits *below* multigpu in the import graph (the device pool builds from a
@@ -145,20 +147,20 @@ class _ShardGuard:
         crash = rc.fault_plan.crash_point() if rc.fault_plan is not None else None
         self.crash_at = crash.at_shard if crash is not None else None
         self.dispatched = 0
-        self.stage = plan.checkpoint_stage
+        self.checkpoint = rc.checkpoint
         self.journal = None
         self.completed = {}
-        if self.stage is not None:
+        if self.checkpoint is not None:
             from repro.resilience.checkpoint import CheckpointStore
 
             if plan.expansion_stage is not None:
                 num_shards = plan.op.max_rounds  # the kNN driver journals one per round
             else:
-                num_shards = len(plan.shard_stage.plan.shards) if plan.pooled else 1
-            self.journal = CheckpointStore(self.stage.directory).journal(
-                self.stage.fingerprint,
+                num_shards = plan.shard_plan.num_shards if plan.pooled else 1
+            self.journal = CheckpointStore(self.checkpoint.directory).journal(
+                plan.fingerprint,
                 kind=plan.op.kind,
-                description=plan.merge_stage.description,
+                description=plan.description,
                 num_shards=num_shards,
             )
             runner.last_checkpoint_stats = self.journal.stats
@@ -202,17 +204,14 @@ class _ShardGuard:
 
     def finish(self) -> None:
         if self.journal is not None:
-            self.journal.finalize(keep=self.stage.keep)
+            self.journal.finalize(keep=self.checkpoint.keep)
 
 
 def _launch_shard(plan: JoinPlan, executor, subset, **kw) -> JoinResult:
     """One shard on the plan's engine (``executor`` is unused on native)."""
     rc, op, index = plan.config, plan.op, plan.index
     if rc.engine == NATIVE_ENGINE:
-        chunk = plan.launch_stage.chunk_pairs
-        return execute_shard_native(
-            op, index, rc.optimization, subset=subset, chunk_pairs=chunk, **kw
-        )
+        return execute_shard_native(op, index, rc.optimization, subset=subset, **kw)
     return execute_shard(op, index, rc.optimization, executor, subset=subset, **kw)
 
 
@@ -248,10 +247,10 @@ class Runner:
 
         ``deadline_seconds`` is a wall-clock budget for this execution,
         checked at shard-dispatch boundaries —
-        :class:`DeadlineExceededError` is raised when it expires. Plans
-        carrying a :class:`~repro.runtime.plan.CheckpointStage` journal
-        each completed shard durably as they go (a fresh run never
-        *reads* the journal; see :meth:`resume`).
+        :class:`DeadlineExceededError` is raised when it expires. A plan
+        whose config checkpoints journals each completed shard durably
+        as it goes (a fresh run never *reads* the journal; see
+        :meth:`resume`).
         """
         return self._execute(plan, resume=False, deadline_seconds=deadline_seconds)
 
@@ -266,7 +265,7 @@ class Runner:
         Resuming with nothing journaled (or after a completed
         ``keep=False`` run dropped its journal) is simply a full run.
         """
-        if plan.checkpoint_stage is None:
+        if plan.config.checkpoint is None:
             raise ValueError(
                 "resume() needs a checkpointed plan; compile with "
                 "RuntimeConfig(checkpoint=CheckpointConfig(directory=...))"
@@ -293,25 +292,25 @@ class Runner:
     # ------------------------------------------------------------------
     def _execute(self, plan: JoinPlan, *, resume: bool, deadline_seconds):
         self.last_checkpoint_stats = None
-        stage = plan.shard_stage
-        if stage is not None and self.pool is not None:
-            if self.pool.num_devices != stage.num_devices:
+        if plan.pooled and self.pool is not None:
+            num_devices = plan.config.sharding.num_devices
+            if self.pool.num_devices != num_devices:
                 raise ValueError(
                     f"pool has {self.pool.num_devices} devices but the plan was "
-                    f"compiled for {stage.num_devices}; size the pool with "
+                    f"compiled for {num_devices}; size the pool with "
                     "DevicePool(runtime)"
                 )
         guard = _ShardGuard(self, plan, resume=resume, deadline_seconds=deadline_seconds)
         if plan.expansion_stage is not None:
             return self._drive_rounds(plan, guard, resume=resume)
-        if stage is None:
+        if not plan.pooled:
             result = guard.run(
                 0,
                 lambda: _launch_shard(
                     plan,
                     self._device_executor(plan),
                     plan.subset,
-                    description=plan.merge_stage.description,
+                    description=plan.description,
                 ),
             )
             guard.finish()
@@ -321,13 +320,14 @@ class Runner:
         return _merge(plan, results, trace)
 
     def _device_executor(self, plan: JoinPlan) -> BatchExecutor | None:
-        """The single-device executor (none on native), fault-wrapped as planned."""
-        if plan.config.engine == NATIVE_ENGINE:
+        """The single-device executor (none on native), wrapped in a
+        :class:`FaultyExecutor` when the config injects faults."""
+        rc = plan.config
+        if rc.engine == NATIVE_ENGINE:
             return None
-        executor = self.executor if self.executor is not None else DeviceExecutor(plan.config)
-        resil = plan.resilience_stage
-        if resil is not None and resil.fault_plan is not None:
-            executor = FaultyExecutor(executor, 0, resil.fault_plan)
+        executor = self.executor if self.executor is not None else DeviceExecutor(rc)
+        if rc.fault_plan is not None and not rc.fault_plan.is_empty:
+            executor = FaultyExecutor(executor, 0, rc.fault_plan)
         return executor
 
     def _schedule(self, plan: JoinPlan, guard: _ShardGuard):
@@ -340,11 +340,9 @@ class Runner:
 
         rc = plan.config
         pool = self.pool if self.pool is not None else DevicePool(rc)
-        resil = plan.resilience_stage
         # native pools have no executors to wrap; arming with None still
         # re-arms device health for a fresh run
-        faults = resil.fault_plan if resil is not None and rc.engine != NATIVE_ENGINE else None
-        armed = arm_pool(pool, faults)
+        armed = arm_pool(pool, rc.fault_plan if rc.engine != NATIVE_ENGINE else None)
 
         def run_shard(device, shard):
             executor = armed.get(device.device_id, device.executor)
@@ -353,8 +351,8 @@ class Runner:
                 lambda: _launch_shard(plan, executor, shard.points, keep_fragments=False),
             )
 
-        scheduler = HostScheduler(pool, plan.shard_stage.schedule, recovery=rc.recovery)
-        return scheduler.run(plan.shard_stage.plan, run_shard)
+        scheduler = HostScheduler(pool, rc.sharding.schedule, recovery=rc.recovery)
+        return scheduler.run(plan.shard_plan, run_shard)
 
     def _drive_rounds(self, plan: JoinPlan, guard: _ShardGuard, *, resume: bool):
         """Drive a kNN plan: one residual bipartite sub-plan per ε round.
@@ -381,14 +379,11 @@ class Runner:
                 round_plan = compile_similarity_join(
                     index, expansion.queries, guard.shifted(plan.config)
                 )
-                execute = (
-                    inner.resume
-                    if resume and round_plan.checkpoint_stage is not None
-                    else inner.run
-                )
+                # a resumed driver checkpoints, and so does every round
+                execute = inner.resume if resume else inner.run
                 result = execute(round_plan, deadline_seconds=guard.remaining())
                 guard.dispatched += (
-                    len(round_plan.shard_stage.plan.shards) if round_plan.pooled else 1
+                    round_plan.shard_plan.num_shards if round_plan.pooled else 1
                 )
                 guard.after(r, result)
                 sub = inner.last_checkpoint_stats
@@ -410,8 +405,7 @@ def _merge(plan: JoinPlan, results: list, trace):
     from repro.multigpu.merge import merge_shard_results
     from repro.multigpu.metrics import pool_stats_from_trace
 
-    shard_plan = plan.shard_stage.plan
-    merge = plan.merge_stage
+    shard_plan = plan.shard_plan
     # speculative re-execution is first-result-wins, so results[] holds
     # one copy per shard — but dedup anyway when it fired, making the
     # merge duplicate-safe by construction rather than by argument
@@ -421,8 +415,8 @@ def _merge(plan: JoinPlan, results: list, trace):
         trace,
         epsilon=plan.op.result_epsilon(plan.index),
         num_points=plan.op.total_points(plan.index),
-        dedup=merge.dedup or speculated,
-        config_description=merge.description,
+        dedup=shard_plan.may_duplicate or speculated,
+        config_description=plan.description,
     )
     return MultiJoinResult(
         **{f.name: getattr(merged, f.name) for f in dataclasses.fields(merged)},

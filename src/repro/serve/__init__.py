@@ -1,12 +1,12 @@
-"""`repro.serve`: async multi-tenant join serving on a shared device pool.
+"""`repro.serve`: async multi-tenant join serving.
 
 Every layer below this one answers a single join as fast as possible;
 this subsystem keeps answering *many* joins for *many* tenants from one
 long-running process. The moving parts:
 
 - :class:`JoinService` — the server: registration, admission, weighted
-  deficit-round-robin fairness, bounded concurrency on one shared
-  :class:`~repro.multigpu.pool.DevicePool`, per-request
+  deficit-round-robin fairness, bounded concurrency (pooled requests
+  each on their own :class:`~repro.multigpu.pool.DevicePool`), per-request
   cancellation/timeouts, and the :class:`SessionCache` that reuses built
   :class:`~repro.grid.GridIndex`\\ es (and their memoized pattern plans)
   across requests.

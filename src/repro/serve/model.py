@@ -92,12 +92,12 @@ class JoinRequest:
         kNN requests only: neighbors per point (``1 <= k < n``).
     tenant:
         Fairness identity; requests of one tenant are served FIFO among
-        themselves, tenants share the pool by weighted deficit
+        themselves, tenants share the service by weighted deficit
         round-robin.
     runtime:
         Full per-request :class:`~repro.runtime.config.RuntimeConfig`
         (optimizations, engine, sharding, faults…). Pooled configs run on
-        the service's shared device pool.
+        ``ServeConfig.pool_devices`` devices.
     timeout_seconds:
         Queue deadline: a request still queued this long after submit
         times out instead of starting. ``None`` falls back to the

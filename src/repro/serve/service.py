@@ -1,4 +1,4 @@
-"""`JoinService`: async multi-tenant join serving on a shared device pool.
+"""`JoinService`: async multi-tenant join serving.
 
 The service is the first consumer of the PR-4 pipeline under
 concurrency: every request still compiles to a declarative
@@ -23,13 +23,13 @@ concerns around that seam:
   :class:`~repro.core.patterns.PatternPlan`\\ s, neighbour ranks and
   candidate runs memoized on them) are reused across requests through
   the :class:`~repro.serve.cache.SessionCache`, and so are the admission
-  estimates memoized on them; plans compiled from a cached index carry
-  ``IndexStage(reused=True)``;
+  estimates memoized on them;
 - **concurrency** — up to ``max_concurrency`` joins execute at once in
-  worker threads; pooled configs share the service's one
-  :class:`~repro.multigpu.pool.DevicePool` (serialized on it), and the
-  service keeps serving when recovery degrades that pool — device health
-  is re-armed per run by :func:`repro.resilience.executor.arm_pool`;
+  worker threads; a pooled request is resized to
+  ``ServeConfig.pool_devices`` devices and runs on a
+  :class:`~repro.multigpu.pool.DevicePool` the runner builds from its
+  own config, so pooled requests share nothing and a pool degraded by
+  one request's faults never reaches the next;
 - **resilience** — a request whose config checkpoints
   (``RuntimeConfig(checkpoint=...)``) journals shard fragments durably;
   a budgeted retry (:class:`~repro.serve.admission.RetryPolicy`) re-runs
@@ -62,7 +62,6 @@ forever, whichever path their request died on.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import threading
 import time
 from collections import Counter
@@ -73,7 +72,6 @@ import numpy as np
 
 from repro.grid import GridIndex, dataset_fingerprint
 from repro.resilience.faults import ServiceFaultPlan
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.plan import (
     compile_knn_join,
     compile_self_join,
@@ -148,9 +146,9 @@ class ServeConfig:
 
     ``quantum`` is the deficit round-robin credit per tenant visit, in
     estimated result rows; ``tenant_weights`` scales it per tenant
-    (unlisted tenants get weight 1). ``pool_devices`` sizes the shared
-    device pool for pooled requests (their sharding config is adapted to
-    it). ``default_timeout_seconds`` is the queue deadline applied when a
+    (unlisted tenants get weight 1). ``pool_devices`` is the device
+    count every pooled request runs on (its sharding config is resized
+    to it). ``default_timeout_seconds`` is the queue deadline applied when a
     request does not bring its own.
 
     The protective knobs are all per tenant and all optional:
@@ -206,8 +204,6 @@ class JoinService:
         self._tickets: dict[str, JoinTicket] = {}
         self._build_locks: dict[tuple[str, str], asyncio.Lock] = {}
         self._slots = asyncio.Semaphore(self.config.admission.max_concurrency)
-        self._pool = None
-        self._pool_mutex = threading.Lock()
         self._dispatcher: asyncio.Task | None = None
         self._workers: set[asyncio.Task] = set()
         self._seq = 0
@@ -705,11 +701,13 @@ class JoinService:
             ticket.cache_hit = False
         rc = req.runtime
         if rc.pooled:
-            rc = self._adapt_to_pool(rc)
+            rc = rc.with_(
+                sharding=replace(rc.sharding, num_devices=self.config.pool_devices)
+            )
         if attempt == 0:
             rc = self._chaos.infect_runtime(ticket.request_id, rc)
         if req.kind == "self":
-            plan = compile_self_join(index, rc, index_reused=ticket.cache_hit)
+            plan = compile_self_join(index, rc)
         elif req.kind == "knn":
             # the request's ε is the round-0 radius; each later round's
             # radius keys the session cache under the same fingerprint, so
@@ -721,22 +719,15 @@ class JoinService:
                 rc,
                 epsilon0=float(req.epsilon),
                 index_factory=lambda eps: self._resolve_index(handle, eps)[0],
-                index_reused=ticket.cache_hit,
             )
         else:
             queries = self._datasets[req.query_dataset].points
-            plan = compile_similarity_join(
-                index, queries, rc, index_reused=ticket.cache_hit
-            )
-        resume = attempt > 0 and plan.checkpoint_stage is not None
-        # one shared pool: pooled plans serialize on it, and arm_pool
-        # re-arms device health per run, so a pool degraded by one
-        # request's faults serves the next request whole again
-        runner = Runner(pool=self._pool if rc.pooled else None)
+            plan = compile_similarity_join(index, queries, rc)
+        runner = Runner()
+        resume = attempt > 0 and rc.checkpoint is not None
         try:
-            with self._pool_mutex if rc.pooled else contextlib.nullcontext():
-                execute = runner.resume if resume else runner.run
-                return execute(plan, deadline_seconds=deadline_remaining)
+            execute = runner.resume if resume else runner.run
+            return execute(plan, deadline_seconds=deadline_remaining)
         finally:
             # the crashed attempt's durable writes count as overhead too
             stats = runner.last_checkpoint_stats
@@ -744,24 +735,6 @@ class JoinService:
                 with self._ckpt_lock:
                     for name in self._ckpt:
                         self._ckpt[name] += getattr(stats, name)
-
-    def _adapt_to_pool(self, rc: RuntimeConfig) -> RuntimeConfig:
-        """Fit a pooled request onto the service's shared device pool."""
-        with self._pool_mutex:
-            if self._pool is None:
-                from repro.multigpu.pool import DevicePool
-
-                sized = rc.with_(
-                    sharding=replace(
-                        rc.sharding, num_devices=self.config.pool_devices
-                    )
-                )
-                self._pool = DevicePool(sized)
-        if rc.sharding.num_devices != self._pool.num_devices:
-            rc = rc.with_(
-                sharding=replace(rc.sharding, num_devices=self._pool.num_devices)
-            )
-        return rc
 
     # ------------------------------------------------------- results
     async def result(self, ticket: JoinTicket) -> JoinResponse:
@@ -876,7 +849,7 @@ class JoinService:
             "tenant_weights": {t: self._queue.weight(t) for t in tenants},
             "dispatch_order": [e.tenant for e in events if e.kind == "dispatch"],
             "cache": self.cache.stats,
-            "pool_devices": self._pool.num_devices if self._pool is not None else 0,
+            "pool_devices": self.config.pool_devices,
             "pooled_runs": self._pooled_runs,
             "pool_busy_seconds": self._pool_busy_seconds,
             "pool_allocated_seconds": self._pool_allocated_seconds,

@@ -93,4 +93,4 @@ class TestMmapConsumers:
         rc = RuntimeConfig(optimization=PRESETS["combined"], engine="native")
         mm = Runner().run(compile_self_join(GridIndex(mapped, 0.5), rc))
         res = Runner().run(compile_self_join(GridIndex(points, 0.5), rc))
-        assert np.array_equal(mm.canonical_pairs(), res.canonical_pairs())
+        assert np.array_equal(mm.sorted_pairs(), res.sorted_pairs())

@@ -382,15 +382,14 @@ def test_deadline_preserves_durable_shards(index, tmp_path):
     plan = compile_self_join(index, _pooled(checkpoint=ck))
     runner = Runner()
     result = runner.run(plan)  # no deadline: everything durable
+    assert plan.fingerprint == run_fingerprint(plan)
     journal = CheckpointStore(str(tmp_path)).journal(
-        run_fingerprint(plan),
+        plan.fingerprint,
         kind="self",
-        description=plan.merge_stage.description,
-        num_shards=len(plan.shard_stage.plan.shards),
+        description=plan.description,
+        num_shards=plan.shard_plan.num_shards,
     )
-    assert journal.completed_shards() == list(
-        range(len(plan.shard_stage.plan.shards))
-    )
+    assert journal.completed_shards() == list(range(plan.shard_plan.num_shards))
     merged = journal.load_completed()
     total = sum(r.num_pairs for r in merged.values())
     assert total == result.num_pairs
@@ -438,12 +437,12 @@ def test_deadline_fires_mid_run_and_resume_is_bit_identical(index, tmp_path, mon
     monkeypatch.undo()
     assert multiprocessing.active_children() == []
     assert _shm_entries() - segments == set()
-    shard_plan = plan.shard_stage.plan
+    shard_plan = plan.shard_plan
     assert 0 < journaled < shard_plan.num_shards
     journal = CheckpointStore(str(tmp_path)).journal(
         run_fingerprint(plan),
         kind="self",
-        description=plan.merge_stage.description,
+        description=plan.description,
         num_shards=shard_plan.num_shards,
     )
     assert journal.completed_shards() == sorted(shard_plan.dispatch_order()[:journaled])

@@ -165,22 +165,6 @@ def test_recovery_log_records_the_kill(points):
     assert len(lost) == 1 and lost[0].num_pairs == 0
 
 
-def test_transient_backoff_charges_simulated_time(points):
-    plan = FaultPlan(
-        transients=[TransientFaults(0, probability=1.0, max_failures=1)]
-    )
-    quick = _join(
-        fault_plan=plan, recovery=RecoveryPolicy(transient_backoff_seconds=0.0)
-    ).execute(points, _EPS)
-    slow = _join(
-        fault_plan=plan, recovery=RecoveryPolicy(transient_backoff_seconds=1.0)
-    ).execute(points, _EPS)
-    assert (
-        slow.recovery_log.transients[0].wasted_seconds
-        == pytest.approx(quick.recovery_log.transients[0].wasted_seconds + 1.0)
-    )
-
-
 def test_speculation_beats_no_speculation_on_straggler(points, baseline):
     plan = _SCENARIOS["straggler"]
     with_spec = _join(fault_plan=plan, recovery=RecoveryPolicy()).execute(points, _EPS)

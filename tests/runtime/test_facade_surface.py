@@ -5,8 +5,10 @@ The one-cycle shims (``engine=``, ``executor=``, ``fault_plan=``,
 that mirrored ``RuntimeConfig`` fields (on the facades, the executor and
 the device pool), the attributes that re-exported them, the knobs only
 tests set (``OverflowConfig``, ``ProfilingOptions``,
-``estimate_safety_z``) and the pooled ``MultiGpu*`` facades were
-removed; these tests pin the end state — the removed spellings raise,
+``estimate_safety_z``, four ``RecoveryPolicy`` fields), the pooled
+``MultiGpu*`` facades, the plan's stage records and transforms and the
+compilers' ``index_reused`` were removed; these tests pin the end state
+— the removed spellings raise,
 and the supported spellings (``runtime=RuntimeConfig(...)`` and a
 ``RuntimeConfig`` in the config slot) carry every knob, pooled or not,
 readable as ``join.runtime``.
@@ -21,10 +23,14 @@ from repro import (
     PRESETS,
     CostParams,
     DeviceSpec,
+    GridIndex,
     RuntimeConfig,
     SelfJoin,
     ShardingConfig,
     SimilarityJoin,
+    compile_knn_join,
+    compile_self_join,
+    compile_similarity_join,
 )
 from repro.core.executor import DeviceExecutor
 from repro.multigpu import DevicePool
@@ -63,12 +69,49 @@ def points(n=80, seed=0):
         (RuntimeConfig, {"estimate_safety_z": 2.0}),
         (RuntimeConfig, {"overflow": None}),
         (RuntimeConfig, {"profiling": None}),
+        (RecoveryPolicy, {"max_transient_retries": 2}),
+        (RecoveryPolicy, {"transient_backoff_seconds": 0.0}),
+        (RecoveryPolicy, {"straggler_threshold": 1.5}),
+        (RecoveryPolicy, {"speculation_min_benefit_seconds": 0.0}),
     ],
     ids=lambda p: getattr(p, "__name__", None) or "+".join(sorted(p)),
 )
 def test_removed_kwargs_raise_typeerror(facade, kwargs):
     with pytest.raises(TypeError):
         facade(**kwargs)
+
+
+def test_compilers_take_no_index_reused():
+    pts = points()
+    index, rt = GridIndex(pts, 0.8), RuntimeConfig()
+    with pytest.raises(TypeError, match="index_reused"):
+        compile_self_join(index, rt, index_reused=True)
+    with pytest.raises(TypeError, match="index_reused"):
+        compile_similarity_join(index, pts[:10], rt, index_reused=True)
+    with pytest.raises(TypeError, match="index_reused"):
+        compile_knn_join(pts, 4, rt, index_reused=True)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "IndexStage",
+        "EstimateStage",
+        "ShardStage",
+        "LaunchStage",
+        "NativeLaunchStage",
+        "ResilienceStage",
+        "CheckpointStage",
+        "MergeStage",
+        "Stage",
+        "apply_resilience",
+        "apply_checkpoint",
+    ],
+)
+@pytest.mark.parametrize("module", ["repro.runtime", "repro.runtime.plan"])
+def test_plan_stage_records_are_gone(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
 
 
 def test_shim_module_is_gone():

@@ -7,10 +7,10 @@ must return ``baselines.bruteforce``'s pair set on small adversarial
 datasets: 1–8 dimensions, 0–60 points, duplicated points, a pair at
 exactly ε and coordinates offset by 1e6. The three constructions of
 ``TestBoundarySemantics`` are pinned as examples. Each example also draws
-the plan's block bound (``NativeLaunchStage.chunk_pairs``) from 1 pair to
-4M, and how often one index is walked: the first whole-index walk is
-recorded, the second keeps its candidate runs on the neighbour table if
-they fit the memo budget, and later walks replay them, so every
+the block bound of the runner's native launches (``chunk_pairs``) from
+1 pair to 4M, and how often one index is walked: the first whole-index
+walk is recorded, the second keeps its candidate runs on the neighbour
+table if they fit the memo budget, and later walks replay them, so every
 walk's pairs and fragments must be byte-identical to the first (a fresh
 index). Each example also draws the width of the pool of threads that
 refines the blocks (1 runs inline): pairs and fragments must be
@@ -24,7 +24,7 @@ single-device sweep's bytes must equal the ``gpucalcglobal`` run's.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
+import functools
 import itertools
 import os
 import sys
@@ -51,7 +51,8 @@ from repro import (
 from repro.baselines import brute_force_pairs
 from repro.grid.query import epsilon_filter
 from repro.io import load_dataset, save_dataset
-from repro.runtime import NativeLaunchStage, execute_shard_native, native
+from repro.runtime import execute_shard_native, native
+from repro.runtime import runner as runner_module
 from repro.runtime.native import NATIVE_CHUNK_PAIRS
 from repro.runtime.ops import BipartiteOp, SelfJoinOp
 from tests.integration.test_adversarial import _order_sensitive_pair
@@ -145,15 +146,16 @@ _EPS_SQUARED_LOW = (np.array([[0.0, 0.0], [7.463412840658728, 0.0]]), 7.46341284
 PATHS = tuple(itertools.product(("resident", "mmap"), (1, 2, 3), (True, False), SELF_PRESETS))
 
 
-def _with_chunk(plan, chunk):
-    """``plan`` with its native launch bounded to ``chunk`` candidate pairs."""
+@contextlib.contextmanager
+def _chunked(chunk):
+    """Every native launch of the runner, pooled ones included, bounded
+    to ``chunk`` candidate pairs (``None`` keeps the default bound)."""
     if chunk is None:
-        return plan
-    stages = tuple(
-        dataclasses.replace(s, chunk_pairs=chunk) if isinstance(s, NativeLaunchStage) else s
-        for s in plan.stages
-    )
-    return dataclasses.replace(plan, stages=stages)
+        yield
+        return
+    bounded = functools.partial(execute_shard_native, chunk_pairs=chunk)
+    with mock.patch.object(runner_module, "execute_shard_native", bounded):
+        yield
 
 
 def _assert_same_bytes(result, reference, *context):
@@ -172,18 +174,18 @@ def _check_self_join(points, eps, path, chunk=None, repeats=1, roomy=False, widt
         data = _storages(points, tmp)[storage]
         rt = _runtime(preset, devices, include_self=include_self)
         inline = None
+        pool.enter_context(_chunked(chunk))
         if width != 1:
             with _pool_width(1):  # inline, on an index of its own
-                fresh = compile_self_join(GridIndex(data, eps), rt)
-                inline = Runner().run(_with_chunk(fresh, chunk))
+                inline = Runner().run(compile_self_join(GridIndex(data, eps), rt))
         pool.enter_context(_pool_width(width))
         index = GridIndex(data, eps)
         table = index.neighbors
         if roomy:  # small dense datasets' runs rarely fit the index's own budget
             table.memo_budget = 1 << 40
-        plan = _with_chunk(compile_self_join(index, rt), chunk)
+        plan = compile_self_join(index, rt)
         first = Runner().run(plan)
-        assert np.array_equal(first.canonical_pairs(), expect), (path, chunk)
+        assert np.array_equal(first.sorted_pairs(), expect), (path, chunk)
         _assert_fragments_tile(first)
         if inline is not None:
             _assert_same_bytes(first, inline, path, chunk, width)
@@ -326,16 +328,15 @@ def test_native_bipartite_sweep_matches_oracle(
     storage, devices = path
     queries = _near_queries(points, eps, num_queries, np.random.default_rng(seed))
     expect = _cross_oracle(queries, points, eps)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, _chunked(chunk):
         index = GridIndex(_storages(points, tmp)[storage], eps)
 
         def plan(preset):
-            rt = _runtime(preset, devices)
-            return _with_chunk(compile_similarity_join(index, queries, rt), chunk)
+            return compile_similarity_join(index, queries, _runtime(preset, devices))
 
         with _pool_width(width):
             result = Runner().run(plan(preset))
-        assert np.array_equal(result.canonical_pairs(), expect), (path, preset, chunk)
+        assert np.array_equal(result.sorted_pairs(), expect), (path, preset, chunk)
         _assert_fragments_tile(result)
         if width != 1:
             with _pool_width(1):
@@ -351,7 +352,7 @@ def _bounded_runs(op, index, cfg):
     and 4M one fragment per walk, so every bound's count lies between."""
     results = [execute_shard_native(op, index, cfg, chunk_pairs=c) for c in CHUNKS]
     for chunk, result in zip(CHUNKS, results):
-        assert np.array_equal(result.canonical_pairs(), results[0].canonical_pairs()), chunk
+        assert np.array_equal(result.sorted_pairs(), results[0].sorted_pairs()), chunk
         _assert_fragments_tile(result)
     blocks = [len(result.fragments) for result in results]
     assert blocks[0] == max(blocks) > blocks[-1] == min(blocks), blocks
@@ -367,7 +368,7 @@ def test_block_bound_leaves_self_join_pairs_unchanged(storage, include_self):
         op = SelfJoinOp(include_self=include_self)
         result = _bounded_runs(op, index, PRESETS["combined"])
     expect = brute_force_pairs(points, eps, include_self=include_self)
-    assert np.array_equal(result.canonical_pairs(), expect)
+    assert np.array_equal(result.sorted_pairs(), expect)
 
 
 @pytest.mark.parametrize("storage", ["resident", "mmap"])
@@ -377,7 +378,26 @@ def test_block_bound_leaves_bipartite_sweep_pairs_unchanged(storage):
     with tempfile.TemporaryDirectory() as tmp:
         index = GridIndex(_storages(points, tmp)[storage], eps)
         result = _bounded_runs(BipartiteOp(queries), index, PRESETS["gpucalcglobal"])
-    assert np.array_equal(result.canonical_pairs(), _cross_oracle(queries, points, eps))
+    assert np.array_equal(result.sorted_pairs(), _cross_oracle(queries, points, eps))
+
+
+def test_chunk_patch_reaches_the_runner():
+    """:func:`_chunked` bounds what the runner launches: a chunk-3 run
+    refines more blocks than the default bound, and a pooled run sends
+    every shard through the patched binding."""
+    points, eps = _fixed_dataset()
+    plan = compile_self_join(GridIndex(points, eps), _runtime("combined", 1))
+    default = Runner().run(plan)
+    with _chunked(3):
+        bounded = Runner().run(compile_self_join(GridIndex(points, eps), _runtime("combined", 1)))
+    assert len(bounded.fragments) > len(default.fragments)
+    assert np.array_equal(bounded.sorted_pairs(), default.sorted_pairs())
+    pooled = compile_self_join(GridIndex(points, eps), _runtime("combined", 2))
+    with _chunked(3):
+        bound = runner_module.execute_shard_native
+        with mock.patch.object(runner_module, "execute_shard_native", wraps=bound) as launch:
+            Runner().run(pooled)
+    assert launch.call_count == pooled.shard_plan.num_shards
 
 
 def test_second_walk_keeps_runs_only_within_the_budget():
@@ -465,7 +485,7 @@ def test_one_block_stages_stay_inline(kind):
         assert not futures
         spread = execute_shard_native(ops[kind], index, PRESETS["combined"], chunk_pairs=1)
         assert futures and all(f.done() for f in futures)
-    assert np.array_equal(spread.canonical_pairs(), inline.canonical_pairs())
+    assert np.array_equal(spread.sorted_pairs(), inline.sorted_pairs())
 
 
 def _failing_filter(error, at):

@@ -2,7 +2,7 @@
 
 The contract under test: for every optimization config the native engine
 returns the *same pair set* as the simulated engines (order-normalized via
-``canonical_pairs``), composes unchanged with sharding and
+``sorted_pairs``), composes unchanged with sharding and
 checkpoint/resume, and is honest about its fidelity (``fidelity="none"``,
 no batch stats, no WEE).
 """
@@ -37,12 +37,9 @@ from repro.resilience import (
 from repro.runtime import (
     BipartiteOp,
     CheckpointConfig,
-    NativeLaunchStage,
     SelfJoinOp,
     execute_shard_native,
 )
-from repro.runtime.native import NATIVE_CHUNK_PAIRS
-from repro.runtime.plan import LaunchStage
 
 NATIVE_PRESETS = ("gpucalcglobal", "lidunicomp", "sortbywl", "workqueue_k8", "combined")
 #: the presets a similarity join accepts (``pattern="full"``)
@@ -72,7 +69,7 @@ class TestEquivalence:
     def test_matches_interpreted_across_presets(self, shared_index, preset):
         ref = _run(shared_index, "interpreted", PRESETS[preset])
         nat = _run(shared_index, "native", PRESETS[preset])
-        assert np.array_equal(nat.canonical_pairs(), ref.canonical_pairs())
+        assert np.array_equal(nat.sorted_pairs(), ref.sorted_pairs())
         assert nat.num_pairs == ref.num_pairs
 
     @pytest.mark.parametrize(
@@ -82,7 +79,7 @@ class TestEquivalence:
         cfg = OptimizationConfig(pattern="lidunicomp", k=k, work_queue=queue)
         ref = _run(shared_index, "vectorized", cfg)
         nat = _run(shared_index, "native", cfg)
-        assert np.array_equal(nat.canonical_pairs(), ref.canonical_pairs())
+        assert np.array_equal(nat.sorted_pairs(), ref.sorted_pairs())
 
     def test_bipartite_matches_interpreted(self, shared_index):
         cfg = OptimizationConfig(pattern="full", k=4, work_queue=True)
@@ -97,7 +94,7 @@ class TestEquivalence:
         }
         ref = Runner().run(plans["interpreted"])
         nat = Runner().run(plans["native"])
-        assert np.array_equal(nat.canonical_pairs(), ref.canonical_pairs())
+        assert np.array_equal(nat.sorted_pairs(), ref.sorted_pairs())
 
     def test_facades_accept_native(self, shared_index):
         res = SelfJoin(
@@ -126,7 +123,7 @@ class TestResultContract:
         nat = _run(shared_index, "native", PRESETS["combined"])
         shuffled = nat.pairs[np.random.default_rng(0).permutation(len(nat.pairs))]
         resorted = shuffled[np.lexsort((shuffled[:, 1], shuffled[:, 0]))]
-        assert np.array_equal(nat.canonical_pairs(), resorted)
+        assert np.array_equal(nat.sorted_pairs(), resorted)
 
     def test_fragments_stream_concatenates_to_pairs(self, shared_index):
         nat = _run(shared_index, "native", PRESETS["sortbywl"])
@@ -134,19 +131,10 @@ class TestResultContract:
         assert np.array_equal(np.concatenate(nat.fragments, axis=0), nat.pairs)
 
     def test_plan_uses_native_launch_stage(self, shared_index):
-        rt = RuntimeConfig(optimization=PRESETS["combined"], engine="native")
-        plan = compile_self_join(shared_index, rt)
-        stage = plan.launch_stage
-        assert stage == NativeLaunchStage(kernel="selfjoin_kernel", chunk_pairs=NATIVE_CHUNK_PAIRS)
-        assert plan.stage(LaunchStage) is None
-        assert "engine=native" in plan.describe()
         # a sorting preset's bipartite plan launches as gpucalcglobal's does
         queries = np.random.default_rng(4).uniform(0.0, 8.0, (20, 2))
         rt = RuntimeConfig(optimization=PRESETS["sortbywl"], engine="native")
         bipartite = compile_similarity_join(shared_index, queries, rt)
-        assert bipartite.launch_stage == NativeLaunchStage(
-            kernel="bipartite_kernel", chunk_pairs=NATIVE_CHUNK_PAIRS
-        )
         natural = execute_shard_native(
             BipartiteOp(queries), shared_index, PRESETS["gpucalcglobal"]
         )
@@ -252,7 +240,7 @@ class TestSharded:
             PRESETS["combined"],
             sharding=ShardingConfig(num_devices=3),
         )
-        assert np.array_equal(pooled.canonical_pairs(), single.canonical_pairs())
+        assert np.array_equal(pooled.sorted_pairs(), single.sorted_pairs())
         assert pooled.fidelity == "none"
 
     def test_pooled_matches_interpreted_merged(self, shared_index):
@@ -268,7 +256,7 @@ class TestSharded:
             PRESETS["lidunicomp"],
             sharding=ShardingConfig(num_devices=3),
         )
-        assert np.array_equal(nat.canonical_pairs(), ref.canonical_pairs())
+        assert np.array_equal(nat.sorted_pairs(), ref.sorted_pairs())
 
 
 # -- checkpoint / crash / resume ----------------------------------------
@@ -294,7 +282,7 @@ class TestCheckpointResume:
             Runner().run(compile_self_join(index, rc(fault_plan=crash)))
         runner = Runner()
         resumed = runner.resume(compile_self_join(index, rc()))
-        assert np.array_equal(resumed.canonical_pairs(), golden.canonical_pairs())
+        assert np.array_equal(resumed.sorted_pairs(), golden.sorted_pairs())
         assert runner.last_checkpoint_stats.loads == kill_at
 
 

@@ -1,9 +1,9 @@
 """The join operations and the generic compile pipeline.
 
-Every op declares its stages through the :mod:`repro.runtime.ops` hooks;
-``compile_join`` must produce the same plans the dedicated entry points
-always did, and the run fingerprint must separate ops that share a
-dataset but answer different questions.
+Every op declares what compiling needs through the
+:mod:`repro.runtime.ops` hooks; ``compile_join`` must produce the same
+plans the dedicated entry points always did, and the run fingerprint
+must separate ops that share a dataset but answer different questions.
 """
 
 from __future__ import annotations
@@ -54,14 +54,12 @@ class TestRegistry:
     def test_default_hooks(self, index):
         class _Minimal(JoinOp):
             kind = "minimal"
-            kernel_name = "selfjoin_kernel"
 
         op = _Minimal()
         rc = RuntimeConfig()
         assert op.fingerprint_extras() == ()
+        assert op.shardable
         op.validate(rc)  # the default accepts anything
-        stages = op.plan_stages(index, rc)
-        assert len(stages) == 1
         with pytest.raises(NotImplementedError):
             op.shard_plan(index, rc)
 
@@ -85,12 +83,18 @@ class TestCompileJoin:
         assert via_wrapper.describe() == via_generic.describe()
         assert run_fingerprint(via_wrapper) == run_fingerprint(via_generic)
 
-    def test_knn_plan_carries_expansion_stage(self, points):
-        plan = compile_knn_join(points, 4, RuntimeConfig(), epsilon0=0.05)
-        stage = plan.expansion_stage
-        assert isinstance(stage, ExpansionStage)
-        assert stage.k == 4 and stage.epsilon0 == pytest.approx(0.05)
+    def test_knn_plan_carries_expansion_stage(self, points, index):
+        plan = compile_knn_join(
+            points, 4, RuntimeConfig(), epsilon0=0.05, growth=3.0, max_rounds=7
+        )
+        assert plan.expansion_stage == ExpansionStage(
+            k=4, epsilon0=0.05, growth=3.0, max_rounds=7
+        )
         assert "expand" in plan.describe()
+        # single-pass joins have no ε-schedule
+        assert compile_self_join(index, RuntimeConfig()).expansion_stage is None
+        similarity = compile_similarity_join(index, points[:20], RuntimeConfig())
+        assert similarity.expansion_stage is None
 
     def test_knn_rejects_unidirectional_patterns(self, points):
         rc = RuntimeConfig(optimization=PRESETS["combined"])  # lidunicomp
@@ -187,8 +191,8 @@ class TestBipartitePrepare:
             knn = Runner().run(compile_knn_join(points, 4, rc, epsilon0=0.05))
         native = rc.with_(engine="native")
         assert np.array_equal(
-            joined.canonical_pairs(),
-            Runner().run(compile_similarity_join(index, queries, native)).canonical_pairs(),
+            joined.sorted_pairs(),
+            Runner().run(compile_similarity_join(index, queries, native)).sorted_pairs(),
         )
         expect = Runner().run(compile_knn_join(points, 4, native, epsilon0=0.05))
         assert knn.indices.tobytes() == expect.indices.tobytes()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -19,17 +21,8 @@ from repro.core.executor import DeviceExecutor
 from repro.grid import GridIndex
 from repro.multigpu import DevicePool, MultiJoinResult
 from repro.resilience import FaultPlan, RecoveryPolicy
-from repro.resilience.faults import ForcedOverflow, Straggler
-from repro.runtime import CheckpointConfig
-from repro.runtime.plan import (
-    EstimateStage,
-    IndexStage,
-    LaunchStage,
-    MergeStage,
-    ResilienceStage,
-    ShardStage,
-    apply_resilience,
-)
+from repro.resilience.faults import ForcedOverflow
+from repro.runtime import CheckpointConfig, ops
 
 
 def points(n=150, seed=0):
@@ -90,13 +83,13 @@ def test_with_and_describe():
 
 # -- plan compilation ---------------------------------------------------
 def test_single_device_plan_stage_shape():
-    plan = compile_self_join(index(), RuntimeConfig(optimization=PRESETS["combined"]))
-    kinds = [type(s) for s in plan.stages]
-    assert kinds == [IndexStage, EstimateStage, LaunchStage, MergeStage]
+    rt = RuntimeConfig(optimization=PRESETS["combined"])
+    plan = compile_self_join(index(), rt)
     assert not plan.pooled
-    assert plan.launch_stage.kernel == "selfjoin_kernel"
-    assert plan.merge_stage.dedup is False
-    assert "JoinPlan[self]" in plan.describe()
+    assert plan.shard_plan is None and plan.fingerprint is None
+    assert plan.config is rt
+    assert plan.description == rt.optimization.describe()
+    assert plan.describe().startswith(f"JoinPlan[self] {plan.description}")
 
 
 def test_pooled_plan_gains_shard_stage_and_description():
@@ -106,17 +99,35 @@ def test_pooled_plan_gains_shard_stage_and_description():
     )
     plan = compile_self_join(index(), rt)
     assert plan.pooled
-    assert len(plan.shard_stage.plan.shards) == rt.sharding.num_shards
-    assert plan.merge_stage.description.startswith("multigpu[4dev balanced/dynamic]")
+    assert len(plan.shard_plan.shards) == 4 * rt.sharding.shards_per_device
+    assert plan.description.startswith("multigpu[4dev balanced/dynamic]")
+    assert plan.fingerprint is None
 
 
-def test_workqueue_plan_records_fifo_and_head_estimate():
-    plan = compile_self_join(
-        index(), RuntimeConfig(optimization=PRESETS["workqueue_k8"])
+@pytest.mark.parametrize(
+    "preset, issue_order, coop_groups, estimate_mode",
+    [
+        ("workqueue_k8", "fifo", True, "head"),
+        ("gpucalcglobal", "random", False, "strided"),
+    ],
+)
+def test_run_issues_and_estimates_as_the_preset_says(
+    preset, issue_order, coop_groups, estimate_mode
+):
+    launch = mock.patch.object(
+        DeviceExecutor, "run_batches", autospec=True, side_effect=DeviceExecutor.run_batches
     )
-    assert plan.stage(EstimateStage).mode == "head"
-    assert plan.launch_stage.issue_order == "fifo"
-    assert plan.launch_stage.coop_groups is True
+    estimate = mock.patch.object(
+        ops, "estimate_result_size_detailed", wraps=ops.estimate_result_size_detailed
+    )
+    with launch as run_batches, estimate as estimated:
+        rt = RuntimeConfig(optimization=PRESETS[preset])
+        Runner().run(compile_self_join(index(), rt))
+    assert run_batches.call_count >= 1
+    for call in run_batches.call_args_list:
+        assert call.kwargs["issue_order"] == issue_order
+        assert call.kwargs["coop_groups"] is coop_groups
+    assert [c.kwargs["mode"] for c in estimated.call_args_list] == [estimate_mode]
 
 
 def test_bipartite_compile_rejects_unidirectional_patterns():
@@ -124,27 +135,6 @@ def test_bipartite_compile_rejects_unidirectional_patterns():
         compile_similarity_join(
             index(), points(40, seed=2), RuntimeConfig(optimization=PRESETS["unicomp"])
         )
-
-
-def test_apply_resilience_is_a_plan_transform():
-    rt = RuntimeConfig(
-        optimization=PRESETS["combined"],
-        sharding=ShardingConfig(num_devices=2),
-        fault_plan=FaultPlan(seed=3, stragglers=[Straggler(device_id=0, slowdown=2.0)]),
-    )
-    plan = compile_self_join(index(), rt)
-    resil = plan.resilience_stage
-    assert isinstance(resil, ResilienceStage)
-    assert resil.recovery == RecoveryPolicy()
-    # the stage sits directly before the merge stage, and the transform
-    # is idempotent
-    assert isinstance(plan.stages[-2], ResilienceStage)
-    assert apply_resilience(plan) is plan
-
-
-def test_fault_free_plan_has_no_resilience_stage():
-    plan = compile_self_join(index(), RuntimeConfig(optimization=PRESETS["combined"]))
-    assert plan.resilience_stage is None
 
 
 # -- the unified runner -------------------------------------------------

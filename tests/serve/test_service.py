@@ -8,6 +8,7 @@ with ``asyncio.run`` so the suite runs on a stock pytest.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.core import SelfJoin
 from repro.data import uniform
 from repro.grid import GridIndex, dataset_fingerprint
 from repro.resilience import DeviceFailure, FaultPlan
-from repro.runtime import RuntimeConfig, ShardingConfig
+from repro.runtime import Runner, RuntimeConfig, ShardingConfig, compile_self_join
 from repro.serve import (
     AdmissionPolicy,
     JoinClient,
@@ -305,7 +306,7 @@ def test_similarity_request(points):
 
 
 # ------------------------------------------------------------ pooled + degraded
-def test_pooled_requests_share_the_service_pool(points, expected_pairs):
+def test_pooled_requests_run_on_pool_devices(points, expected_pairs):
     config = ServeConfig(pool_devices=3)
 
     async def body(svc):
@@ -317,10 +318,43 @@ def test_pooled_requests_share_the_service_pool(points, expected_pairs):
             response.result.sorted_pairs(), expected_pairs
         )
         # the request asked for 8 devices but ran on the service's 3
-        assert svc._pool.num_devices == 3
         assert response.result.num_devices == 3
+        assert svc.snapshot()["pool_devices"] == 3
 
     serve(body, config)
+
+
+def test_each_pooled_request_runs_its_own_config():
+    """Pooled requests of different engines and replay modes, served one
+    after another, each answer as a direct run of their own config resized
+    to ``pool_devices``. The native run's times are host wall-clock, so it
+    is compared by pair bytes alone."""
+    data = uniform(300, 2, seed=5, low=0.0, high=1.0)
+    eps = 0.05
+    sharding = ShardingConfig(num_devices=4)
+    configs = [
+        RuntimeConfig(engine="native", sharding=sharding),
+        RuntimeConfig(engine="vectorized", sharding=sharding),
+        RuntimeConfig(replay_mode="lockstep", sharding=sharding),
+    ]
+
+    async def body(svc):
+        svc.register_dataset("u", data)
+        return [
+            await svc.run(JoinRequest(dataset="u", epsilon=eps, runtime=rc))
+            for rc in configs
+        ]
+
+    responses = serve(body, ServeConfig(pool_devices=3))
+    for rc, response in zip(configs, responses):
+        assert response.ok, (rc.engine, response.error)
+        resized = rc.with_(sharding=replace(sharding, num_devices=3))
+        direct = Runner().run(compile_self_join(GridIndex(data, eps), resized))
+        assert response.result.num_devices == 3
+        assert response.result.pairs.tobytes() == direct.pairs.tobytes()
+        if rc.engine != "native":
+            assert response.result.trace.signature() == direct.trace.signature()
+            assert response.result.total_seconds == direct.total_seconds
 
 
 def test_service_survives_pool_degradation(points, expected_pairs):
